@@ -16,13 +16,13 @@ from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (BadWeights, CapExceeded, DomainError, IdentificationMismatch,
                      InsufficientScales, UnknownVertex)
 from .exact import Point, Scalar
 from .geometry import CORNERS, IFS, Word, boundary_set, _VertexTable, _iter_word_maps
-from .network import FiniteForm, effective_resistance, harmonic_extension, resolvent, trace
+from .network import (FiniteForm, _Factor, effective_resistance, harmonic_extension,
+                      resolvent, trace)
 from .renorm import BoundaryForm, Solution
 
 LEVEL_CAP = 8
@@ -139,21 +139,11 @@ class LevelForm:
         return self.geometry.vid_of_address(word, corner)
 
 
-def _traced_tables(D: BoundaryForm, geom: LevelGeometry) -> list[list[tuple[int, int, float]]]:
-    """Per cell-type traced conductances of the boundary form, in local kept order."""
-    tables = []
-    for kept in geom.types:
-        if len(kept) == D.n:
-            sub = D.form
-            local = {v: i for i, v in enumerate(kept)}
-        else:
-            sub = trace(D.form, list(kept))
-            local = {v: i for i, v in enumerate(kept)}
-        entries = []
-        for (x, y), c in sub.conductances.items():
-            entries.append((local[x], local[y], float(c)))
-        tables.append(entries)
-    return tables
+def _cell_table(D: BoundaryForm, kept: Sequence[int]) -> list[tuple[int, int, float]]:
+    """Conductances of the boundary form traced to a kept subset, in local kept order."""
+    sub = trace(D.form, list(kept)) if len(kept) < D.n else D.form
+    local = {v: i for i, v in enumerate(kept)}
+    return [(local[x], local[y], float(c)) for (x, y), c in sub.conductances.items()]
 
 
 def level_form(ifs: IFS, sol: Solution, m: int, cap: int = LEVEL_CAP) -> LevelForm:
@@ -167,7 +157,7 @@ def level_form(ifs: IFS, sol: Solution, m: int, cap: int = LEVEL_CAP) -> LevelFo
     if m > cap:
         raise CapExceeded(f"level {m} exceeds cap {cap}")
     geom = _level_geometry(ifs, m)
-    tables = _traced_tables(sol.D, geom)
+    tables = [_cell_table(sol.D, kept) for kept in geom.types]
     r, s = sol.r, sol.s
     rinv_pow = [r ** -k for k in range(m + 1)]
     sinv_pow = [s ** -k for k in range(m + 1)]
@@ -398,20 +388,13 @@ class EdgeTraceTower:
                 raise UnknownVertex(f"bottom parameter {t} not in tower at depth {self.K}")
             return g
 
-        L = self.form.laplacian_dense()
-        n = self.form.n
-        keep = list(range(1, n))  # ground at vertex 0 = top corner
-        Lg = L[np.ix_(keep, keep)]
-        cho = sla.cho_factor(Lg, check_finite=False)
-        out = []
-        for (t1, t2) in pairs:
-            v1, v2 = vid(t1), vid(t2)
-            e = np.zeros(n - 1)
-            e[v1 - 1] += 1.0
-            e[v2 - 1] -= 1.0
-            u = sla.cho_solve(cho, e, check_finite=False)
-            out.append(float(e @ u))
-        return out
+        # ground at vertex 0 = top corner; one unit dipole per pair
+        E = np.zeros((self.form.n - 1, len(pairs)))
+        for k, (t1, t2) in enumerate(pairs):
+            E[vid(t1) - 1, k] += 1.0
+            E[vid(t2) - 1, k] -= 1.0
+        U = _Factor(self.form.laplacian_dense()[1:, 1:]).solve(E)
+        return np.einsum("ik,ik->k", E, U).tolist()
 
 
 def scaling_exponent(ifs: IFS, sol: Solution, levels: Sequence[int],
@@ -543,10 +526,7 @@ def _celled_energy(ifs: IFS, D: BoundaryForm, r: float, s: float, depth: int,
         key = tuple(kept)
         tab = memo.get(key)
         if tab is None:
-            sub = trace(D.form, kept) if len(kept) < D.n else D.form
-            local = {b: i for i, b in enumerate(kept)}
-            tab = [(local[x], local[y], float(c)) for (x, y), c in sub.conductances.items()]
-            memo[key] = tab
+            tab = memo[key] = _cell_table(D, kept)
         n4 = sum(1 for ch in word if ch == 4)
         w = r ** -(depth - n4) * s ** -n4
         for (a, b, c) in tab:

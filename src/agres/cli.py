@@ -47,7 +47,6 @@ class RunConfig:
     mode: str = "fast"
     grid: bool = False
     out: str = "."
-    threads: int = 1
 
     def manifest(self) -> dict:
         return {k: getattr(self, k) for k in sorted(self.__dataclass_fields__)}
@@ -168,8 +167,6 @@ def validate(cfg: RunConfig) -> list[str]:
         v.append("alpha: must be positive")
     if cfg.measure not in ("hausdorff", "uniform"):
         v.append(f"measure: must be hausdorff or uniform, got {cfg.measure!r}")
-    if cfg.threads < 1:
-        v.append("threads: must be >= 1")
     return v
 
 
@@ -225,8 +222,8 @@ def _cmd_resistance(cfg: RunConfig, outdir: Path) -> None:
     ifs = geometry.make_ifs(cfg.lam)
     sol = renorm.solve_r(ifs, cfg.s, eigen_tol=cfg.eigen_tol, bisect_tol=cfg.bisect_tol)
     pairs = _parse_pairs(cfg.pairs)
-    rows = approx.resistance_metric(ifs, sol, cfg.level, pairs)
     lf = approx.level_form(ifs, sol, cfg.level)
+    rows = approx.resistance_metric(ifs, sol, cfg.level, pairs, level=lf)
     lines = ["word_1,corner_1,word_2,corner_2,x1,y1,x2,y2,"
              "x1_exact,y1_exact,x2_exact,y2_exact,resistance"]
     for ((a1, a2), val) in rows:
@@ -324,8 +321,7 @@ def _cmd_converge(cfg: RunConfig, outdir: Path) -> None:
                                       alpha=cfg.alpha, m=cfg.level,
                                       measure_scheme=cfg.measure,
                                       eigen_tol=cfg.eigen_tol,
-                                      bisect_tol=cfg.bisect_tol,
-                                      threads=cfg.threads)
+                                      bisect_tol=cfg.bisect_tol)
     _write(outdir, "report.csv", rep.to_csv())
     _write_json(outdir, "report.json", rep.to_json_obj())
 
@@ -355,6 +351,17 @@ _DISPATCH = {
 _CONFIG_ALIASES = {"lambda": "lam", "lambda2": "lam2", "n": "n_range"}
 
 
+def _typed(field_type: str, val: str):
+    """Convert a config-file string to the type of its RunConfig field."""
+    if "bool" in field_type:
+        return val.lower() in ("1", "true", "yes")
+    if "int" in field_type:
+        return int(val)
+    if "float" in field_type:
+        return float(val)
+    return val
+
+
 def _read_config_file(path: str) -> dict:
     """Flat key = value lines mirroring the flags; '#' starts a comment."""
     out = {}
@@ -366,37 +373,45 @@ def _read_config_file(path: str) -> dict:
             raise ValidationError(f"config line {raw!r} is not 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        out[_CONFIG_ALIASES.get(key, key)] = val
+        key = _CONFIG_ALIASES.get(key, key)
+        field = RunConfig.__dataclass_fields__.get(key)
+        if field is None or key == "command":
+            continue
+        try:
+            out[key] = _typed(field.type, val)
+        except ValueError as exc:
+            raise ValidationError(f"config line {raw!r}: {exc}") from exc
     return out
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags carry no defaults: only flags given explicitly appear in the namespace,
+    so they override the config file, which overrides the RunConfig defaults."""
     parser = argparse.ArgumentParser(
         prog="agres",
         description="Self-similar resistance forms on gaskets with an added rotated triangle")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--lambda", dest="lam", help="rational 'p/q' in (0,1/2)")
         p.add_argument("--lambda2", dest="lam2", help="second rational (hausdorff)")
         p.add_argument("--target", help="'p/q', decimal, or '1/sqrtN'")
         p.add_argument("--s", type=float, help="added-cell weight in (0,1)")
-        p.add_argument("--level", type=int, default=3)
-        p.add_argument("--depth", type=int, default=8)
+        p.add_argument("--level", type=int)
+        p.add_argument("--depth", type=int)
         p.add_argument("--n", dest="n_range", help="schedule range 'a..b'")
         p.add_argument("--alpha", type=float)
         p.add_argument("--pairs", help="'(w,i):(w,i);...' addressed vertex pairs")
-        p.add_argument("--measure", choices=("hausdorff", "uniform"), default="hausdorff")
-        p.add_argument("--eigen-tol", dest="eigen_tol", type=float, default=1e-12)
-        p.add_argument("--bisect-tol", dest="bisect_tol", type=float, default=1e-10)
-        p.add_argument("--max-iters", dest="max_iters", type=int, default=10_000)
-        p.add_argument("--relation-depth", dest="relation_depth", type=int, default=1)
-        p.add_argument("--guard", type=int, default=12)
-        p.add_argument("--mode", choices=("fast", "oracle"), default="fast")
+        p.add_argument("--measure", choices=("hausdorff", "uniform"))
+        p.add_argument("--eigen-tol", dest="eigen_tol", type=float)
+        p.add_argument("--bisect-tol", dest="bisect_tol", type=float)
+        p.add_argument("--max-iters", dest="max_iters", type=int)
+        p.add_argument("--relation-depth", dest="relation_depth", type=int)
+        p.add_argument("--guard", type=int)
+        p.add_argument("--mode", choices=("fast", "oracle"))
         p.add_argument("--grid", action="store_true",
                        help="estimates: add the uniform-bound parameter scan")
-        p.add_argument("--out", default=".")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--out")
         p.add_argument("--config", help="flat key = value file; flags override")
     return parser
 
@@ -412,34 +427,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    values = vars(ns).copy()
+    values = vars(ns)
     config_path = values.pop("config", None)
     if config_path:
         try:
-            file_vals = _read_config_file(config_path)
+            values = {**_read_config_file(config_path), **values}
         except (OSError, ValidationError) as exc:
             print(_error_json(exc), file=sys.stderr)
             return 2
-        defaults = RunConfig(command=values["command"])
-        for key, val in file_vals.items():
-            if key not in values or values[key] is None or \
-                    values[key] == getattr(defaults, key, None):
-                values[key] = val
-    # normalize typed fields that may arrive as strings from the config file
-    cfg = RunConfig(command=values["command"])
-    for key, val in values.items():
-        if not hasattr(cfg, key):
-            continue
-        cur = getattr(cfg, key)
-        if val is None:
-            continue
-        if isinstance(cur, bool):
-            val = val if isinstance(val, bool) else str(val).lower() in ("1", "true", "yes")
-        elif isinstance(cur, int) and not isinstance(val, bool):
-            val = int(val)
-        elif isinstance(cur, float):
-            val = float(val)
-        setattr(cfg, key, val)
+    cfg = RunConfig(**values)
 
     violations = validate(cfg)
     if violations:

@@ -11,7 +11,6 @@ convergence without a rate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -272,8 +271,7 @@ def convergence_report(target, s: float, n_range: Sequence[int],
                        alpha: Optional[float] = None, m: int = 3,
                        measure_scheme: str = "hausdorff",
                        eigen_tol: float = 1e-12, bisect_tol: float = 1e-10,
-                       diff_threshold: float = DIFF_THRESHOLD,
-                       threads: int = 1) -> ConvergenceReport:
+                       diff_threshold: float = DIFF_THRESHOLD) -> ConvergenceReport:
     """Solve along a dyadic schedule and track quantities at addressed vertices.
 
     Tracked points are (word, corner) addresses, so they exist canonically
@@ -287,13 +285,8 @@ def convergence_report(target, s: float, n_range: Sequence[int],
             if len(addr[0]) > m:
                 raise TrackingError(
                     f"address word {addr[0]} longer than level {m}")
-    args = [(n, lam, s, pairs, alpha, m, measure_scheme, eigen_tol, bisect_tol)
+    rows = [_report_row(n, lam, s, pairs, alpha, m, measure_scheme, eigen_tol, bisect_tol)
             for n, lam in sched.entries]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda a: _report_row(*a), args))
-    else:
-        rows = [_report_row(*a) for a in args]
     report = ConvergenceReport(sched.target, float(s), m, alpha, pairs, rows,
                                diff_threshold=diff_threshold)
     report.compute_verdicts()

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import CapExceeded, DepthExceeded, DomainError, OrbitOverflow
 from .exact import (Point, RationalLike, Scalar, Similarity, as_fraction,
                     compose_word, point_decimal_str, point_exact_str)
+from .network import _components
 
 # corners of the reference triangle: top, lower left, lower right
 P1 = Point(Scalar(Fraction(1, 2)), Scalar.sqrt3_times(Fraction(1, 2)))
@@ -439,22 +440,7 @@ class GraphApprox:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        n = len(self.points)
-        if n == 0:
-            return False
-        adj: dict[int, list[int]] = {i: [] for i in range(n)}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
+        return bool(self.points) and not any(_components(len(self.points), self.edges))
 
     def edge_list_csv(self) -> str:
         lines = ["vertex_id_1,vertex_id_2"]

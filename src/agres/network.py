@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import (BadMeasure, BadTarget, ConditionWarning, Disconnected,
                      DomainError, MismatchedVertexSets, NegativeConductance,
@@ -38,8 +38,102 @@ def _pair(x: VertexId, y: VertexId) -> tuple[VertexId, VertexId]:
         return (x, y) if repr(x) < repr(y) else (y, x)
 
 
+def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Connected components of vertices 0..n-1 joined by the pairs: the block id of
+    every vertex, blocks numbered by first occurrence."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+    ids: dict[int, int] = {}
+    return tuple(ids.setdefault(find(i), len(ids)) for i in range(n))
+
+
+def _laplacian(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+               sparse: bool = False) -> Union[np.ndarray, sp.csc_matrix]:
+    """Weighted Laplacian of n vertices with conductance c[k] on the pair (a[k], b[k]).
+
+    The pairs must be distinct and carry no self-loops.
+    """
+    if sparse:
+        rows = np.concatenate([a, b, a, b])
+        cols = np.concatenate([b, a, a, b])
+        return sp.csc_matrix((np.concatenate([-c, -c, c, c]), (rows, cols)), shape=(n, n))
+    L = np.zeros((n, n))
+    L[a, b] = -c
+    L[b, a] = -c
+    L.flat[::n + 1] = np.bincount(a, c, n) + np.bincount(b, c, n)
+    return L
+
+
+def _dense(M) -> np.ndarray:
+    return M.toarray() if sp.issparse(M) else M
+
+
+class _Factor:
+    """Factorization of a positive definite block: sparse LU of a sparse block,
+    dense Cholesky (with its pivot ratio recorded) of a dense one.  A failed
+    factorization raises SingularInterior."""
+
+    def __init__(self, A):
+        self.pivot_ratio: Optional[float] = None
+        if sp.issparse(A):
+            try:
+                self._lu = spla.splu(A.tocsc())
+            except RuntimeError as exc:
+                raise SingularInterior(f"interior block factorization failed: {exc}") from exc
+        else:
+            cho, info = lapack.dpotrf(A, lower=False, clean=False)
+            if info != 0:
+                raise SingularInterior(f"interior block factorization failed (info={info})")
+            d = np.diag(cho)
+            self.pivot_ratio = (d.max() / d.min()) ** 2
+            self._cho = cho
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.pivot_ratio is None:
+            return self._lu.solve(rhs)
+        return lapack.dpotrs(self._cho, rhs)[0]
+
+
+def _schur(L, nk: int) -> tuple[np.ndarray, _Factor]:
+    """Schur complement of the trailing interior block onto the first nk indices."""
+    fac = _Factor(L[nk:, nk:])
+    L_ki = L[:nk, nk:]
+    return _dense(L[:nk, :nk]) - L_ki @ fac.solve(_dense(L_ki.T)), fac
+
+
+def _pair_conductances(S: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, float]:
+    """Conductances of the pairs (i[k], j[k]) read off a Schur complement.
+
+    A value below minus the dust level raises NegativeConductance; smaller
+    negative dust is clipped to zero.  Returns the values and the dust level.
+    """
+    c = -0.5 * (S[i, j] + S[j, i])
+    dust = DUST * max(1.0, float(np.abs(S).max()))
+    bad = np.flatnonzero(c < -dust)
+    if bad.size:
+        k = bad[0]
+        raise NegativeConductance(
+            f"reduction produced conductance {c[k]:.3e} on pair ({i[k]}, {j[k]})")
+    return np.maximum(c, 0.0), dust
+
+
 class FiniteForm:
-    """A resistance form on a finite vertex set, stored as sparse conductances."""
+    """A resistance form on a finite vertex set, stored as sparse conductances.
+
+    Besides the ``conductances`` mapping, the form keeps its edges as
+    arrays of vertex indices and conductances, which every Laplacian is
+    built from; forms are not modified after construction.
+    """
 
     def __init__(self, vertices: Sequence[VertexId],
                  conductances: Mapping[tuple[VertexId, VertexId], float]):
@@ -60,6 +154,11 @@ class FiniteForm:
                 continue
             key = _pair(x, y)
             self.conductances[key] = self.conductances.get(key, 0.0) + c
+        pos = self._pos
+        self._a = np.array([pos[x] for x, _ in self.conductances], dtype=np.int64)
+        self._b = np.array([pos[y] for _, y in self.conductances], dtype=np.int64)
+        self._c = np.fromiter(self.conductances.values(), float, len(self.conductances))
+        self._connected: Optional[bool] = None
 
     # -- basic queries ---------------------------------------------------------
 
@@ -72,11 +171,8 @@ class FiniteForm:
 
     def energy(self, f: Union[Mapping[VertexId, float], Sequence[float], np.ndarray]) -> float:
         vals = self._as_array(f)
-        total = 0.0
-        for (x, y), c in self.conductances.items():
-            d = vals[self._pos[x]] - vals[self._pos[y]]
-            total += c * d * d
-        return total
+        d = vals[self._a] - vals[self._b]
+        return float(np.dot(self._c, d * d))
 
     def _as_array(self, f) -> np.ndarray:
         if isinstance(f, Mapping):
@@ -87,21 +183,10 @@ class FiniteForm:
         return arr
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        adj: dict[VertexId, list[VertexId]] = {v: [] for v in self.vertices}
-        for (x, y) in self.conductances:
-            adj[x].append(y)
-            adj[y].append(x)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        if self._connected is None:
+            edges = zip(self._a.tolist(), self._b.tolist())
+            self._connected = self.n > 0 and not any(_components(self.n, edges))
+        return self._connected
 
     def require_connected(self) -> None:
         if not self.is_connected():
@@ -110,28 +195,27 @@ class FiniteForm:
     def scaled(self, a: float) -> "FiniteForm":
         return FiniteForm(self.vertices, {k: a * c for k, c in self.conductances.items()})
 
+    def _laplacian_ordered(self, order: Optional[Sequence[VertexId]], sparse: bool):
+        a, b = self._a, self._b
+        if order is not None:
+            pos = np.empty(self.n, dtype=np.int64)
+            pos[[self._pos[v] for v in order]] = np.arange(len(order))
+            a, b = pos[a], pos[b]
+        return _laplacian(self.n, a, b, self._c, sparse)
+
     def laplacian_dense(self, order: Sequence[VertexId] | None = None) -> np.ndarray:
-        order = list(order) if order is not None else self.vertices
-        pos = {v: i for i, v in enumerate(order)}
-        L = np.zeros((len(order), len(order)))
-        for (x, y), c in self.conductances.items():
-            i, j = pos[x], pos[y]
-            L[i, j] -= c
-            L[j, i] -= c
-            L[i, i] += c
-            L[j, j] += c
-        return L
+        return self._laplacian_ordered(order, sparse=False)
 
     def laplacian_sparse(self, order: Sequence[VertexId] | None = None) -> sp.csc_matrix:
-        order = list(order) if order is not None else self.vertices
-        pos = {v: i for i, v in enumerate(order)}
-        rows, cols, vals = [], [], []
-        for (x, y), c in self.conductances.items():
-            i, j = pos[x], pos[y]
-            rows += [i, j, i, j]
-            cols += [j, i, i, j]
-            vals += [-c, -c, c, c]
-        return sp.csc_matrix((vals, (rows, cols)), shape=(len(order), len(order)))
+        return self._laplacian_ordered(order, sparse=True)
+
+    def _laplacian_first(self, first: Sequence[VertexId]) -> tuple:
+        """Laplacian with the given vertices first and the rest after them in vertex
+        order, plus that rest.  It is sparse when the rest, the block that gets
+        factored, exceeds DENSE_LIMIT vertices, and dense otherwise."""
+        firstset = set(first)
+        rest = [v for v in self.vertices if v not in firstset]
+        return self._laplacian_ordered(list(first) + rest, len(rest) > DENSE_LIMIT), rest
 
     # -- serialization -----------------------------------------------------------
 
@@ -159,63 +243,6 @@ class FiniteForm:
         return f"FiniteForm({self.n} vertices, {len(self.conductances)} conductances)"
 
 
-def _schur_dense(L: np.ndarray, nk: int) -> np.ndarray:
-    """Schur complement of the trailing interior block onto the first nk indices."""
-    L_kk = L[:nk, :nk]
-    L_ki = L[:nk, nk:]
-    L_ii = L[nk:, nk:]
-    if L_ii.shape[0] == 0:
-        return L_kk.copy()
-    try:
-        cho = sla.cho_factor(L_ii, check_finite=False)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise SingularInterior(f"interior block factorization failed: {exc}") from exc
-    d = np.diag(cho[0])
-    ratio = (d.max() / d.min()) ** 2 if d.min() > 0 else np.inf
-    if ratio > PIVOT_RATIO_WARN:
-        warnings.warn(f"interior pivot ratio {ratio:.3g} exceeds {PIVOT_RATIO_WARN:g}",
-                      ConditionWarning, stacklevel=3)
-    X = sla.cho_solve(cho, L_ki.T, check_finite=False)
-    return L_kk - L_ki @ X
-
-
-def _schur_sparse(form: FiniteForm, keep: list, interior: list) -> np.ndarray:
-    order = keep + interior
-    L = form.laplacian_sparse(order)
-    nk = len(keep)
-    L_kk = L[:nk, :nk].toarray()
-    L_ki = L[:nk, nk:].tocsc()
-    L_ii = L[nk:, nk:].tocsc()
-    try:
-        solver = spla.splu(L_ii)
-    except RuntimeError as exc:
-        raise SingularInterior(f"interior block factorization failed: {exc}") from exc
-    S = L_kk
-    block = 512
-    rhs = L_ki.T.toarray() if L_ki.nnz else None
-    if rhs is not None:
-        for start in range(0, nk, block):
-            stop = min(nk, start + block)
-            X = solver.solve(rhs[:, start:stop])
-            S[:, start:stop] -= L_ki @ X
-    return S
-
-
-def _conductances_from_schur(S: np.ndarray, keep: list) -> dict:
-    nk = len(keep)
-    scale = max(1.0, float(np.abs(S).max()) if S.size else 1.0)
-    out = {}
-    for i in range(nk):
-        for j in range(i + 1, nk):
-            c = -0.5 * (S[i, j] + S[j, i])
-            if c < -DUST * scale:
-                raise NegativeConductance(
-                    f"reduction produced conductance {c:.3e} on ({keep[i]!r},{keep[j]!r})")
-            if c > DUST * scale:
-                out[_pair(keep[i], keep[j])] = c
-    return out
-
-
 def trace(form: FiniteForm, keep: Iterable[VertexId]) -> FiniteForm:
     """Form induced on a vertex subset by minimizing energy over extensions.
 
@@ -230,16 +257,17 @@ def trace(form: FiniteForm, keep: Iterable[VertexId]) -> FiniteForm:
     if missing:
         raise DomainError(f"keep set contains unknown vertices: {missing[:3]}")
     form.require_connected()
-    keepset = set(keep)
-    interior = [v for v in form.vertices if v not in keepset]
-    if not interior:
+    if len(keep) == form.n:
         return FiniteForm(keep, dict(form.conductances))
-    if len(interior) > DENSE_LIMIT:
-        S = _schur_sparse(form, keep, interior)
-    else:
-        L = form.laplacian_dense(keep + interior)
-        S = _schur_dense(L, len(keep))
-    return FiniteForm(keep, _conductances_from_schur(S, keep))
+    L, _ = form._laplacian_first(keep)
+    S, fac = _schur(L, len(keep))
+    if fac.pivot_ratio is not None and fac.pivot_ratio > PIVOT_RATIO_WARN:
+        warnings.warn(f"interior pivot ratio {fac.pivot_ratio:.3g} exceeds {PIVOT_RATIO_WARN:g}",
+                      ConditionWarning, stacklevel=2)
+    i, j = np.triu_indices(len(keep), 1)
+    c, dust = _pair_conductances(S, i, j)
+    return FiniteForm(keep, {(keep[x], keep[y]): c[k]
+                             for k, (x, y) in enumerate(zip(i, j)) if c[k] > dust})
 
 
 def harmonic_extension(form: FiniteForm, boundary: Mapping[VertexId, float]) -> dict[VertexId, float]:
@@ -250,61 +278,22 @@ def harmonic_extension(form: FiniteForm, boundary: Mapping[VertexId, float]) -> 
     if missing:
         raise DomainError(f"boundary contains unknown vertices: {missing[:3]}")
     form.require_connected()
-    bset = set(boundary)
-    interior = [v for v in form.vertices if v not in bset]
     out = {v: float(boundary[v]) for v in boundary}
-    if not interior:
+    nb = len(out)
+    if nb == form.n:
         return out
-    blist = list(boundary)
-    order = interior + blist
-    fb = np.array([out[v] for v in blist])
-    ni = len(interior)
-    if ni > DENSE_LIMIT:
-        L = form.laplacian_sparse(order)
-        L_ii = L[:ni, :ni].tocsc()
-        L_ib = L[:ni, ni:]
-        try:
-            h = spla.splu(L_ii).solve(-L_ib @ fb)
-        except RuntimeError as exc:
-            raise SingularInterior(str(exc)) from exc
-        resid = np.abs(L_ii @ h + L_ib @ fb).max()
-    else:
-        L = form.laplacian_dense(order)
-        L_ii = L[:ni, :ni]
-        L_ib = L[:ni, ni:]
-        try:
-            h = np.linalg.solve(L_ii, -L_ib @ fb)
-        except np.linalg.LinAlgError as exc:
-            raise SingularInterior(str(exc)) from exc
-        resid = np.abs(L_ii @ h + L_ib @ fb).max()
-    scale = max(1.0, np.abs(fb).max()) * max(1.0, max(form.conductances.values()))
-    if resid > 1e-12 * scale * max(1.0, ni):
+    L, interior = form._laplacian_first(list(out))
+    fb = np.array(list(out.values()))
+    L_ii = L[nb:, nb:]
+    rhs = -(L[nb:, :nb] @ fb)
+    h = _Factor(L_ii).solve(rhs)
+    resid = np.abs(L_ii @ h - rhs).max()
+    scale = max(1.0, np.abs(fb).max()) * max(1.0, form._c.max())
+    if resid > 1e-12 * scale * max(1.0, len(interior)):
         warnings.warn(f"harmonic system residual {resid:.3e}", ConditionWarning, stacklevel=2)
     for v, val in zip(interior, h):
         out[v] = float(val)
     return out
-
-
-class _MergedNode:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<merged-target>"
-
-
-def _merged_for_target(form: FiniteForm, target: set) -> tuple[FiniteForm, VertexId]:
-    """Collapse a vertex set to a single node, combining parallel conductances."""
-    sentinel = _MergedNode()
-    verts = [v for v in form.vertices if v not in target] + [sentinel]
-    cond: dict = {}
-    for (x, y), c in form.conductances.items():
-        xx = sentinel if x in target else x
-        yy = sentinel if y in target else y
-        if xx == yy:
-            continue
-        key = _pair(xx, yy)
-        cond[key] = cond.get(key, 0.0) + c
-    return FiniteForm(verts, cond), sentinel
 
 
 def effective_resistance(form: FiniteForm, x: VertexId,
@@ -322,28 +311,13 @@ def effective_resistance(form: FiniteForm, x: VertexId,
     if x in tset:
         raise BadTarget("source vertex lies in the target set")
     form.require_connected()
-    if len(tset) > 1:
-        form, ground = _merged_for_target(form, tset)
-    else:
-        ground = next(iter(tset))
-    order = [v for v in form.vertices if v != ground]
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    e = np.zeros(n)
-    e[pos[x]] = 1.0
-    if n > DENSE_LIMIT:
-        L = form.laplacian_sparse(order + [ground])[:n, :n].tocsc()
-        try:
-            u = spla.splu(L).solve(e)
-        except RuntimeError as exc:
-            raise SingularInterior(str(exc)) from exc
-    else:
-        L = form.laplacian_dense(order + [ground])[:n, :n]
-        try:
-            u = np.linalg.solve(L, e)
-        except np.linalg.LinAlgError as exc:
-            raise SingularInterior(str(exc)) from exc
-    return float(u[pos[x]])
+    # grounding the target set deletes its rows and columns from the Laplacian
+    L, rest = form._laplacian_first(list(tset))
+    nt = len(tset)
+    e = np.zeros(len(rest))
+    k = rest.index(x)
+    e[k] = 1.0
+    return float(_Factor(L[nt:, nt:]).solve(e)[k])
 
 
 def resistance_matrix(form: FiniteForm) -> np.ndarray:
@@ -353,7 +327,7 @@ def resistance_matrix(form: FiniteForm) -> np.ndarray:
     if n == 1:
         return np.zeros((1, 1))
     L = form.laplacian_dense()
-    G = np.linalg.inv(L[:-1, :-1])  # grounded at the last vertex
+    G = _Factor(L[:-1, :-1]).solve(np.eye(n - 1))  # grounded at the last vertex
     R = np.zeros((n, n))
     d = np.diag(G)
     R[:-1, :-1] = d[:, None] + d[None, :] - 2 * G
@@ -368,22 +342,18 @@ def form_comparison(form1: FiniteForm, form2: FiniteForm) -> tuple[float, float]
     lower = 2/(N(N-1)) * min R1/R2 and upper = N(N-1)/2 * max R1/R2 over
     distinct vertex pairs.
     """
-    if list(form1.vertices) != list(form2.vertices):
-        if set(form1.vertices) != set(form2.vertices):
-            raise MismatchedVertexSets("forms are defined on different vertex sets")
+    if set(form1.vertices) != set(form2.vertices):
+        raise MismatchedVertexSets("forms are defined on different vertex sets")
     n = form1.n
     if n < 2:
         raise DomainError("need at least two vertices")
-    form1.require_connected()
-    form2.require_connected()
-    ratios = []
-    for i, x in enumerate(form1.vertices):
-        for y in form1.vertices[i + 1:]:
-            r1 = effective_resistance(form1, x, y)
-            r2 = effective_resistance(form2, x, y)
-            ratios.append(r1 / r2)
+    R1 = resistance_matrix(form1)
+    perm = [form2._pos[v] for v in form1.vertices]
+    R2 = resistance_matrix(form2)[np.ix_(perm, perm)]
+    i, j = np.triu_indices(n, 1)
+    ratios = R1[i, j] / R2[i, j]
     pairs = n * (n - 1) / 2
-    return (min(ratios) / pairs, max(ratios) * pairs)
+    return (float(ratios.min()) / pairs, float(ratios.max()) * pairs)
 
 
 @dataclass

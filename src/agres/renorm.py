@@ -19,18 +19,38 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
-                     GuardExceeded, IdentificationMismatch, NegativeConductance,
-                     NoConvergence, SingularInterior)
+                     GuardExceeded, IdentificationMismatch, NoConvergence, SingularInterior)
 from .geometry import (CORNERS, IFS, BoundarySet, Label, boundary_set,
                        edge_point, _VertexTable, _iter_word_maps)
-from .network import FiniteForm
+from .network import (FiniteForm, _components, _Factor, _laplacian, _pair_conductances,
+                      _schur)
 
 EIGEN_TOL = 1e-12
 EIGEN_MAX_ITERS = 10_000
 BISECT_TOL = 1e-10
 BRACKET_EXPANSIONS = 60
 RELATION_GUARD = 12
-_DUST = 1e-13
+
+
+def _pair_orbit_ids(perm: Sequence[int]) -> np.ndarray:
+    """Rotation-orbit id of every boundary pair (i < j, row-major order), numbered 0, 1, ..."""
+    n = len(perm)
+    i, j = np.triu_indices(n, 1)
+    index = np.zeros((n, n), dtype=np.int64)
+    index[i, j] = index[j, i] = np.arange(len(i))
+    p = np.asarray(perm, dtype=np.int64)
+    rep = np.minimum(index[i, j], np.minimum(index[p[i], p[j]], index[p[p[i]], p[p[j]]]))
+    return np.unique(rep, return_inverse=True)[1]
+
+
+def _pair_form(n: int, pairs, cvec: np.ndarray) -> FiniteForm:
+    """Form on vertices 0..n-1 carrying the positive entries of a pair vector."""
+    return FiniteForm(list(range(n)), {p: c for p, c in zip(pairs, cvec.tolist()) if c > 0})
+
+
+def _orbit_average(cvec: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Replace each pair value by the mean over its rotation orbit."""
+    return (np.bincount(ids, cvec) / np.bincount(ids))[ids]
 
 
 def corner_only_boundary() -> BoundarySet:
@@ -63,24 +83,9 @@ class BoundaryForm:
         return worst
 
     def symmetrized(self) -> "BoundaryForm":
-        perm = self.bset.g_permutation
-        done: set[tuple[int, int]] = set()
-        cond: dict[tuple[int, int], float] = {}
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (i, j) in done:
-                    continue
-                orbit = {(i, j)}
-                a, b = i, j
-                for _ in range(2):
-                    a, b = perm[a], perm[b]
-                    orbit.add((min(a, b), max(a, b)))
-                avg = sum(self.form.conductance(a, b) for a, b in orbit) / len(orbit)
-                for key in orbit:
-                    done.add(key)
-                    if avg > 0:
-                        cond[key] = avg
-        return BoundaryForm(self.bset, FiniteForm(list(range(self.n)), cond), symmetric=True)
+        pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
+        avg = _orbit_average(self.vector(pairs), _pair_orbit_ids(self.bset.g_permutation))
+        return BoundaryForm(self.bset, _pair_form(self.n, pairs, avg), symmetric=True)
 
     def scaled(self, a: float) -> "BoundaryForm":
         return BoundaryForm(self.bset, self.form.scaled(a), self.symmetric)
@@ -114,8 +119,9 @@ class GlueContext:
         self.include_added = include_added
         n = bset.size
         self.N = n
-        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self.pair_index = {p: k for k, p in enumerate(self.pairs)}
+        self.pair_i, self.pair_j = np.triu_indices(n, 1)
+        self.pairs = list(zip(self.pair_i.tolist(), self.pair_j.tolist()))
+        self.orbit_ids = _pair_orbit_ids(bset.g_permutation)
         self.copies = (0, 1, 2, 3) if include_added else (0, 1, 2)
 
         table = _VertexTable()
@@ -188,131 +194,39 @@ class GlueContext:
             np.add.at(gvec, arr, cvec / w)
         return gvec
 
-    def glued_laplacian(self, gvec: np.ndarray) -> np.ndarray:
-        n = self.n_glued
-        L = np.zeros((n, n))
-        a, b = self.gpair_a, self.gpair_b
-        L[a, b] -= gvec
-        L[b, a] -= gvec
-        np.add.at(L, (a, a), gvec)
-        np.add.at(L, (b, b), gvec)
-        return L
-
     def trace_to_boundary(self, gvec: np.ndarray) -> np.ndarray:
         """Schur-complement the interior glued vertices; returns boundary pair vector."""
-        n, nb = self.n_glued, self.N
-        L = self.glued_laplacian(gvec)
-        L_bb = L[:nb, :nb]
-        L_bi = L[:nb, nb:]
-        L_ii = L[nb:, nb:]
+        L = _laplacian(self.n_glued, self.gpair_a, self.gpair_b, gvec)
         try:
-            X = np.linalg.solve(L_ii, L_bi.T)
-        except np.linalg.LinAlgError as exc:
-            if not self._glued_connected(gvec):
+            S, _ = _schur(L, self.N)
+        except SingularInterior as exc:
+            pairs = zip(self.gpair_a[gvec > 0].tolist(), self.gpair_b[gvec > 0].tolist())
+            if any(_components(self.n_glued, pairs)):
                 raise Disconnected("glued network is disconnected") from exc
-            raise SingularInterior(str(exc)) from exc
-        S = L_bb - L_bi @ X
-        out = np.empty(len(self.pairs))
-        for k, (i, j) in enumerate(self.pairs):
-            out[k] = -0.5 * (S[i, j] + S[j, i])
-        scale = max(1.0, float(np.abs(S).max()))
-        bad = out < -_DUST * scale
-        if bad.any():
-            k = int(np.nonzero(bad)[0][0])
-            raise NegativeConductance(
-                f"trace produced conductance {out[k]:.3e} on pair {self.pairs[k]}")
-        np.clip(out, 0.0, None, out=out)
-        return out
-
-    def _glued_connected(self, gvec: np.ndarray) -> bool:
-        parent = list(range(self.n_glued))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for k in range(self.n_gpairs):
-            if gvec[k] > 0:
-                parent[find(int(self.gpair_a[k]))] = find(int(self.gpair_b[k]))
-        return len({find(i) for i in range(self.n_glued)}) == 1
+            raise
+        return _pair_conductances(S, self.pair_i, self.pair_j)[0]
 
     def apply(self, cvec: np.ndarray, weights: Sequence[float]) -> np.ndarray:
         return self.trace_to_boundary(self.glued_vector(cvec, weights))
 
     def resistance_p1p2(self, cvec: np.ndarray) -> float:
         """Two-point resistance between the first two boundary vertices (corners 1, 2)."""
-        n = self.N
-        L = np.zeros((n, n))
-        for k, (i, j) in enumerate(self.pairs):
-            c = cvec[k]
-            L[i, j] -= c
-            L[j, i] -= c
-            L[i, i] += c
-            L[j, j] += c
-        keep = [i for i in range(n) if i != 1]
-        Lg = L[np.ix_(keep, keep)]
-        e = np.zeros(n - 1)
-        e[0] = 1.0  # vertex 0 keeps position 0 after dropping vertex 1
-        try:
-            u = np.linalg.solve(Lg, e)
-        except np.linalg.LinAlgError as exc:
-            raise SingularInterior(str(exc)) from exc
-        return float(u[0])
+        L = _laplacian(self.N, self.pair_i, self.pair_j, cvec)
+        e = np.zeros(self.N - 1)
+        e[0] = 1.0  # vertex 1 sits at position 0 once vertex 0 is grounded
+        return float(_Factor(L[1:, 1:]).solve(e)[0])
 
     def energy_at_p1_indicator(self, cvec: np.ndarray) -> float:
         """Energy of the indicator of corner 1: the sum of conductances touching vertex 0."""
-        total = 0.0
-        for k, (i, j) in enumerate(self.pairs):
-            if i == 0 or j == 0:
-                total += cvec[k]
-        return total
+        return float(cvec[self.pair_i == 0].sum())
 
     def connected(self, cvec: np.ndarray, rel_floor: float = 1e-12) -> bool:
-        n = self.N
-        thresh = rel_floor * max(cvec.max(), 1e-300)
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for k, (i, j) in enumerate(self.pairs):
-            if cvec[k] > thresh:
-                parent[find(i)] = find(j)
-        return len({find(i) for i in range(n)}) == 1
-
-    def g_pair_orbits(self) -> list[tuple[int, ...]]:
-        perm = self.bset.g_permutation
-        orbits = []
-        seen = set()
-        for k, (i, j) in enumerate(self.pairs):
-            if k in seen:
-                continue
-            orb = [k]
-            a, b = i, j
-            for _ in range(2):
-                a, b = perm[a], perm[b]
-                kk = self.pair_index[(min(a, b), max(a, b))]
-                if kk not in orb:
-                    orb.append(kk)
-            seen.update(orb)
-            orbits.append(tuple(orb))
-        return orbits
+        live = cvec > rel_floor * max(cvec.max(), 1e-300)
+        pairs = zip(self.pair_i[live].tolist(), self.pair_j[live].tolist())
+        return not any(_components(self.N, pairs))
 
     def symmetrize_vector(self, cvec: np.ndarray) -> np.ndarray:
-        out = cvec.copy()
-        for orb in self._orbit_cache():
-            out[list(orb)] = cvec[list(orb)].mean()
-        return out
-
-    def _orbit_cache(self):
-        if not hasattr(self, "_orbits"):
-            self._orbits = self.g_pair_orbits()
-        return self._orbits
+        return _orbit_average(cvec, self.orbit_ids)
 
 
 def _glue_context(ifs: IFS, bset: BoundarySet, include_added: bool) -> GlueContext:
@@ -350,11 +264,7 @@ def glue_level_one(ifs: IFS, D: BoundaryForm, weights) -> FiniteForm:
     ctx = _glue_context(ifs, D.bset, include_added)
     cvec = D.vector(ctx.pairs)
     gvec = ctx.glued_vector(cvec, ws)
-    cond = {}
-    for k in range(ctx.n_gpairs):
-        if gvec[k] != 0.0:
-            cond[(int(ctx.gpair_a[k]), int(ctx.gpair_b[k]))] = float(gvec[k])
-    return FiniteForm(list(range(ctx.n_glued)), cond)
+    return _pair_form(ctx.n_glued, zip(ctx.gpair_a.tolist(), ctx.gpair_b.tolist()), gvec)
 
 
 def renorm_map(ifs: IFS, D: BoundaryForm, weights) -> BoundaryForm:
@@ -365,8 +275,7 @@ def renorm_map(ifs: IFS, D: BoundaryForm, weights) -> BoundaryForm:
     out = ctx.apply(cvec, ws)
     if D.symmetric:
         out = ctx.symmetrize_vector(out)
-    cond = {ctx.pairs[k]: float(out[k]) for k in range(len(ctx.pairs)) if out[k] > 0}
-    form = FiniteForm(list(range(ctx.N)), cond)
+    form = _pair_form(ctx.N, ctx.pairs, out)
     if not form.is_connected():
         raise Disconnected("renormalized form is disconnected")
     return BoundaryForm(D.bset, form, symmetric=D.symmetric)
@@ -440,14 +349,18 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
     if not (0.6 - 1e-9 <= C < 1.0):
         raise DegenerateLimit(f"scale factor {C!r} escapes [3/5, 1)")
 
-    cond = {ctx.pairs[k]: float(c[k]) for k in range(len(ctx.pairs)) if c[k] > 0}
-    D = BoundaryForm(bset, FiniteForm(list(range(ctx.N)), cond), symmetric=True)
+    D = BoundaryForm(bset, _pair_form(ctx.N, ctx.pairs, c), symmetric=True)
     return EigenResult(float(rtilde4), float(C), D, iters, delta, residual)
 
 
 @dataclass
 class Solution:
-    """Solved renormalization data for one (lambda, s) pair."""
+    """Solved renormalization data for one (lambda, s) pair.
+
+    ``eigen_iterations`` counts the ``eigen_solve`` calls of the weight
+    solve (one per root-finder evaluation), not the power iterations inside
+    them; each ``EigenResult.iterations`` holds those.
+    """
     lam: Fraction
     s: float
     r: float
@@ -478,7 +391,8 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
     """Solve for the corner weight making a self-similar fixed point exist.
 
     Bisects the nondecreasing map x -> x * C(x) to hit the added-cell
-    weight s; the bracket [s, s/0.6] is guaranteed by 3/5 <= C < 1.  The
+    weight s; the bracket [s, s/0.58] contains the root because 3/5 <= C < 1
+    (0.58 leaves room below 3/5), and is widened if it does not.  The
     returned r equals C at the solving abscissa, the fixed form D is
     normalized to corner resistance 2/3, and the residual measures how far
     D is from being fixed under weights (r, r, r, s).
@@ -592,26 +506,6 @@ class Relation:
         return self.is_full or self.is_empty
 
 
-def _canonical_partition(parent: list[int]) -> tuple[int, ...]:
-    """Signature: block id per element, numbered by first occurrence."""
-    n = len(parent)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    roots = [find(i) for i in range(n)]
-    remap: dict[int, int] = {}
-    sig = []
-    for r in roots:
-        if r not in remap:
-            remap[r] = len(remap)
-        sig.append(remap[r])
-    return tuple(sig)
-
-
 def _sig_blocks(sig: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     blocks: dict[int, list[int]] = {}
     for i, b in enumerate(sig):
@@ -619,32 +513,18 @@ def _sig_blocks(sig: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v) for _, v in sorted(blocks.items()))
 
 
+def _block_pairs(sig: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Pairs joining every element to the first element of its block."""
+    first: dict[int, int] = {}
+    return [(i, first.setdefault(b, i)) for i, b in enumerate(sig)]
+
+
 def _close_with_group(sig: tuple[int, ...], extra: tuple[int, int],
                       perm: tuple[int, ...]) -> tuple[int, ...]:
     """Smallest group-invariant equivalence relation containing sig and the extra pair."""
-    n = len(sig)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sig[i] == sig[j]:
-                union(i, j)
     x, y = extra
-    for _ in range(3):
-        union(x, y)
-        x, y = perm[x], perm[y]
-    return _canonical_partition(parent)
+    orbit = [(x, y), (perm[x], perm[y]), (perm[perm[x]], perm[perm[y]])]
+    return _components(len(sig), _block_pairs(sig) + orbit)
 
 
 def _tilde_level_maps(ifs: IFS, bset: BoundarySet, k: int) -> tuple[int, list[np.ndarray]]:
@@ -668,33 +548,10 @@ def _restricted_relation(ifs: IFS, bset: BoundarySet, sig: tuple[int, ...],
                          k: int) -> tuple[int, ...]:
     """Relation induced on the boundary set by depth-k copies of the relation graph."""
     n_glued, copies = _tilde_level_maps(ifs, bset, k)
-    parent = list(range(n_glued))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    n = bset.size
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if sig[i] == sig[j]]
-    for arr in copies:
-        for i, j in pairs:
-            union(int(arr[i]), int(arr[j]))
-    # canonical partition of the boundary ids only
-    roots = [find(i) for i in range(n)]
-    remap: dict[int, int] = {}
-    out = []
-    for r in roots:
-        if r not in remap:
-            remap[r] = len(remap)
-        out.append(remap[r])
-    return tuple(out)
+    pairs = _block_pairs(sig)
+    joined = [(int(arr[i]), int(arr[j])) for arr in copies for i, j in pairs]
+    # boundary ids come first, so the prefix is already numbered by first occurrence
+    return _components(n_glued, joined)[:bset.size]
 
 
 def enumerate_preserved_relations(ifs: IFS, k: int = 1,

@@ -148,6 +148,19 @@ class TestCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["lam"] == "1/4"
 
+    def test_flag_at_its_default_beats_config_file(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("lambda = 1/4\nlevel = 2\ns = 0.5\n")
+        out = tmp_path / "cfg_out"
+        code = main(["graph", "--config", str(cfgfile), "--level", "3", "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["level"] == 3  # 3 is also the default level
+        assert manifest["config"]["s"] == 0.5    # typed like the --s flag
+        assert "threads" not in manifest["config"]
+        vlines = (out / "vertices.csv").read_text().strip().splitlines()
+        assert len(vlines) == 1 + 114  # level 3 at lambda = 1/4; level 2 has 30
+
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "agres.cli", "solve", "--lambda", "1/2",

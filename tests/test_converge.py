@@ -92,12 +92,6 @@ class TestConvergenceReport:
         assert len(obj["rows"]) == 3
         assert set(obj["verdicts"]) == {"r", "R_0", "u_0"}
 
-    def test_threaded_matches_sequential(self):
-        kw = dict(s=0.5, n_range=range(4, 7), tracked=[(((), 1), ((), 3))], m=2)
-        seq = convergence_report("1/sqrt8", **kw, threads=1)
-        par = convergence_report("1/sqrt8", **kw, threads=3)
-        assert seq.to_csv() == par.to_csv()
-
 
 class TestHausdorffCheck:
     def test_equal_parameters(self):

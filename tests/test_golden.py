@@ -1,0 +1,167 @@
+"""Golden artifacts: every subcommand at small sizes against recorded outputs.
+
+The files under ``tests/golden/<case>/`` are the behaviour contract for
+refactors of the numerical core.  Exact artifacts (boundary sets, graphs,
+relations, coordinates and ids everywhere) must be byte-equal; float
+fields must agree to the acceptance suite's relative tolerance of 1e-8;
+error estimates are held to their bounds instead.  The manifest is
+compared without its ``out`` entry.
+
+Re-record from the current tree (trusted commits only) with
+``PYTHONPATH=src python tests/test_golden.py --record``.
+"""
+
+import csv
+import io
+import json
+import math
+import os
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+from agres.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+REL_TOL = 1e-8
+ABS_TOL = 1e-12
+# error estimates: checked against their bounds, not against the recorded value
+BOUNDS = {"residual": 1e-8, "row_mass_error": 1e-10, "symmetry_error": 1e-12}
+# compared byte for byte
+EXACT_FILES = {"boundary.json", "edges.csv", "vertices.csv", "relations.json"}
+# manifest keys that may be absent now although recorded: options since removed
+RETIRED_KEYS = {"threads"}
+
+CASES = {
+    "solve": ["solve", "--lambda", "1/4", "--s", "0.5"],
+    "boundary_fast": ["boundary", "--lambda", "1/7"],
+    "boundary_oracle": ["boundary", "--lambda", "1/8", "--mode", "oracle", "--depth", "4"],
+    "graph": ["graph", "--lambda", "1/4", "--level", "2"],
+    "resistance": ["resistance", "--lambda", "1/4", "--s", "0.5", "--level", "2",
+                   "--pairs", "(,1):(,2);(4,1):(4,2);(12,3):(41,2)"],
+    "resolvent": ["resolvent", "--lambda", "1/4", "--s", "0.5", "--level", "2",
+                  "--alpha", "1"],
+    "relations": ["relations", "--lambda", "1/7"],
+    "estimates": ["estimates", "--lambda", "1/4", "--s", "0.5"],
+    "converge": ["converge", "--target", "1/sqrt8", "--s", "0.5", "--n", "4..6",
+                 "--level", "2", "--alpha", "1", "--pairs", "(,1):(,2);(4,1):(4,2)"],
+    "hausdorff": ["hausdorff", "--lambda", "1/8", "--lambda2", "3/8", "--depth", "6"],
+}
+
+
+def _float_column(name: str) -> bool:
+    return name in ("r", "resistance", "u") or name.startswith(("R_", "u_", "diff_"))
+
+
+def _close(expected: float, observed: float) -> bool:
+    return math.isclose(expected, observed, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+def json_mismatches(expected, observed, path="") -> list[str]:
+    where = path or "<root>"
+    if isinstance(expected, dict):
+        if not isinstance(observed, dict) or set(expected) != set(observed):
+            return [f"{where}: keys differ"]
+        out = []
+        for key in sorted(expected):
+            sub = f"{path}.{key}" if path else key
+            if key in BOUNDS:
+                if not abs(observed[key]) <= BOUNDS[key]:
+                    out.append(f"{sub}: {observed[key]!r} exceeds {BOUNDS[key]}")
+                continue
+            out.extend(json_mismatches(expected[key], observed[key], sub))
+        return out
+    if isinstance(expected, list):
+        if not isinstance(observed, list) or len(expected) != len(observed):
+            return [f"{where}: lengths differ"]
+        out = []
+        for i, (e, o) in enumerate(zip(expected, observed)):
+            out.extend(json_mismatches(e, o, f"{path}[{i}]"))
+        return out
+    if isinstance(expected, float) and type(observed) in (int, float):
+        return [] if _close(expected, observed) else [f"{where}: {observed!r} != {expected!r}"]
+    if type(expected) is not type(observed) or expected != observed:
+        return [f"{where}: {observed!r} != {expected!r}"]
+    return []
+
+
+def csv_mismatches(expected: str, observed: str) -> list[str]:
+    """Float columns to tolerance, every other cell (ids, coordinates, flags) exactly."""
+    exp_rows = list(csv.reader(io.StringIO(expected)))
+    obs_rows = list(csv.reader(io.StringIO(observed)))
+    if len(exp_rows) != len(obs_rows) or exp_rows[:1] != obs_rows[:1]:
+        return ["header or row count differs"]
+    header = exp_rows[0]
+    out = []
+    for lineno, (e_row, o_row) in enumerate(zip(exp_rows[1:], obs_rows[1:]), start=2):
+        if len(e_row) != len(o_row):
+            out.append(f"line {lineno}: cell count differs")
+            continue
+        for name, e, o in zip(header, e_row, o_row):
+            same = (_close(float(e), float(o)) if _float_column(name) and e and o else e == o)
+            if not same:
+                out.append(f"line {lineno}, {name}: {o!r} != {e!r}")
+    return out
+
+
+def artifact_mismatches(name: str, expected: str, observed: str) -> list[str]:
+    if name in EXACT_FILES:
+        return [] if expected == observed else ["not byte-equal"]
+    if name == "manifest.json":
+        exp = json.loads(expected)["config"]
+        obs = json.loads(observed)["config"]
+        for key in ("out", *RETIRED_KEYS):
+            exp.pop(key, None)
+        obs.pop("out", None)
+        return json_mismatches(exp, obs)
+    if name.endswith(".json"):
+        return json_mismatches(json.loads(expected), json.loads(observed))
+    return csv_mismatches(expected, observed)
+
+
+def _run(argv, out: Path) -> None:
+    code = main(list(argv) + ["--out", str(out)])
+    assert code == 0, f"agres {' '.join(argv)} exited with {code}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden(case, tmp_path):
+    _run(CASES[case], tmp_path)
+    recorded = sorted(p.name for p in (GOLDEN / case).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == recorded
+    problems = []
+    for name in recorded:
+        for msg in artifact_mismatches(name, (GOLDEN / case / name).read_text(),
+                                       (tmp_path / name).read_text()):
+            problems.append(f"{name}: {msg}")
+    assert not problems, "\n".join(problems[:20])
+
+
+def test_checker_catches_changes():
+    assert csv_mismatches("id,u\n1,0.5\n", "id,u\n1,0.50000000001\n") == []
+    assert csv_mismatches("id,u\n1,0.5\n", "id,u\n1,0.5001\n")
+    assert csv_mismatches("id,u\n1,0.5\n", "id,u\n2,0.5\n")
+    assert json_mismatches({"a": [1.0, "x"]}, {"a": [1.0 + 1e-12, "x"]}) == []
+    assert json_mismatches({"a": [1.0, "x"]}, {"a": [1.0, "y"]})
+    assert json_mismatches({"residual": 1e-12}, {"residual": 1e-6})
+    assert artifact_mismatches("manifest.json", '{"config": {"out": "a", "threads": 1}}',
+                               '{"config": {"out": "b"}}') == []
+
+
+def record() -> None:
+    """Write every case's artifacts into its golden directory (run with ``--out .``)."""
+    for case, argv in sorted(CASES.items()):
+        target = GOLDEN / case
+        shutil.rmtree(target, ignore_errors=True)
+        target.mkdir(parents=True)
+        os.chdir(target)
+        _run(argv, Path("."))
+        print(f"recorded {case}: {sorted(p.name for p in target.iterdir())}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
+    record()

@@ -1,18 +1,21 @@
 """Finite-network algebra: traces, harmonic extensions, resistances, resolvents."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agres
-from agres.errors import (BadMeasure, BadTarget, Disconnected, DomainError,
-                          MismatchedVertexSets)
-from agres.network import (FiniteForm, effective_resistance, form_comparison,
-                           harmonic_extension, resistance_matrix, resolvent, trace,
-                           triangle_form)
+from agres import network
+from agres.errors import (BadMeasure, BadTarget, ConditionWarning, Disconnected,
+                          DomainError, MismatchedVertexSets, SingularInterior)
+from agres.network import (FiniteForm, _components, _Factor, effective_resistance,
+                           form_comparison, harmonic_extension, resistance_matrix,
+                           resolvent, trace, triangle_form)
 
 
 def random_connected_form(rng, n, extra_edges=None):
@@ -267,3 +270,66 @@ def test_serialization_roundtrip():
     obj = form.to_json_obj()
     assert obj["vertices"] == [0, 1, 2]
     assert {(e["x"], e["y"]): e["c"] for e in obj["edges"]} == {(0, 1): 1.5, (1, 2): 2.5}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 9, 13, 42])
+def test_sparse_branch_matches_dense(monkeypatch, seed):
+    """With the dense limit at 0 every solve takes the sparse LU branch."""
+    rng = np.random.default_rng(seed)
+    form = random_connected_form(rng, 12)
+    keep = [0, 3, 7, 9]
+    data = {v: float(rng.uniform(-1, 1)) for v in keep}
+
+    def run():
+        return (trace(form, keep), harmonic_extension(form, data),
+                [effective_resistance(form, 1, t) for t in (5, 11, {7, 8, 9})])
+
+    dense = run()
+    monkeypatch.setattr(network, "DENSE_LIMIT", 0)
+    sparse = run()
+    assert set(sparse[0].conductances) == set(dense[0].conductances)
+    for key, c in dense[0].conductances.items():
+        assert sparse[0].conductances[key] == pytest.approx(c, rel=1e-10, abs=1e-10)
+    for v in form.vertices:
+        assert sparse[1][v] == pytest.approx(dense[1][v], abs=1e-10)
+    assert sparse[2] == pytest.approx(dense[2], rel=1e-10)
+
+
+def partition_oracle(n, pairs):
+    """Block ids by first occurrence from the boolean transitive closure."""
+    reach = np.eye(n, dtype=bool)
+    for x, y in pairs:
+        reach[x, y] = reach[y, x] = True
+    for k in range(n):
+        reach |= reach[:, [k]] & reach[[k], :]
+    ids = {}
+    return tuple(ids.setdefault(int(np.argmax(reach[i])), len(ids)) for i in range(n))
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=12))))
+@settings(max_examples=300, deadline=None)
+def test_components_match_brute_force_partition(case):
+    n, pairs = case
+    assert _components(n, pairs) == partition_oracle(n, pairs)
+
+
+def test_pivot_ratio_warning_on_dense_trace_only(monkeypatch):
+    """An ill-conditioned interior warns on the dense Cholesky path, as before;
+    the sparse LU path records no pivot ratio and stays silent."""
+    form = FiniteForm([0, 1, 2, 3], {(0, 1): 1e-7, (1, 2): 1e7, (2, 3): 1e-7, (0, 3): 1.0})
+    with pytest.warns(ConditionWarning, match="pivot ratio"):
+        dense = trace(form, [0, 3])
+    monkeypatch.setattr(network, "DENSE_LIMIT", 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditionWarning)
+        sparse = trace(form, [0, 3])
+    # the interior is ill-conditioned on purpose, so the two paths agree less closely
+    assert sparse.conductance(0, 3) == pytest.approx(dense.conductance(0, 3), rel=1e-6)
+
+
+@pytest.mark.parametrize("block", [np.zeros((2, 2)), sp.csc_matrix((2, 2))])
+def test_singular_block_raises_singular_interior(block):
+    with pytest.raises(SingularInterior):
+        _Factor(block)

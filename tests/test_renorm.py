@@ -1,6 +1,7 @@
 """The subdivision operator, its fixed ray, the weight solve, and preserved relations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import agres
 from agres.errors import Disconnected, DomainError, GuardExceeded
 from agres.geometry import boundary_set
-from agres.network import FiniteForm, effective_resistance, triangle_form
+from agres.network import FiniteForm, effective_resistance, trace, triangle_form
 from agres.renorm import (BoundaryForm, corner_only_boundary, eigen_solve,
                           enumerate_preserved_relations, glue_level_one, renorm_map,
                           solve_r, symmetric_start, uniqueness_scan, _glue_context)
@@ -65,6 +66,22 @@ class TestGlue:
 
 
 class TestRenormMap:
+    @pytest.mark.parametrize("lam", ["1/4", "1/7"])
+    def test_equals_trace_of_glued_form(self, lam):
+        """The glue-and-Schur path of renorm_map against the public trace."""
+        ifs = agres.make_ifs(lam)
+        bset = boundary_set(ifs)
+        n = bset.size
+        rng = np.random.default_rng(5)
+        cond = {(i, j): float(rng.uniform(0.2, 5.0)) for i in range(n) for j in range(i + 1, n)}
+        D = BoundaryForm(bset, FiniteForm(list(range(n)), cond))
+        weights = (0.8, 0.7, 0.9, 0.5)
+        mapped = renorm_map(ifs, D, weights).form
+        traced = trace(glue_level_one(ifs, D, weights), range(n))
+        assert set(mapped.conductances) == set(traced.conductances)
+        for key, c in traced.conductances.items():
+            assert mapped.conductances[key] == pytest.approx(c, rel=1e-10)
+
     def test_classic_gasket_reduction(self, ifs14):
         D0 = BoundaryForm(corner_only_boundary(), triangle_form(1.0), symmetric=True)
         out = renorm_map(ifs14, D0, (1.0, 1.0, 1.0))
@@ -91,6 +108,22 @@ class TestRenormMap:
         D = full_start(ifs14)
         out = renorm_map(ifs14, D, (1.0, 1.0, 1.0, 1.5))
         assert out.g_asymmetry() <= 1e-11
+
+    @pytest.mark.parametrize("lam", ["1/4", "1/7"])
+    def test_orbit_average_matches_loop(self, lam):
+        """Vectorized rotation-orbit averaging against an explicit orbit walk."""
+        ifs = agres.make_ifs(lam)
+        ctx = _glue_context(ifs, boundary_set(ifs), True)
+        perm = ctx.bset.g_permutation
+        cvec = np.random.default_rng(11).uniform(0.1, 3.0, len(ctx.pairs))
+        expected = np.empty_like(cvec)
+        for k, (i, j) in enumerate(ctx.pairs):
+            orbit = {(i, j), tuple(sorted((perm[i], perm[j]))),
+                     tuple(sorted((perm[perm[i]], perm[perm[j]])))}
+            expected[k] = np.mean([cvec[ctx.pairs.index(p)] for p in orbit])
+        assert ctx.symmetrize_vector(cvec) == pytest.approx(expected, rel=1e-14)
+        sym = BoundaryForm(ctx.bset, FiniteForm(list(range(ctx.N)), dict(zip(ctx.pairs, cvec))))
+        assert sym.symmetrized().vector(ctx.pairs) == pytest.approx(expected, rel=1e-14)
 
 
 class TestEigenSolve:
@@ -242,6 +275,13 @@ def test_word_weight():
     from agres.geometry import word_weight
     assert word_weight((), 0.7, 0.5) == 1.0
     assert word_weight((1, 4, 2), 0.7, 0.5) == pytest.approx(0.7 ** 2 * 0.5)
+
+
+def test_weight_solve_emits_no_condition_warning(ifs14):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", agres.ConditionWarning)
+        for s in (0.02, 0.98):
+            assert solve_r(ifs14, s).residual <= 1e-8
 
 
 def test_solve_extreme_added_weights(ifs14):
