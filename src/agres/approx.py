@@ -19,108 +19,14 @@ import numpy as np
 
 from .errors import (BadWeights, CapExceeded, DomainError, IdentificationMismatch,
                      InsufficientScales, UnknownVertex)
-from .exact import Point, Scalar
-from .geometry import CORNERS, IFS, Word, boundary_set, _VertexTable, _iter_word_maps
-from .network import (FiniteForm, _Factor, effective_resistance, harmonic_extension,
-                      resolvent, trace)
+from .exact import Lattice, Point
+from .geometry import IFS, LevelGeometry, VertexTable, Word, _level_geometry, cell_images
+from .network import (FiniteForm, _dipole_resistances, effective_resistance,
+                      harmonic_extension, resolvent, trace)
 from .renorm import BoundaryForm, Solution
 
 LEVEL_CAP = 8
 TOWER_CAP = 12
-
-
-class LevelGeometry:
-    """Vertex table and per-cell combinatorics of one subdivision level.
-
-    For every length-m cell this records which boundary-set points map to
-    graph vertices (the cell's kept set), the global vertex ids of those
-    images, the three corner ids, and the letter counts that determine the
-    cell's weight and measure.
-    """
-
-    def __init__(self, ifs: IFS, m: int):
-        self.ifs = ifs
-        self.m = m
-        bset = boundary_set(ifs)
-        self.bset = bset
-        table = _VertexTable()
-        leaf_maps = []
-        words = []
-        for word, fw in _iter_word_maps(ifs, m):
-            words.append(word)
-            leaf_maps.append(fw)
-        corner_ids = np.empty((len(leaf_maps), 3), dtype=np.int64)
-        for li, fw in enumerate(leaf_maps):
-            for ci, c in enumerate(CORNERS):
-                corner_ids[li, ci] = table.add(fw.apply(c))
-        self.points = table.points
-        self.table = table
-        self.leaf_corners = corner_ids
-
-        letter_counts = np.zeros((len(leaf_maps), 4), dtype=np.int16)
-        for li, word in enumerate(words):
-            for c in word:
-                letter_counts[li, c - 1] += 1
-        self.letter_counts = letter_counts
-
-        kept_types: dict[tuple[int, ...], int] = {}
-        self.cell_type: list[int] = []
-        self.cell_gids: list[np.ndarray] = []
-        self.types: list[tuple[int, ...]] = []
-        for fw in leaf_maps:
-            kept_local = []
-            gids = []
-            for bi, p in enumerate(bset.points):
-                g = table.get(fw.apply(p))
-                if g is not None:
-                    kept_local.append(bi)
-                    gids.append(g)
-            key = tuple(kept_local)
-            ti = kept_types.get(key)
-            if ti is None:
-                ti = len(kept_types)
-                kept_types[key] = ti
-                self.types.append(key)
-            self.cell_type.append(ti)
-            self.cell_gids.append(np.array(gids, dtype=np.int64))
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.points)
-
-    def leaf_index(self, word: Word) -> int:
-        if len(word) != self.m:
-            raise UnknownVertex(f"word {word} has length {len(word)}, level is {self.m}")
-        idx = 0
-        for c in word:
-            if c not in (1, 2, 3, 4):
-                raise UnknownVertex(f"bad letter in word {word}")
-            idx = idx * 4 + (c - 1)
-        return idx
-
-    def vid_of_address(self, word: Word, corner: int) -> int:
-        """Vertex id of F_w(p_corner); the word is padded with the corner's own letter."""
-        if corner not in (1, 2, 3):
-            raise UnknownVertex("corner index must be 1, 2 or 3")
-        if len(word) > self.m:
-            raise UnknownVertex(f"word longer than level {self.m}")
-        padded = tuple(word) + (corner,) * (self.m - len(word))
-        return int(self.leaf_corners[self.leaf_index(padded), corner - 1])
-
-    def vid_of_point(self, p: Point) -> int:
-        g = self.table.get(p)
-        if g is None:
-            raise UnknownVertex("point is not a vertex at this level")
-        return g
-
-
-def _level_geometry(ifs: IFS, m: int) -> LevelGeometry:
-    key = ("levelgeom", m)
-    geom = ifs._caches.get(key)
-    if geom is None:
-        geom = LevelGeometry(ifs, m)
-        ifs._caches[key] = geom
-    return geom
 
 
 @dataclass
@@ -264,23 +170,19 @@ def resistance_metric(ifs: IFS, sol: Solution, m: int,
     """Effective resistances between addressed vertices in the level-m trace.
 
     Traces preserve resistances, so values are level independent for
-    shared vertices (up to the solver residual).
+    shared vertices (up to the solver residual).  One factorization serves
+    all pairs.
     """
     lf = level if level is not None else level_form(ifs, sol, m)
-    out = []
-    for (a1, a2) in pairs:
-        v1 = lf.vid_of_address(tuple(a1[0]), a1[1])
-        v2 = lf.vid_of_address(tuple(a2[0]), a2[1])
-        if v1 == v2:
-            out.append(((a1, a2), 0.0))
-        else:
-            out.append(((a1, a2), effective_resistance(lf.form, v1, v2)))
-    return out
+    vids = [(lf.vid_of_address(tuple(a1[0]), a1[1]), lf.vid_of_address(tuple(a2[0]), a2[1]))
+            for a1, a2 in pairs]
+    values = _dipole_resistances(lf.form, vids) if vids else []
+    return [(pair, float(v)) for pair, v in zip(pairs, values)]
 
 
 def bottom_edge_vids(geom: LevelGeometry) -> list[int]:
-    zero = Scalar()
-    return [i for i, p in enumerate(geom.points) if p.y == zero]
+    """Vertices on the bottom edge: v = 0 in the lattice coordinates."""
+    return np.flatnonzero(geom.table.num[:, 1] == 0).tolist()
 
 
 def boundary_resistance_check(ifs: IFS, sol: Solution, m: int,
@@ -330,45 +232,39 @@ class EdgeTraceTower:
         self.sol = sol
         self.bset = sol.D.bset
         self.K = 0
-        self.points: list[Point] = list(self.bset.points)
+        self._bset = Lattice.of_points(self.bset.points)
+        self.table = VertexTable(self._bset)
         self.form: FiniteForm = sol.D.form
 
     def refine(self) -> None:
         ifs, sol = self.ifs, self.sol
         next_k = self.K + 1
-        keep_points = list(self.bset.points)
-        keep_keys = {p.key() for p in keep_points}
-        for j in range(1, 2 ** next_k):
-            t = Fraction(j, 2 ** next_k)
-            p = Point(Scalar(t), Scalar())
-            if p.key() not in keep_keys:
-                keep_points.append(p)
-                keep_keys.add(p.key())
-        table = _VertexTable()
-        for p in keep_points:
-            table.add(p)
-        n_keep = len(keep_points)
+        dyadics = np.zeros((2 ** next_k - 1, 2), dtype=np.int64)
+        dyadics[:, 0] = np.arange(1, 2 ** next_k)
+        keep = VertexTable(Lattice.concat([self._bset, Lattice(dyadics, 2 ** next_k)]))
+        n_keep = len(keep)
+        # copy i: the boundary form in the top and added cells, the tower state in
+        # the two bottom cells, numbered in this order after the kept points
+        bset_images = cell_images(ifs, 1, self._bset)
+        own_images = cell_images(ifs, 1, self.table.lattice())
+        copies = [(bset_images, sol.D.form, sol.r), (own_images, self.form, sol.r),
+                  (own_images, self.form, sol.r), (bset_images, sol.D.form, sol.s)]
+        glued = VertexTable(Lattice.concat([keep.lattice()] + [
+            Lattice(images.num[i], images.den) for i, (images, _, _) in enumerate(copies)]))
         cond: dict[tuple[int, int], float] = {}
-
-        def add_copy(fmap, pts, form, w):
-            gids = [table.add(fmap.apply(p)) for p in pts]
+        start = n_keep
+        for images, form, w in copies:
+            gids = glued.ids[start:start + images.shape[1]].tolist()
+            start += images.shape[1]
             for (i, j), c in form.conductances.items():
                 a, b = gids[i], gids[j]
                 if a == b:
                     raise IdentificationMismatch("copy collapsed a conductance pair")
                 key = (a, b) if a < b else (b, a)
                 cond[key] = cond.get(key, 0.0) + c / w
-            return gids
-
-        r, s = sol.r, sol.s
-        add_copy(ifs.maps[0], self.bset.points, sol.D.form, r)
-        add_copy(ifs.maps[1], self.points, self.form, r)
-        add_copy(ifs.maps[2], self.points, self.form, r)
-        add_copy(ifs.maps[3], self.bset.points, sol.D.form, s)
-        glued = FiniteForm(list(range(len(table))), cond)
-        traced = trace(glued, list(range(n_keep)))
+        traced = trace(FiniteForm(list(range(len(glued))), cond), list(range(n_keep)))
         self.K = next_k
-        self.points = keep_points
+        self.table = keep
         self.form = traced
 
     def refine_to(self, K: int) -> None:
@@ -379,22 +275,14 @@ class EdgeTraceTower:
 
     def bottom_resistances(self, pairs: Sequence[tuple[Fraction, Fraction]]) -> list[float]:
         """Resistances between bottom-edge parameters, one factorization for all pairs."""
-        index = {p.key(): i for i, p in enumerate(self.points)}
 
         def vid(t: Fraction) -> int:
-            p = Point(Scalar(t), Scalar())
-            g = index.get(p.key())
+            g = self.table.index_of(Fraction(t), Fraction(0))
             if g is None:
                 raise UnknownVertex(f"bottom parameter {t} not in tower at depth {self.K}")
             return g
 
-        # ground at vertex 0 = top corner; one unit dipole per pair
-        E = np.zeros((self.form.n - 1, len(pairs)))
-        for k, (t1, t2) in enumerate(pairs):
-            E[vid(t1) - 1, k] += 1.0
-            E[vid(t2) - 1, k] -= 1.0
-        U = _Factor(self.form.laplacian_dense()[1:, 1:]).solve(E)
-        return np.einsum("ik,ik->k", E, U).tolist()
+        return _dipole_resistances(self.form, [(vid(t1), vid(t2)) for t1, t2 in pairs]).tolist()
 
 
 def scaling_exponent(ifs: IFS, sol: Solution, levels: Sequence[int],
@@ -505,32 +393,25 @@ class DecimationReport:
         return self.plain_gap > 1e-12
 
 
-def _celled_energy(ifs: IFS, D: BoundaryForm, r: float, s: float, depth: int,
-                   value_of_point) -> float:
-    """Energy of per-cell traced copies at one depth, keeping exactly the points
-    where ``value_of_point`` yields a value.
+def _celled_energy(D: BoundaryForm, weights: np.ndarray, vals: np.ndarray) -> float:
+    """Energy of per-cell traced copies of D, one cell per row of ``vals``; each
+    cell keeps exactly its boundary points with a value (NaN marks the rest)
+    and carries the multiplier in ``weights``.
 
     Independent evaluation path used to cross-check the level-form
-    assembly: fresh word maps, fresh kept-set discovery, fresh traces.
+    assembly: fresh kept-set discovery, fresh traces, no level form.
     """
     total = 0.0
     memo: dict[tuple[int, ...], list[tuple[int, int, float]]] = {}
-    for word, fw in _iter_word_maps(ifs, depth):
-        kept: list[int] = []
-        vals: list[float] = []
-        for bi, b in enumerate(D.bset.points):
-            v = value_of_point(fw.apply(b))
-            if v is not None:
-                kept.append(bi)
-                vals.append(v)
-        key = tuple(kept)
+    for w, row in zip(weights.tolist(), vals):
+        kept = np.flatnonzero(~np.isnan(row))
+        key = tuple(kept.tolist())
         tab = memo.get(key)
         if tab is None:
-            tab = memo[key] = _cell_table(D, kept)
-        n4 = sum(1 for ch in word if ch == 4)
-        w = r ** -(depth - n4) * s ** -n4
+            tab = memo[key] = _cell_table(D, key)
+        cell_vals = row[kept]
         for (a, b, c) in tab:
-            d = vals[a] - vals[b]
+            d = cell_vals[a] - cell_vals[b]
             total += w * c * d * d
     return total
 
@@ -555,26 +436,18 @@ def decimation_identity(ifs: IFS, sol: Solution, m: int,
 
     r, s = sol.r, sol.s
     weights = (r, r, r, s)
-    rhs = 0.0
-    for i in range(4):
-        fi = ifs.maps[i]
-
-        def value_of_point(x: Point, _fi=fi):
-            g = geom.table.get(_fi.apply(x))
-            return None if g is None else float(hvec[g])
-
-        rhs += _celled_energy(ifs, sol.D, r, s, m - 1, value_of_point) / weights[i]
-
     sub_lf = level_form(ifs, sol, m - 1)
     sub_geom = sub_lf.geometry
-    rhs_plain = 0.0
-    for i in range(4):
-        fi = ifs.maps[i]
-        vals = np.empty(sub_geom.n_vertices)
-        for u, q in enumerate(sub_geom.points):
-            g = geom.table.get(fi.apply(q))
-            if g is None:
-                raise UnknownVertex("level nesting violated")
-            vals[u] = hvec[g]
-        rhs_plain += sub_lf.form.energy(vals) / weights[i]
+    n4 = sub_geom.letter_counts[:, 3].tolist()
+    cell_w = np.array([r ** -(m - 1 - k) * s ** -k for k in n4])
+    # F_i o F_w applied to the boundary set, for every depth-(m-1) word w
+    cell_points = cell_images(ifs, 1, cell_images(ifs, m - 1, sol.D.bset.points))
+    cell_gids = geom.table.lookup(cell_points)
+    hnan = np.append(hvec, np.nan)  # id -1 reads NaN
+    rhs = sum(_celled_energy(sol.D, cell_w, hnan[cell_gids[i]]) / weights[i] for i in range(4))
+
+    sub_gids = geom.table.lookup(cell_images(ifs, 1, sub_geom.table.lattice()))
+    if (sub_gids < 0).any():
+        raise UnknownVertex("level nesting violated")
+    rhs_plain = sum(sub_lf.form.energy(hvec[sub_gids[i]]) / weights[i] for i in range(4))
     return DecimationReport(m, float(lhs), float(rhs), float(rhs_plain))

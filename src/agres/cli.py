@@ -227,8 +227,8 @@ def _cmd_resistance(cfg: RunConfig, outdir: Path) -> None:
     lines = ["word_1,corner_1,word_2,corner_2,x1,y1,x2,y2,"
              "x1_exact,y1_exact,x2_exact,y2_exact,resistance"]
     for ((a1, a2), val) in rows:
-        p1 = lf.points[lf.vid_of_address(a1[0], a1[1])]
-        p2 = lf.points[lf.vid_of_address(a2[0], a2[1])]
+        p1 = lf.geometry.point(lf.vid_of_address(a1[0], a1[1]))
+        p2 = lf.geometry.point(lf.vid_of_address(a2[0], a2[1]))
         w1 = "".join(map(str, a1[0]))
         w2 = "".join(map(str, a2[0]))
         d1 = point_decimal_str(p1)
@@ -246,13 +246,13 @@ def _cmd_resolvent(cfg: RunConfig, outdir: Path) -> None:
     alpha = cfg.alpha if cfg.alpha is not None else 1.0
     mspec = approx.measure_weights(ifs, cfg.measure)
     kernel, lf, _ = approx.resolvent_kernel(ifs, sol, cfg.level, alpha, mspec)
-    lines = ["x_id,y_id,x,y,x_exact,y_exact,u"]
-    for i in range(lf.form.n):
-        dx, dy = point_decimal_str(lf.points[i])
-        ex, ey = point_exact_str(lf.points[i])
-        for j in range(lf.form.n):
-            lines.append(f'{i},{j},{dx},{dy},"{ex}","{ey}",{kernel.matrix[i, j]:.17g}')
-    _write(outdir, "resolvent.csv", "\n".join(lines) + "\n")
+    with open(outdir / "resolvent.csv", "w") as fh:
+        fh.write("x_id,y_id,x,y,x_exact,y_exact,u\n")
+        for i, p in enumerate(lf.points):
+            dx, dy = point_decimal_str(p)
+            ex, ey = point_exact_str(p)
+            fh.writelines(f'{i},{j},{dx},{dy},"{ex}","{ey}",{u:.17g}\n'
+                          for j, u in enumerate(kernel.matrix[i].tolist()))
     _write_json(outdir, "resolvent.json", {
         "lambda": cfg.lam, "s": cfg.s, "alpha": alpha, "level": cfg.level,
         "measure": mspec.to_json_obj(),

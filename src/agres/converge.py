@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .approx import level_form, measure_weights, resolvent_kernel
+from .approx import level_form, measure_weights, resistance_metric, resolvent_kernel
 from .errors import DomainError, TrackingError
 from .geometry import Word, hausdorff_distance, make_ifs
-from .network import effective_resistance, harmonic_extension
+from .network import harmonic_extension
 from .renorm import solve_r
 
 DIFF_THRESHOLD = 1e-2
@@ -247,14 +247,7 @@ def _report_row(n: int, lam: Fraction, s: float, pairs: list[TrackedPair],
     ifs = make_ifs(lam)
     sol = solve_r(ifs, s, eigen_tol=eigen_tol, bisect_tol=bisect_tol)
     lf = level_form(ifs, sol, m)
-    res = []
-    for (a1, a2) in pairs:
-        v1 = lf.vid_of_address(a1[0], a1[1])
-        v2 = lf.vid_of_address(a2[0], a2[1])
-        if v1 == v2:
-            res.append(0.0)
-        else:
-            res.append(effective_resistance(lf.form, v1, v2))
+    res = [value for _, value in resistance_metric(ifs, sol, m, pairs, level=lf)]
     us: list[float] = []
     if alpha is not None:
         mspec = measure_weights(ifs, measure_scheme)

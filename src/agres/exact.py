@@ -1,17 +1,31 @@
-"""Exact arithmetic in the quadratic field Q[sqrt(3)] and exact planar similarities.
+"""Exact arithmetic for the gasket geometry: lattice point arrays and Q[sqrt(3)].
 
-Every vertex produced by the iterated maps has coordinates of the form
-a + b*sqrt(3) with big-rational a, b, so points can be identified by exact
-equality instead of tolerance matching.  Cells of the fractal intersect at
-single points; a fuzzy match there would silently change the topology of
-the approximating graphs, which is why exactness is load-bearing.
+Every vertex produced by the iterated maps is identified by exact
+equality, never by tolerance.  Cells of the fractal intersect at single
+points; a fuzzy match there would silently change the topology of the
+approximating graphs, which is why exactness is load-bearing.
+
+Two exact representations live here.  The fast one writes a point as
+z = u + v*omega with omega = e^{i pi/3}, so the reference corners are
+p2 = 0, p3 = 1 and p1 = omega, and every map of the family is z -> a z + b
+with a, b in Q(omega).  A ``Lattice`` stores a whole array of such points
+as integer numerators (U, V) over one common denominator; level-m cell
+images share the denominator D^m * P, so deduplicating them is integer
+array work.  Numerators are int64 while a bound shows they fit and
+Python-int object arrays after that; they never wrap.
+
+The slow one, ``Scalar``/``Point``/``Similarity``, holds coordinates
+a + b*sqrt(3) with rational a, b.  It builds the output points, and it is
+the independent oracle (pullback membership, word maps) in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -255,6 +269,120 @@ class Similarity:
     def linear_floats(self):
         return (float(self.m00), float(self.m01), float(self.m10), float(self.m11),
                 float(self.tx), float(self.ty))
+
+
+def omega_coords(p: Point) -> Optional[tuple[Fraction, Fraction]]:
+    """Coordinates (u, v) of p = u + v*omega, or None when p is off Q(omega).
+
+    x = u + v/2 and y = v*sqrt(3)/2, so p is in Q(omega) exactly when x is
+    rational and y is a rational multiple of sqrt(3).
+    """
+    if p.x.b != 0 or p.y.a != 0:
+        return None
+    return p.x.a - p.y.b, 2 * p.y.b
+
+
+# Largest magnitude an int64 numerator may take; lowering it forces the
+# Python-int fallback everywhere.
+INT64_LIMIT = 2 ** 63 - 1
+
+
+def _fit(num: np.ndarray, bound: int) -> np.ndarray:
+    """num as int64 if ``bound`` caps every value computed from it, else as Python ints."""
+    return num.astype(object if bound > INT64_LIMIT else np.int64, copy=False)
+
+
+def _max_abs(num: np.ndarray) -> int:
+    return int(np.abs(num).max()) if num.size else 0
+
+
+class Lattice:
+    """An array of points u + v*omega stored as integer numerators over one denominator.
+
+    ``num`` has shape (..., 2) and holds (U, V) with u = U/den, v = V/den.
+    Points are equal exactly when their numerators are, given the same
+    denominator.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: np.ndarray, den: int):
+        self.num = num
+        self.den = int(den)
+
+    @classmethod
+    def of_points(cls, points: Sequence[Point]) -> "Lattice":
+        coords = []
+        for p in points:
+            uv = omega_coords(p)
+            if uv is None:
+                raise DomainError(f"{p!r} is not a point of Q(omega)")
+            coords.append(uv)
+        den = math.lcm(1, *(c.denominator for uv in coords for c in uv))
+        rows = [[int(c * den) for c in uv] for uv in coords]
+        num = np.array(rows, dtype=object).reshape(len(rows), 2)
+        return cls(_fit(num, _max_abs(num)), den)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.num.shape[:-1]
+
+    def rescaled(self, den: int) -> "Lattice":
+        """The same points over a multiple of the denominator."""
+        if den == self.den:
+            return self
+        f, rem = divmod(den, self.den)
+        if rem:
+            raise ValueError(f"{den} is not a multiple of the denominator {self.den}")
+        num = _fit(self.num, _max_abs(self.num) * f)
+        return Lattice(num * f, den)
+
+    @staticmethod
+    def concat(parts: Sequence["Lattice"]) -> "Lattice":
+        """Flat concatenation of point arrays over their least common denominator."""
+        den = math.lcm(*(p.den for p in parts))
+        return Lattice(np.concatenate([p.rescaled(den).num.reshape(-1, 2) for p in parts]), den)
+
+    def point(self, index) -> Point:
+        """The point at ``index`` as exact Q[sqrt(3)] coordinates:
+        x = (2U + V) / (2 den), y = V / (2 den) * sqrt(3)."""
+        u, v = (int(c) for c in self.num[index])
+        return Point(Scalar(Fraction(2 * u + v, 2 * self.den)),
+                     Scalar(0, Fraction(v, 2 * self.den)))
+
+    def points(self) -> list[Point]:
+        return [self.point(i) for i in range(len(self.num))]
+
+
+class OmegaMaps:
+    """Maps z -> a_k z + b_k with a_k, b_k in Q(omega), over one common denominator D.
+
+    ``coeffs`` holds the integers (D*a, D*b) of every map, each written as a
+    pair (c0, c1) for c0 + c1*omega.
+    """
+
+    __slots__ = ("D", "coeffs", "_reach", "_shift")
+
+    def __init__(self, maps: Sequence[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]):
+        self.D = math.lcm(*(c.denominator for ab in maps for z in ab for c in z))
+        self.coeffs = tuple(tuple(int(c * self.D) for z in ab for c in z) for ab in maps)
+        # |U'|, |V'| <= reach * max(|U|, |V|) + shift * den, for every map
+        self._reach = max(max(abs(a0) + abs(a1), abs(a1) + abs(a0 + a1))
+                          for a0, a1, _, _ in self.coeffs)
+        self._shift = max(max(abs(b0), abs(b1)) for _, _, b0, b1 in self.coeffs)
+
+    def images(self, lat: Lattice) -> Lattice:
+        """Images of every point under every map, stacked along a new leading axis.
+
+        Products follow (a0 + a1 w)(u + v w) = (a0 u - a1 v) + (a0 v + a1 u + a1 v) w,
+        since w^2 = w - 1.
+        """
+        num = _fit(lat.num, self._reach * _max_abs(lat.num) + self._shift * lat.den)
+        U, V = num[..., 0], num[..., 1]
+        den = lat.den
+        out = [np.stack((a0 * U - a1 * V + b0 * den, a1 * U + (a0 + a1) * V + b1 * den), axis=-1)
+               for a0, a1, b0, b1 in self.coeffs]
+        return Lattice(np.stack(out), den * self.D)
 
 
 def compose_word(maps: Iterable[Similarity]) -> Similarity:

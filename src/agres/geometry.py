@@ -3,8 +3,15 @@
 For a rational shape parameter lam in (0, 1/2) the family is generated by
 four contractions of the closed unit-side equilateral triangle: the three
 corner halvings and a fourth scaled rotation whose image triangle sits in
-the central hole, touching each corner cell at a single point.  Everything
-here is computed in exact Q[sqrt(3)] coordinates.
+the central hole, touching each corner cell at a single point.
+
+Level geometry runs on the Eisenstein lattice (see ``exact``): in the basis
+(1, omega) the maps are z -> a z + b with a, b in Q(omega), so
+``cell_images`` maps whole point arrays with integer numerators over one
+denominator, and a ``VertexTable`` deduplicates them with ``np.unique``.
+Level geometries, glued copies and graphs all come from these two.
+Membership by pullback, the oracle contact set and the per-word maps stay
+on exact Q[sqrt(3)] coordinates; they are the independent slow path.
 """
 
 from __future__ import annotations
@@ -13,13 +20,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal, Optional
+from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, DepthExceeded, DomainError, OrbitOverflow
-from .exact import (Point, RationalLike, Scalar, Similarity, as_fraction,
-                    compose_word, point_decimal_str, point_exact_str)
+from .errors import CapExceeded, DepthExceeded, DomainError, OrbitOverflow, UnknownVertex
+from .exact import (Lattice, OmegaMaps, Point, RationalLike, Scalar, Similarity,
+                    as_fraction, compose_word, omega_coords, point_decimal_str,
+                    point_exact_str)
 from .network import _components
 
 # corners of the reference triangle: top, lower left, lower right
@@ -76,9 +84,17 @@ class IFS:
         self.maps: tuple[Similarity, ...] = (
             _corner_map(1), _corner_map(2), _corner_map(3), _added_map(lam))
         self.inverses = tuple(f.inverse() for f in self.maps)
+        # the same maps as z -> a z + b on Q(omega), a and b as (c0, c1) for c0 + c1*omega
+        half, zero = Fraction(1, 2), Fraction(0)
+        self.omega = OmegaMaps((
+            ((half, zero), (zero, half)), ((half, zero), (zero, zero)),
+            ((half, zero), (half, zero)), ((lam, half - 2 * lam), (half - lam, lam))))
         rot = _rotation()
         self.rotations = (rot, rot.compose(rot))
-        # caches keyed by this instance; all results are immutable
+        # Caches keyed by this instance; all results are immutable.  ``_caches``
+        # keeps one entry per level geometry, glue pattern or copy table built
+        # (keyed by its kind and level) for the lifetime of the IFS; nothing is
+        # evicted, so a long-lived IFS holds every level it was asked for.
         self._membership: dict[tuple, bool] = {}
         self._boundary_fast = None
         self._caches: dict = {}
@@ -398,29 +414,201 @@ def _iter_word_maps(ifs: IFS, m: int) -> Iterator[tuple[Word, Similarity]]:
     yield from rec((), ident)
 
 
-class _VertexTable:
-    """Deduplicating registry of exact points with dense integer ids."""
+def numbered(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys by first occurrence.
 
-    __slots__ = ("index", "points")
+    Returns the index of every distinct key's first occurrence, in id
+    order, and the id of every key.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
 
-    def __init__(self):
-        self.index: dict[tuple, int] = {}
-        self.points: list[Point] = []
 
-    def add(self, p: Point) -> int:
-        k = p.key()
-        i = self.index.get(k)
-        if i is None:
-            i = len(self.points)
-            self.index[k] = i
-            self.points.append(p)
-        return i
+def _row_keys(mask: np.ndarray) -> np.ndarray:
+    """One int64 per boolean row, equal exactly when the rows are equal.
 
-    def get(self, p: Point) -> Optional[int]:
-        return self.index.get(p.key())
+    Forty columns at a time are packed as bits below the rank of the key so far.
+    """
+    key = np.zeros(len(mask), dtype=np.int64)
+    for j in range(0, mask.shape[1], 40):
+        bits = mask[:, j:j + 40]
+        rank = np.unique(key, return_inverse=True)[1].reshape(-1)
+        key = (rank << bits.shape[1]) | (bits @ (1 << np.arange(bits.shape[1])))
+    return key
+
+
+def cell_images(ifs: IFS, m: int, pts) -> Lattice:
+    """Images of a point array under every length-m word map F_w = F_{w_1} o ... o F_{w_m}.
+
+    ``pts`` is a sequence of points or a Lattice.  The result has a new
+    leading axis of length 4**m in lexicographic word order, and its
+    denominator is D**m times that of the points.
+    """
+    lat = pts if isinstance(pts, Lattice) else Lattice.of_points(pts)
+    out = Lattice(lat.num[None], lat.den)
+    for _ in range(m):
+        out = ifs.omega.images(out)
+        out.num = out.num.reshape((-1,) + out.num.shape[2:])
+    return out
+
+
+class VertexTable:
+    """Distinct lattice points numbered by first occurrence, with exact lookup.
+
+    ``ids`` holds the vertex id of every input point (in input shape), and
+    ``num`` the numerators of each vertex in id order, over ``den``.  A
+    point's key packs the ranks of its two numerators among the table's
+    values into one int64, whatever the size of the numerators.
+    """
+
+    def __init__(self, lat: Lattice):
+        rows = lat.num.reshape(-1, 2)
+        self.den = lat.den
+        self._values = []
+        ranks = []
+        for k in (0, 1):
+            values, rank = np.unique(rows[:, k], return_inverse=True)
+            self._values.append(values)
+            ranks.append(rank.reshape(-1))
+        keys = ranks[0] * len(self._values[1]) + ranks[1]
+        first, ids = numbered(keys)
+        self.ids = ids.reshape(lat.shape)
+        self.num = rows[first]
+        self._sorted_ids = np.argsort(keys[first], kind="stable")
+        self._sorted = keys[first][self._sorted_ids]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.num)
+
+    def lookup(self, lat: Lattice) -> np.ndarray:
+        """Vertex id of every point, -1 where a point is not a vertex."""
+        rows = lat.rescaled(self.den).num.reshape(-1, 2)
+        found = np.ones(len(rows), dtype=bool)
+        ranks = []
+        for k, values in enumerate(self._values):
+            col = rows[:, k]
+            if col.dtype != values.dtype:
+                col, values = col.astype(object), values.astype(object)
+            rank = np.minimum(np.searchsorted(values, col), len(values) - 1)
+            found &= values[rank] == col
+            ranks.append(rank)
+        keys = ranks[0] * len(self._values[1]) + ranks[1]
+        at = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        found &= self._sorted[at] == keys
+        return np.where(found, self._sorted_ids[at], -1).reshape(lat.shape)
+
+    def index_of(self, u: Fraction, v: Fraction) -> Optional[int]:
+        """Id of the vertex u + v*omega, or None."""
+        U, V = u * self.den, v * self.den
+        if U.denominator != 1 or V.denominator != 1:
+            return None
+        g = int(self.lookup(Lattice(np.array([[int(U), int(V)]], dtype=object), self.den))[0])
+        return None if g < 0 else g
+
+    def lattice(self) -> Lattice:
+        return Lattice(self.num, self.den)
+
+
+def seeded_copies(ifs: IFS, pts, m: int, words: Optional[Sequence[int]] = None
+                  ) -> tuple[VertexTable, np.ndarray]:
+    """Vertex table of the points followed by their copies under the length-m word
+    maps (only the words with the given lexicographic indices, if any), and the
+    ids of every copy.  The points come first, so distinct points keep ids 0..N-1.
+    """
+    base = pts if isinstance(pts, Lattice) else Lattice.of_points(pts)
+    images = cell_images(ifs, m, base)
+    if words is not None:
+        images.num = images.num[list(words)]
+    table = VertexTable(Lattice.concat([base, images]))
+    n = len(base.num)
+    return table, table.ids[n:].reshape(-1, n)
+
+
+class LevelGeometry:
+    """Vertex table and per-cell combinatorics of one subdivision level.
+
+    For every length-m cell this records which boundary-set points map to
+    graph vertices (the cell's kept set), the global vertex ids of those
+    images, the three corner ids, and the letter counts that determine the
+    cell's weight and measure.  Vertices are the distinct corner images,
+    numbered by first occurrence in (word, corner) order; all of it comes
+    from one lookup of the 4**m x N boundary-set image array.
+    """
+
+    def __init__(self, ifs: IFS, m: int):
+        self.ifs = ifs
+        self.m = m
+        bset = boundary_set(ifs)
+        self.bset = bset
+        # the boundary set starts with the three corners
+        images = cell_images(ifs, m, bset.points)
+        self.table = VertexTable(Lattice(images.num[:, :3], images.den))
+        self.leaf_corners = self.table.ids
+        gids = self.table.lookup(images)
+        kept = gids >= 0
+        first, type_ids = numbered(_row_keys(kept))
+        self.types: list[tuple[int, ...]] = [tuple(np.flatnonzero(kept[f]).tolist())
+                                             for f in first]
+        self.cell_type: list[int] = type_ids.tolist()
+        flat = gids[kept]
+        ends = np.cumsum(kept.sum(axis=1)).tolist()
+        self.cell_gids: list[np.ndarray] = [flat[a:b] for a, b in zip([0] + ends, ends)]
+        digits = (np.arange(4 ** m)[:, None] // 4 ** np.arange(m - 1, -1, -1)) % 4
+        self.letter_counts = np.stack([(digits == c).sum(axis=1) for c in range(4)],
+                                      axis=1).astype(np.int16)
+        self._points: Optional[list[Point]] = None
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.table)
+
+    @property
+    def points(self) -> list[Point]:
+        """Exact vertex coordinates, built on first use."""
+        if self._points is None:
+            self._points = self.table.lattice().points()
+        return self._points
+
+    def point(self, vid: int) -> Point:
+        return self.table.lattice().point(vid)
+
+    def leaf_index(self, word: Word) -> int:
+        if len(word) != self.m:
+            raise UnknownVertex(f"word {word} has length {len(word)}, level is {self.m}")
+        idx = 0
+        for c in word:
+            if c not in (1, 2, 3, 4):
+                raise UnknownVertex(f"bad letter in word {word}")
+            idx = idx * 4 + (c - 1)
+        return idx
+
+    def vid_of_address(self, word: Word, corner: int) -> int:
+        """Vertex id of F_w(p_corner); the word is padded with the corner's own letter."""
+        if corner not in (1, 2, 3):
+            raise UnknownVertex("corner index must be 1, 2 or 3")
+        if len(word) > self.m:
+            raise UnknownVertex(f"word longer than level {self.m}")
+        padded = tuple(word) + (corner,) * (self.m - len(word))
+        return int(self.leaf_corners[self.leaf_index(padded), corner - 1])
+
+    def vid_of_point(self, p: Point) -> int:
+        uv = omega_coords(p)
+        g = None if uv is None else self.table.index_of(*uv)
+        if g is None:
+            raise UnknownVertex("point is not a vertex at this level")
+        return g
+
+
+def _level_geometry(ifs: IFS, m: int) -> LevelGeometry:
+    key = ("levelgeom", m)
+    geom = ifs._caches.get(key)
+    if geom is None:
+        geom = LevelGeometry(ifs, m)
+        ifs._caches[key] = geom
+    return geom
 
 
 @dataclass
@@ -462,56 +650,41 @@ def approximation_graph(ifs: IFS, m: int, method: Literal["fast", "direct"] = "f
     """Level-m graph: vertices are corner images of all length-m words, edges join
     vertices sharing a cell.
 
-    The fast method locates each cell's vertices through the cell-contact
-    set (a vertex lies in a cell iff it is the image of a contact point);
-    the direct method tests membership with exact pullbacks and is used to
-    validate the fast one on small levels.
+    Both methods use the level's vertex table.  The fast method reads each
+    cell's vertices off the level geometry (a vertex lies in a cell iff it
+    is the image of a contact point); the direct method tests membership
+    with exact Q[sqrt(3)] pullbacks and validates the fast one on small
+    levels.
     """
     if m < 0:
         raise DomainError("level must be nonnegative")
     if m > cap:
         raise CapExceeded(f"level {m} exceeds cap {cap}")
-    table = _VertexTable()
-    word_maps = list(_iter_word_maps(ifs, m))
-    for _, fw in word_maps:
-        for c in CORNERS:
-            table.add(fw.apply(c))
-
+    if method not in ("fast", "direct"):
+        raise DomainError(f"unknown method {method!r}")
+    geom = _level_geometry(ifs, m)
     cells: dict[Word, tuple[int, ...]] = {}
-    edges: set[tuple[int, int]] = set()
     if method == "fast":
-        bset = boundary_set(ifs, "fast")
-        for word, fw in word_maps:
-            ids = []
-            for p in bset.points:
-                vid = table.get(fw.apply(p))
-                if vid is not None:
-                    ids.append(vid)
-            ids = tuple(sorted(set(ids)))
-            cells[word] = ids
-            for a, b in itertools.combinations(ids, 2):
-                edges.add((a, b))
-    elif method == "direct":
-        coords = np.array([p.float_xy() for p in table.points])
-        for word, fw in word_maps:
-            cell_corners = np.array([fw.apply(c).float_xy() for c in CORNERS])
+        words = itertools.product((1, 2, 3, 4), repeat=m)
+        for word, gids in zip(words, geom.cell_gids):
+            cells[word] = tuple(sorted(gids.tolist()))
+    else:
+        points = geom.points
+        coords = np.array([p.float_xy() for p in points])
+        for (word, fw), corners in zip(_iter_word_maps(ifs, m), geom.leaf_corners):
+            cell_corners = coords[corners]
             lo = cell_corners.min(axis=0) - 1e-9
             hi = cell_corners.max(axis=0) + 1e-9
             inside = np.nonzero((coords >= lo).all(axis=1) & (coords <= hi).all(axis=1))[0]
             inv = fw.inverse()
             ids = []
             for idx in inside:
-                q = inv.apply(table.points[idx])
+                q = inv.apply(points[idx])
                 if point_in_triangle(q) and point_in_attractor(ifs, q):
                     ids.append(int(idx))
-            ids = tuple(sorted(ids))
-            cells[word] = ids
-            for a, b in itertools.combinations(ids, 2):
-                edges.add((a, b))
-    else:
-        raise DomainError(f"unknown method {method!r}")
-
-    g = GraphApprox(m, table.points, edges, cells)
+            cells[word] = tuple(sorted(ids))
+    edges = {pair for ids in cells.values() for pair in itertools.combinations(ids, 2)}
+    g = GraphApprox(m, geom.points, edges, cells)
     if not g.is_connected():
         raise DomainError("approximating graph is unexpectedly disconnected")
     return g

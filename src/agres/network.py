@@ -320,6 +320,22 @@ def effective_resistance(form: FiniteForm, x: VertexId,
     return float(_Factor(L[nt:, nt:]).solve(e)[k])
 
 
+def _dipole_resistances(form: FiniteForm, pairs: Sequence[tuple[VertexId, VertexId]]) -> np.ndarray:
+    """Effective resistances between vertex pairs: one factorization grounded at the
+    first vertex, then one unit-dipole solve per pair."""
+    for v in {v for pair in pairs for v in pair}:
+        if v not in form._pos:
+            raise DomainError(f"unknown vertex {v!r}")
+    form.require_connected()
+    L, rest = form._laplacian_first(form.vertices[:1])
+    E = np.zeros((len(rest), len(pairs)))
+    for k, (x, y) in enumerate(pairs):
+        for v, sign in ((x, 1.0), (y, -1.0)):
+            if form._pos[v]:  # the grounded vertex has no row
+                E[form._pos[v] - 1, k] += sign
+    return np.einsum("ik,ik->k", E, _Factor(L[1:, 1:]).solve(E))
+
+
 def resistance_matrix(form: FiniteForm) -> np.ndarray:
     """All-pairs effective resistances via the grounded inverse (one factorization)."""
     form.require_connected()

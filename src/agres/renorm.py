@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
                      GuardExceeded, IdentificationMismatch, NoConvergence, SingularInterior)
-from .geometry import (CORNERS, IFS, BoundarySet, Label, boundary_set,
-                       edge_point, _VertexTable, _iter_word_maps)
+from .exact import Point
+from .geometry import (CORNERS, IFS, BoundarySet, Label, boundary_set, edge_point,
+                       numbered, seeded_copies)
 from .network import (FiniteForm, _components, _Factor, _laplacian, _pair_conductances,
                       _schur)
 
@@ -124,22 +125,15 @@ class GlueContext:
         self.orbit_ids = _pair_orbit_ids(bset.g_permutation)
         self.copies = (0, 1, 2, 3) if include_added else (0, 1, 2)
 
-        table = _VertexTable()
-        for p in bset.points:
-            table.add(p)
-        self.vmap: list[np.ndarray] = []
-        for ci in self.copies:
-            fmap = ifs.maps[ci]
-            self.vmap.append(np.array([table.add(fmap.apply(p)) for p in bset.points],
-                                      dtype=np.int64))
-        self.points = table.points
+        table, ids = seeded_copies(ifs, bset.points, 1, self.copies)
+        self._table = table
+        self.vmap: list[np.ndarray] = list(ids)
         self.n_glued = len(table)
 
-        covered = set()
-        for arr in self.vmap:
-            covered.update(int(g) for g in arr)
-        if not set(range(n)).issubset(covered):
-            missing = sorted(set(range(n)) - covered)
+        covered = np.zeros(self.n_glued, dtype=bool)
+        covered[ids] = True
+        if not covered[:n].all():
+            missing = np.flatnonzero(~covered[:n]).tolist()
             raise IdentificationMismatch(
                 f"boundary points {missing} are not images of any subdivision copy")
 
@@ -150,28 +144,20 @@ class GlueContext:
                 f"expected {expected} single-point identifications, found {merges}")
         self.merge_count = merges
 
-        # glued pair index and scatter arrays for fast assembly
-        gpairs: dict[tuple[int, int], int] = {}
-        scatter = []
-        for arr in self.vmap:
-            idx = np.empty(len(self.pairs), dtype=np.int64)
-            for k, (i, j) in enumerate(self.pairs):
-                a, b = int(arr[i]), int(arr[j])
-                if a > b:
-                    a, b = b, a
-                if a == b:
-                    raise IdentificationMismatch("a copy collapsed a conductance pair")
-                key = (a, b)
-                g = gpairs.get(key)
-                if g is None:
-                    g = len(gpairs)
-                    gpairs[key] = g
-                idx[k] = g
-            scatter.append(idx)
-        self.scatter = scatter
-        self.gpair_a = np.array([a for a, _ in gpairs], dtype=np.int64)
-        self.gpair_b = np.array([b for _, b in gpairs], dtype=np.int64)
-        self.n_gpairs = len(gpairs)
+        # glued pairs numbered by first occurrence, and each copy's scatter into them
+        a, b = ids[:, self.pair_i], ids[:, self.pair_j]
+        if (a == b).any():
+            raise IdentificationMismatch("a copy collapsed a conductance pair")
+        lo, hi = np.minimum(a, b).reshape(-1), np.maximum(a, b).reshape(-1)
+        first, gids = numbered(lo * self.n_glued + hi)
+        self.scatter = list(gids.reshape(a.shape))
+        self.gpair_a, self.gpair_b = lo[first], hi[first]
+        self.n_gpairs = len(first)
+
+    @property
+    def points(self) -> list[Point]:
+        """Exact coordinates of the glued vertices."""
+        return self._table.lattice().points()
 
     def _expected_merges(self) -> int:
         count = 3  # the three corner-cell midpoints
@@ -533,13 +519,8 @@ def _tilde_level_maps(ifs: IFS, bset: BoundarySet, k: int) -> tuple[int, list[np
     cached = ifs._caches.get(key)
     if cached is not None:
         return cached
-    table = _VertexTable()
-    for p in bset.points:
-        table.add(p)
-    copies = []
-    for _, fw in _iter_word_maps(ifs, k):
-        copies.append(np.array([table.add(fw.apply(p)) for p in bset.points], dtype=np.int64))
-    result = (len(table), copies)
+    table, ids = seeded_copies(ifs, bset.points, k)
+    result = (len(table), list(ids))
     ifs._caches[key] = result
     return result
 

@@ -1,0 +1,171 @@
+"""Lattice geometry: cell images, vertex tables and level tables against the Q[sqrt(3)] path."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import agres
+from agres import exact
+from agres.approx import _level_geometry, level_form, resistance_metric
+from agres.errors import DomainError, UnknownVertex
+from agres.exact import Lattice, Point, Scalar
+from agres.geometry import (CORNERS, LevelGeometry, VertexTable, _iter_word_maps,
+                            boundary_set, cell_images, edge_point)
+from agres.network import effective_resistance
+
+
+def reference_tables(ifs, m):
+    """Level tables from exact word maps, Similarity.apply and dict deduplication."""
+    bset = boundary_set(ifs)
+    index, points, leaf_corners, types, cell_type, cell_gids = {}, [], [], {}, [], []
+    word_maps = list(_iter_word_maps(ifs, m))
+    for _, fw in word_maps:
+        row = []
+        for c in CORNERS:
+            p = fw.apply(c)
+            if p.key() not in index:
+                index[p.key()] = len(points)
+                points.append(p)
+            row.append(index[p.key()])
+        leaf_corners.append(row)
+    for _, fw in word_maps:
+        hits = [(bi, index.get(fw.apply(p).key())) for bi, p in enumerate(bset.points)]
+        kept = tuple(bi for bi, g in hits if g is not None)
+        cell_type.append(types.setdefault(kept, len(types)))
+        cell_gids.append([g for _, g in hits if g is not None])
+    return {"points": points, "leaf_corners": leaf_corners, "types": list(types),
+            "cell_type": cell_type, "cell_gids": cell_gids,
+            "words": [w for w, _ in word_maps]}
+
+
+def assert_same_tables(geom, ref):
+    assert [p.key() for p in geom.points] == [p.key() for p in ref["points"]]
+    assert geom.leaf_corners.tolist() == ref["leaf_corners"]
+    assert geom.types == ref["types"]
+    assert list(geom.cell_type) == ref["cell_type"]
+    assert [g.tolist() for g in geom.cell_gids] == ref["cell_gids"]
+
+
+@pytest.mark.parametrize("lam,m", [("1/4", 4), ("3/16", 4), ("1/7", 4), ("1/9", 3),
+                                   ("181/512", 3), ("1/7", 0), ("3/16", 1)])
+def test_level_tables_match_word_map_reference(lam, m):
+    ifs = agres.make_ifs(lam)
+    ref = reference_tables(ifs, m)
+    geom = LevelGeometry(ifs, m)
+    assert_same_tables(geom, ref)
+    counts = [[w.count(c) for c in (1, 2, 3, 4)] for w in ref["words"]]
+    assert geom.letter_counts.tolist() == counts
+
+    g = agres.approximation_graph(ifs, m, "fast")
+    assert [p.key() for p in g.points] == [p.key() for p in ref["points"]]
+    cells = {w: tuple(sorted(gids)) for w, gids in zip(ref["words"], ref["cell_gids"])}
+    assert g.cells == cells
+    assert g.edges == {e for ids in cells.values() for e in itertools.combinations(ids, 2)}
+
+
+def test_object_fallback_gives_the_same_tables(monkeypatch):
+    ifs = agres.make_ifs("3/16")
+    wide = LevelGeometry(ifs, 3)
+    assert wide.table.num.dtype == np.int64
+    monkeypatch.setattr(exact, "INT64_LIMIT", 0)
+    narrow = LevelGeometry(ifs, 3)
+    assert narrow.table.num.dtype == object
+    assert [p.key() for p in narrow.points] == [p.key() for p in wide.points]
+    for name in ("leaf_corners", "letter_counts"):
+        assert np.array_equal(getattr(narrow, name), getattr(wide, name))
+    assert narrow.types == wide.types and narrow.cell_type == wide.cell_type
+    assert all(np.array_equal(a, b) for a, b in zip(narrow.cell_gids, wide.cell_gids))
+
+
+def word_of(index, m):
+    return tuple(index // 4 ** (m - 1 - j) % 4 + 1 for j in range(m))
+
+
+def assert_images_match(ifs, m, points, images, cells):
+    for k in cells:
+        fw = ifs.word_map(word_of(k, m))
+        got = [images.point((k, i)) for i in range(len(points))]
+        assert got == [fw.apply(p) for p in points]
+
+
+lambdas = st.builds(Fraction, st.integers(1, 63), st.integers(3, 64)).filter(
+    lambda x: 0 < x < Fraction(1, 2))
+
+
+@pytest.mark.parametrize("force_objects", [False, True])
+@given(lam=lambdas, m=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=25, deadline=None)
+def test_cell_images_match_similarity_apply(force_objects, lam, m, seed):
+    ifs = agres.make_ifs(lam)
+    points = boundary_set(ifs).points
+    with pytest.MonkeyPatch.context() as mp:
+        if force_objects:
+            mp.setattr(exact, "INT64_LIMIT", 0)
+        images = cell_images(ifs, m, points)
+    assert images.shape == (4 ** m, len(points))
+    assert (images.num.dtype == object) == force_objects
+    cells = random.Random(seed).sample(range(4 ** m), min(4, 4 ** m))
+    assert_images_match(ifs, m, points, images, cells)
+
+
+def test_real_overflow_takes_the_object_fallback():
+    # D = 512 and P = 256, so level-7 numerators live over 512**7 * 256 = 2**71
+    ifs = agres.make_ifs("181/512")
+    points = boundary_set(ifs).points
+    assert ifs.omega.D == 512
+    assert cell_images(ifs, 6, points).num.dtype == np.int64
+    images = cell_images(ifs, 7, points)
+    assert images.den == 2 ** 71 and images.num.dtype == object
+    assert max(abs(int(x)) for x in images.num.reshape(-1)) > 2 ** 63
+    cells = [0, 4 ** 7 - 1] + random.Random(7).sample(range(4 ** 7), 6)
+    assert_images_match(ifs, 7, points, images, cells)
+
+    table = VertexTable(Lattice(images.num[:, :3], images.den))
+    assert table.num.dtype == object
+    assert np.array_equal(table.lookup(Lattice(images.num[:, :3], images.den)), table.ids)
+    for k in cells:
+        fw = ifs.word_map(word_of(k, 7))
+        for c in range(3):
+            assert table.lattice().point(int(table.ids[k, c])) == fw.apply(CORNERS[c])
+
+
+class TestVertexTable:
+    def test_lookup_marks_missing_points(self):
+        lat = Lattice.of_points([edge_point(0, Fraction(1, 4)), CORNERS[0], CORNERS[1]])
+        table = VertexTable(lat)
+        query = Lattice.of_points([CORNERS[1], CORNERS[2], edge_point(0, Fraction(1, 4)),
+                                   edge_point(1, Fraction(1, 2))])
+        assert table.lookup(query).tolist() == [2, -1, 0, -1]
+
+    def test_lookup_over_a_divisor_denominator(self):
+        table = VertexTable(Lattice(np.array([[1, 0], [2, 2], [0, 4]]), 4))
+        assert table.lookup(Lattice(np.array([[1, 1], [0, 2]]), 2)).tolist() == [1, 2]
+        assert table.index_of(Fraction(1, 4), Fraction(0)) == 0
+        assert table.index_of(Fraction(1, 8), Fraction(0)) is None
+
+    def test_points_round_trip(self):
+        pts = list(CORNERS) + [edge_point(e, Fraction(3, 7)) for e in range(3)]
+        lat = Lattice.of_points(pts)
+        assert lat.points() == pts
+
+    def test_points_off_the_lattice_are_rejected(self, ifs14):
+        off = Point(Scalar(0, 1), Scalar(0))
+        with pytest.raises(DomainError):
+            Lattice.of_points([off])
+        with pytest.raises(UnknownVertex):
+            _level_geometry(ifs14, 2).vid_of_point(off)
+
+
+def test_resistance_metric_matches_pairwise_solves(ifs14, sol14):
+    pairs = [(((4,), 1), ((4,), 2)), (((1,), 2), ((2,), 1)), (((), 1), ((4,), 3)),
+             (((), 2), ((), 1)), (((3, 3), 3), ((2, 1), 1))]
+    lf = level_form(ifs14, sol14, 3)
+    for (a1, a2), value in resistance_metric(ifs14, sol14, 3, pairs, level=lf):
+        v1, v2 = lf.vid_of_address(*a1), lf.vid_of_address(*a2)
+        expected = 0.0 if v1 == v2 else effective_resistance(lf.form, v1, v2)
+        assert value == pytest.approx(expected, rel=1e-10)
