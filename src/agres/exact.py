@@ -11,12 +11,17 @@ p2 = 0, p3 = 1 and p1 = omega, and every map of the family is z -> a z + b
 with a, b in Q(omega).  A ``Lattice`` stores a whole array of such points
 as integer numerators (U, V) over one common denominator; level-m cell
 images share the denominator D^m * P, so deduplicating them is integer
-array work.  Numerators are int64 while a bound shows they fit and
-Python-int object arrays after that; they never wrap.
+array work.  The inverse maps live on the same lattice, so pullbacks of
+whole point arrays (the contact-set oracle's frontier) are integer array
+work too, with ``Lattice.reduced`` keeping their denominators small.
+Numerators are int64 while a bound shows they fit and Python-int object
+arrays after that; they never wrap.
 
 The slow one, ``Scalar``/``Point``/``Similarity``, holds coordinates
-a + b*sqrt(3) with rational a, b.  It builds the output points, and it is
-the independent oracle (pullback membership, word maps) in the tests.
+a + b*sqrt(3) with rational a, b.  It builds the output points, it carries
+attractor membership and the direct graph method, and it is the
+independent reference (word maps, a Q[sqrt(3)] contact-set pullback) in
+the tests.
 """
 
 from __future__ import annotations
@@ -343,6 +348,15 @@ class Lattice:
         den = math.lcm(*(p.den for p in parts))
         return Lattice(np.concatenate([p.rescaled(den).num.reshape(-1, 2) for p in parts]), den)
 
+    def reduced(self) -> "Lattice":
+        """The same points over the smallest common denominator: the numerators
+        and the denominator divided by their greatest common divisor."""
+        flat = self.num.reshape(-1)
+        g = math.gcd(self.den, int(np.gcd.reduce(flat)) if flat.size else 0)
+        if g == 1:
+            return self
+        return Lattice(_fit(self.num // g, _max_abs(self.num) // g), self.den // g)
+
     def point(self, index) -> Point:
         """The point at ``index`` as exact Q[sqrt(3)] coordinates:
         x = (2U + V) / (2 den), y = V / (2 den) * sqrt(3)."""
@@ -371,13 +385,29 @@ class OmegaMaps:
                           for a0, a1, _, _ in self.coeffs)
         self._shift = max(max(abs(b0), abs(b1)) for _, _, b0, b1 in self.coeffs)
 
-    def images(self, lat: Lattice) -> Lattice:
+    def inverse(self) -> "OmegaMaps":
+        """The inverse maps z -> a' z + b', in the same order.
+
+        a' = conj(a) / |a|^2 with conj(a0 + a1 w) = (a0 + a1) - a1 w and
+        |a0 + a1 w|^2 = a0^2 + a0 a1 + a1^2, and b' = -a' b.
+        """
+        maps = []
+        for a0, a1, b0, b1 in self.coeffs:
+            a0, a1, b0, b1 = (Fraction(c, self.D) for c in (a0, a1, b0, b1))
+            norm = a0 * a0 + a0 * a1 + a1 * a1
+            i0, i1 = (a0 + a1) / norm, -a1 / norm
+            maps.append(((i0, i1), (i1 * b1 - i0 * b0, -(i0 * b1 + i1 * b0 + i1 * b1))))
+        return OmegaMaps(maps)
+
+    def images(self, lat: Lattice, headroom: int = 1) -> Lattice:
         """Images of every point under every map, stacked along a new leading axis.
 
         Products follow (a0 + a1 w)(u + v w) = (a0 u - a1 v) + (a0 v + a1 u + a1 v) w,
-        since w^2 = w - 1.
+        since w^2 = w - 1.  The output stays int64 only if a sum of ``headroom``
+        output numerators still fits.
         """
-        num = _fit(lat.num, self._reach * _max_abs(lat.num) + self._shift * lat.den)
+        bound = self._reach * _max_abs(lat.num) + self._shift * lat.den
+        num = _fit(lat.num, headroom * bound)
         U, V = num[..., 0], num[..., 1]
         den = lat.den
         out = [np.stack((a0 * U - a1 * V + b0 * den, a1 * U + (a0 + a1) * V + b1 * den), axis=-1)

@@ -9,15 +9,16 @@ Level geometry runs on the Eisenstein lattice (see ``exact``): in the basis
 (1, omega) the maps are z -> a z + b with a, b in Q(omega), so
 ``cell_images`` maps whole point arrays with integer numerators over one
 denominator, and a ``VertexTable`` deduplicates them with ``np.unique``.
-Level geometries, glued copies and graphs all come from these two.
-Membership by pullback, the oracle contact set and the per-word maps stay
-on exact Q[sqrt(3)] coordinates; they are the independent slow path.
+Level geometries, glued copies and graphs all come from these two, and so
+does the frontier of the oracle contact set: whole levels of vertices are
+pulled back under the inverse maps as lattice arrays.  Attractor membership
+by pullback, the direct graph method and the per-word maps stay on exact
+Q[sqrt(3)] coordinates; they are the independent slow path.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal, Optional, Sequence
@@ -89,6 +90,7 @@ class IFS:
         self.omega = OmegaMaps((
             ((half, zero), (zero, half)), ((half, zero), (zero, zero)),
             ((half, zero), (half, zero)), ((lam, half - 2 * lam), (half - lam, lam))))
+        self.omega_inverses = self.omega.inverse()
         rot = _rotation()
         self.rotations = (rot, rot.compose(rot))
         # Caches keyed by this instance; all results are immutable.  ``_caches``
@@ -333,8 +335,11 @@ def boundary_set(ifs: IFS, mode: Literal["fast", "oracle"] = "fast",
     parameters (the added cell touches the bottom edge's mirror point at
     parameter 2*lam, and pullbacks double the parameter).  Oracle mode
     evaluates the defining union directly down to ``depth`` subdivisions:
-    enumerate level vertices, test cell membership exactly, and pull back.
-    The two must agree; tests enforce it.
+    enumerate the level vertices and pull them back inside the triangle on
+    the Eisenstein lattice, then test the survivors for attractor
+    membership exactly on Q[sqrt(3)].  The two must agree; tests enforce
+    it, and they check the oracle against a pullback written wholly on
+    Q[sqrt(3)].
     """
     if mode == "fast":
         if ifs._boundary_fast is None:
@@ -350,45 +355,31 @@ def boundary_set(ifs: IFS, mode: Literal["fast", "oracle"] = "fast",
 def _boundary_set_oracle(ifs: IFS, depth: int) -> BoundarySet:
     """Evaluate the defining union directly.
 
-    For every level m <= depth and every level-m vertex, walk down the cell
-    tree keeping only branches whose (closed) triangle contains the vertex;
-    cells whose triangle excludes it cannot contain it.  Each surviving
-    length-m pullback is tested for attractor membership exactly.
+    For every level m <= depth, pull every level-m vertex back m times under
+    the inverse maps, keeping only pullbacks inside the closed triangle
+    (a cell whose triangle excludes a point cannot contain it).  Each level
+    is pulled back as one lattice array, deduplicated and reduced after
+    every step.  Each surviving length-m pullback is tested for attractor
+    membership exactly.
     """
-    inv_floats = [inv.linear_floats() for inv in ifs.inverses]
-    sq3 = math.sqrt(3.0)
-    margin = 1e-9
-
-    def surely_outside(x: float, y: float) -> bool:
-        return (y < -margin or y > sq3 * x + margin or y > sq3 * (1.0 - x) + margin)
-
-    found: dict[tuple, Point] = {}
+    level = Lattice.of_points(CORNERS)
+    survivors = []
     for m in range(depth + 1):
-        verts: dict[tuple, Point] = {}
-        for _, fw in _iter_word_maps(ifs, m):
-            for c in CORNERS:
-                p = fw.apply(c)
-                verts.setdefault(p.key(), p)
-        for v in verts.values():
-            frontier = {v.key(): (v, float(v.x), float(v.y))}
-            for _ in range(m):
-                nxt: dict[tuple, tuple] = {}
-                for q, fx, fy in frontier.values():
-                    for inv, (a00, a01, a10, a11, tx, ty) in zip(ifs.inverses, inv_floats):
-                        # cheap float screen; exact confirmation for the rest
-                        gx = a00 * fx + a01 * fy + tx
-                        gy = a10 * fx + a11 * fy + ty
-                        if surely_outside(gx, gy):
-                            continue
-                        qq = inv.apply(q)
-                        if point_in_triangle(qq):
-                            nxt.setdefault(qq.key(), (qq, float(qq.x), float(qq.y)))
-                frontier = nxt
-            for q, _, _ in frontier.values():
-                if q.key() not in found and point_in_attractor(ifs, q):
-                    found[q.key()] = q
+        if m:
+            level = VertexTable(ifs.omega.images(level)).lattice()
+        pulled = level
+        for _ in range(m):
+            # headroom 2: U + V below must not wrap either
+            pulled = ifs.omega_inverses.images(pulled, headroom=2)
+            rows = pulled.num.reshape(-1, 2)
+            U, V = rows[:, 0], rows[:, 1]
+            inside = rows[(U >= 0) & (V >= 0) & (U + V <= pulled.den)]
+            pulled = VertexTable(Lattice(inside, pulled.den)).lattice().reduced()
+        survivors.append(pulled)
     ts: set[Fraction] = set()
-    for p in found.values():
+    for p in VertexTable(Lattice.concat(survivors)).lattice().points():
+        if not point_in_attractor(ifs, p):
+            continue
         lab = classify_boundary_point(p)  # raises if a contact leaves the edge skeleton
         if lab.kind == "edge":
             ts.add(lab.t)

@@ -6,6 +6,7 @@ Criteria with stated runtime budgets assert them.
 
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import agres
 from agres.approx import (boundary_resistance_check, decimation_identity,
                           scaling_exponent)
 from agres.exact import Scalar
-from agres.geometry import CORNERS, boundary_set
+from agres.geometry import CORNERS, boundary_set, cell_images
 from agres.network import (FiniteForm, effective_resistance, resistance_matrix,
                            resolvent, trace)
 from agres.renorm import (eigen_solve, enumerate_preserved_relations, solve_r,
@@ -306,24 +307,30 @@ def test_criterion_13_distance_bounds():
                                                Fraction(num2, 32), depth=8)
         all_pass = all_pass and ok
 
-    # tracked-point bound for every word of length <= 8, exact arithmetic
+    # tracked-point bound for every word of length <= 8, exact arithmetic: over a
+    # common denominator, |z1 - z2|^2 = (du^2 + du dv + dv^2) / den^2 <= 4 (lam1 - lam2)^2
     lam1, lam2 = Fraction(1, 4), Fraction(5, 16)
     ifs1, ifs2 = agres.make_ifs(lam1), agres.make_ifs(lam2)
-    bound_sq = Scalar(4 * (lam1 - lam2) ** 2)
+    bound_sq = 4 * (lam1 - lam2) ** 2
     checked = 0
-    stack = [(0, ifs1.word_map(()), ifs2.word_map(()))]
-    maps1, maps2 = ifs1.maps, ifs2.maps
     tracked_ok = True
-    while stack:
-        depth, f1, f2 = stack.pop()
-        for c in CORNERS:
-            d2 = f1.apply(c).distance_sq(f2.apply(c))
-            checked += 1
-            if (bound_sq - d2).sign() < 0:
-                tracked_ok = False
-        if depth < 8:
-            for i in range(4):
-                stack.append((depth + 1, f1.compose(maps1[i]), f2.compose(maps2[i])))
+    sampled = random.Random(13).sample(range(4 ** 8), 200)
+    for k in range(9):
+        im1, im2 = cell_images(ifs1, k, CORNERS), cell_images(ifs2, k, CORNERS)
+        den = math.lcm(im1.den, im2.den)
+        diff = im1.rescaled(den).num.astype(object) - im2.rescaled(den).num.astype(object)
+        du, dv = diff[..., 0], diff[..., 1]
+        norm = du * du + du * dv + dv * dv
+        checked += norm.size
+        tracked_ok = tracked_ok and bool(
+            (norm * bound_sq.denominator <= bound_sq.numerator * den * den).all())
+        # the lattice distances are the exact Q[sqrt(3)] word-map distances
+        for idx in range(4 ** k) if k <= 3 else sampled if k == 8 else ():
+            word = tuple(idx // 4 ** (k - 1 - j) % 4 + 1 for j in range(k))
+            f1, f2 = ifs1.word_map(word), ifs2.word_map(word)
+            for c, corner in enumerate(CORNERS):
+                d2 = f1.apply(corner).distance_sq(f2.apply(corner))
+                assert d2 == Scalar(Fraction(int(norm[idx, c]), den * den)), (word, c)
     ok = all_pass and tracked_ok
     _report(13, ok, f"20 random dyadic pairs at depth 8 inside the 2|dl| + 2^-7 "
                     f"bound: {all_pass}; tracked-point bound exact for "

@@ -74,6 +74,15 @@ class TestCommands:
         obj2 = json.loads((out2 / "boundary.json").read_text())
         assert obj2["points"] == obj["points"]
 
+    def test_boundary_oracle_at_default_depth(self, tmp_path):
+        code, out = run_cli(["boundary", "--lambda", "1/7", "--mode", "oracle"], tmp_path)
+        assert code == 0
+        code2, out2 = run_cli(["boundary", "--lambda", "1/7", "--mode", "fast"], tmp_path, "out2")
+        assert code2 == 0
+        oracle = json.loads((out / "manifest.json").read_text())["config"]
+        assert oracle["mode"] == "oracle" and oracle["depth"] == 8
+        assert (out / "boundary.json").read_text() == (out2 / "boundary.json").read_text()
+
     def test_graph_edge_list(self, tmp_path):
         code, out = run_cli(["graph", "--lambda", "1/4", "--level", "1"], tmp_path)
         assert code == 0

@@ -324,6 +324,8 @@ class TestBoundaryOracleExtended:
         ("1/5", 15),    # pure cycle of length 4
         ("5/32", 15),   # dyadic, transient of length 4 into 1/2
         ("3/32", 15),   # dyadic, transient of length 4
+        ("1/9", 21),    # pure cycle of length 6, automatic depth 8
+        ("1/31", 18),   # pure cycle of length 5, automatic depth 7
     ])
     def test_fast_equals_oracle_extended(self, lam, size):
         ifs = agres.make_ifs(lam)

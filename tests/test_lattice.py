@@ -1,6 +1,7 @@
 """Lattice geometry: cell images, vertex tables and level tables against the Q[sqrt(3)] path."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +15,10 @@ from agres import exact
 from agres.approx import _level_geometry, level_form, resistance_metric
 from agres.errors import DomainError, UnknownVertex
 from agres.exact import Lattice, Point, Scalar
-from agres.geometry import (CORNERS, LevelGeometry, VertexTable, _iter_word_maps,
-                            boundary_set, cell_images, edge_point)
+from agres.geometry import (CORNERS, LevelGeometry, VertexTable, _boundary_from_parameters,
+                            _iter_word_maps, boundary_set, cell_images,
+                            classify_boundary_point, edge_point, point_in_attractor,
+                            point_in_triangle)
 from agres.network import effective_resistance
 
 
@@ -169,3 +172,136 @@ def test_resistance_metric_matches_pairwise_solves(ifs14, sol14):
         v1, v2 = lf.vid_of_address(*a1), lf.vid_of_address(*a2)
         expected = 0.0 if v1 == v2 else effective_resistance(lf.form, v1, v2)
         assert value == pytest.approx(expected, rel=1e-10)
+
+
+class TestLatticeMaps:
+    @pytest.mark.parametrize("force_objects", [False, True])
+    @pytest.mark.parametrize("lam", ["1/4", "3/16", "1/9", "181/512"])
+    def test_inverse_undoes_images(self, lam, force_objects, monkeypatch):
+        ifs = agres.make_ifs(lam)
+        if force_objects:
+            monkeypatch.setattr(exact, "INT64_LIMIT", 0)
+        points = boundary_set(ifs).points
+        inverse = ifs.omega.inverse()
+        assert inverse.inverse().coeffs == ifs.omega.coeffs
+        back = inverse.images(ifs.omega.images(Lattice.of_points(points)))
+        assert (back.num.dtype == object) == force_objects
+        for k in range(4):
+            assert Lattice(back.num[k, k], back.den).points() == points
+        pulled = inverse.images(Lattice.of_points(points))
+        for k, inv in enumerate(ifs.inverses):
+            assert Lattice(pulled.num[k], pulled.den).points() == [inv.apply(p) for p in points]
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_reduced_keeps_the_points(self, dtype):
+        points = list(CORNERS) + [edge_point(e, Fraction(3, 7)) for e in range(3)]
+        lat = Lattice.of_points(points)
+        assert lat.den == 7
+        wide = Lattice(lat.rescaled(7 * 36).num.astype(dtype), 7 * 36)
+        reduced = wide.reduced()
+        assert reduced.den == 7 and reduced.points() == points
+        assert reduced.num.dtype == np.int64
+        assert reduced.reduced() is reduced
+        zero = Lattice(np.zeros((1, 2), dtype=dtype), 6).reduced()
+        assert zero.den == 1 and zero.points() == [CORNERS[1]]
+
+    def test_reduced_object_array_beyond_int64(self):
+        num = np.array([[3 * 2 ** 70, 0], [0, 2 ** 70]], dtype=object)
+        reduced = Lattice(num, 2 ** 72).reduced()
+        assert reduced.den == 4 and reduced.num.tolist() == [[3, 0], [0, 1]]
+        coprime = Lattice(num + np.array([[1, 0], [0, 0]], dtype=object), 2 ** 72)
+        assert coprime.reduced() is coprime and coprime.num.dtype == object
+
+
+def _qsqrt3_boundary_reference(ifs, depth):
+    """The defining-union oracle on Q[sqrt(3)], independent of the lattice.
+
+    For every level m <= depth and every level-m vertex, walk down the cell
+    tree keeping only branches whose (closed) triangle contains the vertex;
+    cells whose triangle excludes it cannot contain it.  Each surviving
+    length-m pullback is tested for attractor membership exactly.
+    """
+    inv_floats = [inv.linear_floats() for inv in ifs.inverses]
+    sq3 = math.sqrt(3.0)
+    margin = 1e-9
+
+    def surely_outside(x: float, y: float) -> bool:
+        return (y < -margin or y > sq3 * x + margin or y > sq3 * (1.0 - x) + margin)
+
+    found: dict[tuple, Point] = {}
+    for m in range(depth + 1):
+        verts: dict[tuple, Point] = {}
+        for _, fw in _iter_word_maps(ifs, m):
+            for c in CORNERS:
+                p = fw.apply(c)
+                verts.setdefault(p.key(), p)
+        for v in verts.values():
+            frontier = {v.key(): (v, float(v.x), float(v.y))}
+            for _ in range(m):
+                nxt: dict[tuple, tuple] = {}
+                for q, fx, fy in frontier.values():
+                    for inv, (a00, a01, a10, a11, tx, ty) in zip(ifs.inverses, inv_floats):
+                        # cheap float screen; exact confirmation for the rest
+                        gx = a00 * fx + a01 * fy + tx
+                        gy = a10 * fx + a11 * fy + ty
+                        if surely_outside(gx, gy):
+                            continue
+                        qq = inv.apply(q)
+                        if point_in_triangle(qq):
+                            nxt.setdefault(qq.key(), (qq, float(qq.x), float(qq.y)))
+                frontier = nxt
+            for q, _, _ in frontier.values():
+                if q.key() not in found and point_in_attractor(ifs, q):
+                    found[q.key()] = q
+    ts: set[Fraction] = set()
+    for p in found.values():
+        lab = classify_boundary_point(p)  # raises if a contact leaves the edge skeleton
+        if lab.kind == "edge":
+            ts.add(lab.t)
+    return _boundary_from_parameters(ts)
+
+
+_reference_keys: dict = {}
+
+
+def reference_boundary_keys(lam, depth):
+    key = (Fraction(lam), depth)
+    if key not in _reference_keys:
+        bset = _qsqrt3_boundary_reference(agres.make_ifs(lam), depth)
+        _reference_keys[key] = [p.key() for p in bset.points]
+    return _reference_keys[key]
+
+
+def oracle_keys(lam, depth):
+    return [p.key() for p in boundary_set(agres.make_ifs(lam), "oracle", depth=depth).points]
+
+
+@pytest.mark.parametrize("force_objects", [False, True])
+@pytest.mark.parametrize("lam", ["1/4", "1/8", "1/7", "3/16", "1/6", "1/5", "2/7"])
+def test_boundary_oracle_matches_qsqrt3_reference(lam, force_objects, monkeypatch):
+    if force_objects:
+        monkeypatch.setattr(exact, "INT64_LIMIT", 0)
+    for depth in range(5):
+        assert oracle_keys(lam, depth) == reference_boundary_keys(lam, depth)
+
+
+@given(lam=st.builds(Fraction, st.integers(1, 15), st.integers(3, 32)).filter(
+    lambda x: x < Fraction(1, 2)), depth=st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_boundary_oracle_matches_reference_on_random_lambdas(lam, depth):
+    assert oracle_keys(lam, depth) == reference_boundary_keys(lam, depth)
+
+
+def test_boundary_oracle_through_a_real_overflow(monkeypatch):
+    # the inverse added map of 181/512 pushes pullback numerators past int64 at depth 5
+    dtypes = set()
+    images = exact.OmegaMaps.images
+
+    def spy(self, lat, headroom=1):
+        out = images(self, lat, headroom)
+        dtypes.add(out.num.dtype)
+        return out
+
+    monkeypatch.setattr(exact.OmegaMaps, "images", spy)
+    assert oracle_keys("181/512", 5) == reference_boundary_keys("181/512", 5)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
