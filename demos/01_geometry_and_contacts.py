@@ -3,27 +3,29 @@
 The fractal family is generated by the three corner halvings of an
 equilateral triangle plus a fourth scaled rotation controlled by a
 parameter lambda in (0, 1/2).  For rational lambda everything below is
-computed in exact Q[sqrt(3)] arithmetic.
+computed exactly: a point is z = u + v*omega with omega = e^{i pi/3} and
+rational u, v, written Point(u, v), and every map is z -> a z + b.
 """
 
 from fractions import Fraction
 
 import agres
-from agres.exact import Point, Scalar, point_decimal_str
-from agres.geometry import CENTROID, CORNERS, point_in_attractor
+from agres.exact import Point, point_decimal_str
+from agres.geometry import CENTROID, CORNERS, cell_images, point_in_attractor
 
 ifs = agres.make_ifs("1/4")
 print("maps at lambda = 1/4")
-for name, f in zip(("F1", "F2", "F3", "F4"), ifs.maps):
-    images = ", ".join(str(point_decimal_str(f.apply(c))) for c in CORNERS)
-    print(f"  {name}: ratio {f.ratio:.4f}, corner images {images}")
+corner_images = cell_images(ifs, 1, CORNERS)  # one row of corner images per map
+ratios = (0.5, 0.5, 0.5, ifs.added_ratio)
+for k, (name, ratio) in enumerate(zip(("F1", "F2", "F3", "F4"), ratios)):
+    images = ", ".join(str(point_decimal_str(corner_images.point((k, c)))) for c in range(3))
+    print(f"  {name}: ratio {ratio:.4f}, corner images {images}")
 
 print("\nattractor membership (exact pullback descent)")
 probes = [
-    ("bottom contact (2*lambda, 0)", Point(Scalar(Fraction(1, 2)), Scalar())),
+    ("bottom contact (2*lambda, 0)", Point(Fraction(1, 2), Fraction(0))),
     ("centroid (fixed point of F4)", CENTROID),
-    ("a point in the central hole", Point(Scalar(Fraction(1, 2)),
-                                          Scalar.sqrt3_times(Fraction(1, 16)))),
+    ("a point in the central hole", Point(Fraction(7, 16), Fraction(1, 8))),
 ]
 for label, p in probes:
     print(f"  {label}: {point_in_attractor(ifs, p)}")
@@ -39,7 +41,7 @@ for lam in ("1/4", "1/7"):
     ifs_l = agres.make_ifs(lam)
     fast = agres.boundary_set(ifs_l, "fast")
     oracle = agres.boundary_set(ifs_l, "oracle")
-    same = [p.key() for p in fast.points] == [p.key() for p in oracle.points]
+    same = fast.points == oracle.points
     print(f"  lambda={lam}: {same}")
 
 print("\napproximating graphs")

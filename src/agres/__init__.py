@@ -12,7 +12,7 @@ from .errors import (AgresError, BadMeasure, BadTarget, BadWeights, BracketFailu
                      InsufficientScales, MismatchedVertexSets, NegativeConductance,
                      NoConvergence, NumericalError, OrbitOverflow, SingularInterior,
                      TrackingError, UnknownVertex, ValidationError)
-from .exact import Point, Scalar, Similarity, as_fraction
+from .exact import Point, as_fraction
 from .geometry import (IFS, BoundarySet, GraphApprox, Label, approximation_graph,
                        boundary_set, doubling_orbit, hausdorff_distance, make_ifs,
                        point_in_attractor, point_of_address, track_point)

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import (BadWeights, CapExceeded, DomainError, IdentificationMismatch,
                      InsufficientScales, UnknownVertex)
 from .exact import Lattice, Point
-from .geometry import IFS, LevelGeometry, VertexTable, Word, _level_geometry, cell_images
+from .geometry import (IFS, LevelGeometry, VertexTable, Word, _level_geometry, cell_images,
+                       numbered)
 from .network import (FiniteForm, _dipole_resistances, effective_resistance,
                       harmonic_extension, resolvent, trace)
 from .renorm import BoundaryForm, Solution
@@ -52,6 +53,26 @@ def _cell_table(D: BoundaryForm, kept: Sequence[int]) -> list[tuple[int, int, fl
     return [(local[x], local[y], float(c)) for (x, y), c in sub.conductances.items()]
 
 
+def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the given sizes laid end to end: the run of every item and
+    its position within the run."""
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    return run, np.arange(len(run)) - (np.cumsum(sizes) - sizes)[run]
+
+
+def _summed_form(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> FiniteForm:
+    """Form on vertices 0..n-1 with the contributions c[k] on the pairs (a[k], b[k]) added up.
+
+    Pairs are numbered by first occurrence and each pair's contributions
+    are added in input order, as a dict accumulation would add them.
+    """
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    first, ids = numbered(lo * n + hi)
+    sums = np.bincount(ids, c, len(first))
+    return FiniteForm(list(range(n)),
+                      dict(zip(zip(lo[first].tolist(), hi[first].tolist()), sums.tolist())))
+
+
 def level_form(ifs: IFS, sol: Solution, m: int, cap: int = LEVEL_CAP) -> LevelForm:
     """Trace of the solved self-similar form onto the level-m vertex set.
 
@@ -64,22 +85,18 @@ def level_form(ifs: IFS, sol: Solution, m: int, cap: int = LEVEL_CAP) -> LevelFo
         raise CapExceeded(f"level {m} exceeds cap {cap}")
     geom = _level_geometry(ifs, m)
     tables = [_cell_table(sol.D, kept) for kept in geom.types]
+    # one contribution per (cell, row of the cell's table), cell after cell
+    sizes = np.array([len(tab) for tab in tables])
+    la, lb, lc = (np.array(col) for col in zip(*(row for tab in tables for row in tab)))
+    types = np.asarray(geom.cell_type)
+    cell, k = _ragged(sizes[types])
+    row = (np.cumsum(sizes) - sizes)[types[cell]] + k
+    base = geom.kept_start[cell]
     r, s = sol.r, sol.s
-    rinv_pow = [r ** -k for k in range(m + 1)]
-    sinv_pow = [s ** -k for k in range(m + 1)]
-    cond: dict[tuple[int, int], float] = {}
-    counts = geom.letter_counts
-    for li in range(len(geom.cell_type)):
-        n4 = int(counts[li, 3])
-        w = rinv_pow[m - n4] * sinv_pow[n4]
-        gids = geom.cell_gids[li]
-        for (a, b, c) in tables[geom.cell_type[li]]:
-            ga, gb = int(gids[a]), int(gids[b])
-            if ga > gb:
-                ga, gb = gb, ga
-            key = (ga, gb)
-            cond[key] = cond.get(key, 0.0) + w * c
-    form = FiniteForm(list(range(geom.n_vertices)), cond)
+    weight = np.array([r ** -(m - n4) * s ** -n4 for n4 in range(m + 1)])
+    c = weight[geom.letter_counts[cell, 3]] * lc[row]
+    form = _summed_form(geom.n_vertices, geom.kept_gids[base + la[row]],
+                        geom.kept_gids[base + lb[row]], c)
     return LevelForm(m, form, geom, sol)
 
 
@@ -251,18 +268,19 @@ class EdgeTraceTower:
                   (own_images, self.form, sol.r), (bset_images, sol.D.form, sol.s)]
         glued = VertexTable(Lattice.concat([keep.lattice()] + [
             Lattice(images.num[i], images.den) for i, (images, _, _) in enumerate(copies)]))
-        cond: dict[tuple[int, int], float] = {}
+        a, b, c = [], [], []
         start = n_keep
         for images, form, w in copies:
-            gids = glued.ids[start:start + images.shape[1]].tolist()
+            gids = glued.ids[start:start + images.shape[1]]
             start += images.shape[1]
-            for (i, j), c in form.conductances.items():
-                a, b = gids[i], gids[j]
-                if a == b:
-                    raise IdentificationMismatch("copy collapsed a conductance pair")
-                key = (a, b) if a < b else (b, a)
-                cond[key] = cond.get(key, 0.0) + c / w
-        traced = trace(FiniteForm(list(range(len(glued))), cond), list(range(n_keep)))
+            pairs = np.array(list(form.conductances), dtype=np.int64).reshape(-1, 2)
+            a.append(gids[pairs[:, 0]])
+            b.append(gids[pairs[:, 1]])
+            c.append(np.fromiter(form.conductances.values(), float) / w)
+        a, b = np.concatenate(a), np.concatenate(b)
+        if (a == b).any():
+            raise IdentificationMismatch("copy collapsed a conductance pair")
+        traced = trace(_summed_form(len(glued), a, b, np.concatenate(c)), list(range(n_keep)))
         self.K = next_k
         self.table = keep
         self.form = traced

@@ -1,34 +1,31 @@
-"""Exact arithmetic for the gasket geometry: lattice point arrays and Q[sqrt(3)].
+"""Exact arithmetic for the gasket geometry: points and point arrays on Q(omega).
 
 Every vertex produced by the iterated maps is identified by exact
 equality, never by tolerance.  Cells of the fractal intersect at single
 points; a fuzzy match there would silently change the topology of the
 approximating graphs, which is why exactness is load-bearing.
 
-Two exact representations live here.  The fast one writes a point as
-z = u + v*omega with omega = e^{i pi/3}, so the reference corners are
-p2 = 0, p3 = 1 and p1 = omega, and every map of the family is z -> a z + b
-with a, b in Q(omega).  A ``Lattice`` stores a whole array of such points
-as integer numerators (U, V) over one common denominator; level-m cell
-images share the denominator D^m * P, so deduplicating them is integer
-array work.  The inverse maps live on the same lattice, so pullbacks of
-whole point arrays (the contact-set oracle's frontier) are integer array
+A point is written z = u + v*omega with omega = e^{i pi/3}, so the
+reference corners are p2 = 0, p3 = 1 and p1 = omega, and every map of the
+family is z -> a z + b with a, b in Q(omega).  At a rational parameter
+every point the family forms lies in Q(omega), so this one representation
+serves everything: a ``Point`` holds one point as two Fractions (u, v), and
+a ``Lattice`` holds a whole array of them as integer numerators (U, V) over
+one common denominator.  Level-m cell images share the denominator
+D^m * P, so deduplicating them is integer array work; the inverse maps live
+on the same lattice, so pullbacks of whole point arrays are integer array
 work too, with ``Lattice.reduced`` keeping their denominators small.
 Numerators are int64 while a bound shows they fit and Python-int object
-arrays after that; they never wrap.
-
-The slow one, ``Scalar``/``Point``/``Similarity``, holds coordinates
-a + b*sqrt(3) with rational a, b.  It builds the output points, it carries
-attractor membership and the direct graph method, and it is the
-independent reference (word maps, a Q[sqrt(3)] contact-set pullback) in
-the tests.
+arrays after that; they never wrap.  Output strings give the Cartesian
+coordinates x = u + v/2 and y = (v/2)*sqrt(3) in the form
+'(p/q) + (r/s)*sqrt3'.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -59,149 +56,20 @@ def as_fraction(x: RationalLike, what: str = "value") -> Fraction:
     raise DomainError(f"{what} must be an int, Fraction or 'p/q' string, got {type(x).__name__}")
 
 
-class Scalar:
-    """An element a + b*sqrt(3) of Q[sqrt(3)] with exact field operations."""
+class Point(NamedTuple):
+    """The point u + v*omega, with u and v Fractions."""
 
-    __slots__ = ("a", "b")
+    u: Fraction
+    v: Fraction
 
-    def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
-
-    @classmethod
-    def rational(cls, x: RationalLike) -> "Scalar":
-        return cls(as_fraction(x), Fraction(0))
-
-    @classmethod
-    def sqrt3_times(cls, x: RationalLike) -> "Scalar":
-        """The element x*sqrt(3)."""
-        return cls(Fraction(0), as_fraction(x))
-
-    # -- ring/field operations -------------------------------------------------
-
-    def __add__(self, o: "Scalar") -> "Scalar":
-        return Scalar(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o: "Scalar") -> "Scalar":
-        return Scalar(self.a - o.a, self.b - o.b)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.a, -self.b)
-
-    def __mul__(self, o: "Scalar") -> "Scalar":
-        # (a1 + b1 s)(a2 + b2 s) = a1 a2 + 3 b1 b2 + (a1 b2 + a2 b1) s
-        return Scalar(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    def scale(self, q: Fraction) -> "Scalar":
-        return Scalar(self.a * q, self.b * q)
-
-    def inverse(self) -> "Scalar":
-        den = self.a * self.a - 3 * self.b * self.b
-        if den == 0:
-            raise ZeroDivisionError("inverse of zero in Q[sqrt(3)]")
-        return Scalar(self.a / den, -self.b / den)
-
-    def __truediv__(self, o: "Scalar") -> "Scalar":
-        return self * o.inverse()
-
-    # -- exact comparisons -------------------------------------------------------
-
-    def sign(self) -> int:
-        """Exact sign of a + b*sqrt(3); zero only when a = b = 0."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # mixed signs: compare a^2 with 3 b^2 (equality impossible, sqrt(3) irrational)
-        if a > 0:
-            return 1 if a * a > 3 * b * b else -1
-        return -1 if a * a > 3 * b * b else 1
-
-    def __eq__(self, o: object) -> bool:
-        return isinstance(o, Scalar) and self.a == o.a and self.b == o.b
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __lt__(self, o: "Scalar") -> bool:
-        return (self - o).sign() < 0
-
-    def __le__(self, o: "Scalar") -> bool:
-        return (self - o).sign() <= 0
-
-    def __gt__(self, o: "Scalar") -> bool:
-        return (self - o).sign() > 0
-
-    def __ge__(self, o: "Scalar") -> bool:
-        return (self - o).sign() >= 0
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    # -- conversions ---------------------------------------------------------
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT3
-
-    def key(self) -> tuple:
-        return (self.a.numerator, self.a.denominator, self.b.numerator, self.b.denominator)
-
-    def exact_str(self) -> str:
-        """Canonical exact form '(p/q) + (r/s)*sqrt3'."""
-        return f"({self.a.numerator}/{self.a.denominator}) + ({self.b.numerator}/{self.b.denominator})*sqrt3"
-
-    def __repr__(self) -> str:
-        return f"Scalar({self.a!r}, {self.b!r})"
-
-
-ZERO = Scalar()
-ONE = Scalar(1)
-HALF = Scalar(Fraction(1, 2))
-
-
-class Point:
-    """A planar point with Q[sqrt(3)] coordinates."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: Scalar, y: Scalar):
-        self.x = x
-        self.y = y
-
-    @classmethod
-    def rational(cls, x: RationalLike, y: RationalLike) -> "Point":
-        return cls(Scalar.rational(x), Scalar.rational(y))
-
-    def key(self) -> tuple:
-        return self.x.key() + self.y.key()
-
-    def __eq__(self, o: object) -> bool:
-        return isinstance(o, Point) and self.x == o.x and self.y == o.y
-
-    def __hash__(self) -> int:
-        return hash(self.key())
+    def cartesian(self) -> tuple[Fraction, Fraction]:
+        """(x, y / sqrt(3)): x = u + v/2 and y = (v/2) * sqrt(3)."""
+        eta = Fraction(self.v, 2)
+        return self.u + eta, eta
 
     def float_xy(self) -> tuple[float, float]:
-        return (float(self.x), float(self.y))
-
-    def distance_sq(self, o: "Point") -> Scalar:
-        dx = self.x - o.x
-        dy = self.y - o.y
-        return dx * dx + dy * dy
-
-    def distance(self, o: "Point") -> float:
-        return math.sqrt(max(0.0, float(self.distance_sq(o))))
-
-    def __repr__(self) -> str:
-        return f"Point({float(self.x):.6g}, {float(self.y):.6g})"
+        x, eta = self.cartesian()
+        return float(x), float(eta) * _SQRT3
 
 
 def point_decimal_str(p: Point) -> tuple[str, str]:
@@ -211,80 +79,10 @@ def point_decimal_str(p: Point) -> tuple[str, str]:
 
 
 def point_exact_str(p: Point) -> tuple[str, str]:
-    return (p.x.exact_str(), p.y.exact_str())
-
-
-class Similarity:
-    """An exact affine map x -> M x + t whose linear part is a scaled rotation.
-
-    The similarity invariant (M^T M proportional to the identity, det M > 0)
-    is checked at construction, exactly.
-    """
-
-    __slots__ = ("m00", "m01", "m10", "m11", "tx", "ty", "ratio_sq")
-
-    def __init__(self, m00: Scalar, m01: Scalar, m10: Scalar, m11: Scalar,
-                 tx: Scalar, ty: Scalar, check: bool = True):
-        self.m00, self.m01, self.m10, self.m11 = m00, m01, m10, m11
-        self.tx, self.ty = tx, ty
-        d00 = m00 * m00 + m10 * m10
-        d11 = m01 * m01 + m11 * m11
-        off = m00 * m01 + m10 * m11
-        if check:
-            if not off.is_zero() or d00 != d11:
-                raise DomainError("linear part is not a scalar multiple of a rotation")
-            det = m00 * m11 - m01 * m10
-            if det.sign() <= 0:
-                raise DomainError("linear part must be orientation preserving")
-        self.ratio_sq = d00
-
-    @property
-    def ratio(self) -> float:
-        return math.sqrt(float(self.ratio_sq))
-
-    def apply(self, p: Point) -> Point:
-        return Point(self.m00 * p.x + self.m01 * p.y + self.tx,
-                     self.m10 * p.x + self.m11 * p.y + self.ty)
-
-    __call__ = apply
-
-    def compose(self, o: "Similarity") -> "Similarity":
-        """self after o, i.e. x -> self(o(x))."""
-        return Similarity(
-            self.m00 * o.m00 + self.m01 * o.m10,
-            self.m00 * o.m01 + self.m01 * o.m11,
-            self.m10 * o.m00 + self.m11 * o.m10,
-            self.m10 * o.m01 + self.m11 * o.m11,
-            self.m00 * o.tx + self.m01 * o.ty + self.tx,
-            self.m10 * o.tx + self.m11 * o.ty + self.ty,
-            check=False,
-        )
-
-    def inverse(self) -> "Similarity":
-        det = self.m00 * self.m11 - self.m01 * self.m10
-        i00 = self.m11 / det
-        i01 = -self.m01 / det
-        i10 = -self.m10 / det
-        i11 = self.m00 / det
-        return Similarity(i00, i01, i10, i11,
-                          -(i00 * self.tx + i01 * self.ty),
-                          -(i10 * self.tx + i11 * self.ty),
-                          check=False)
-
-    def linear_floats(self):
-        return (float(self.m00), float(self.m01), float(self.m10), float(self.m11),
-                float(self.tx), float(self.ty))
-
-
-def omega_coords(p: Point) -> Optional[tuple[Fraction, Fraction]]:
-    """Coordinates (u, v) of p = u + v*omega, or None when p is off Q(omega).
-
-    x = u + v/2 and y = v*sqrt(3)/2, so p is in Q(omega) exactly when x is
-    rational and y is a rational multiple of sqrt(3).
-    """
-    if p.x.b != 0 or p.y.a != 0:
-        return None
-    return p.x.a - p.y.b, 2 * p.y.b
+    """Coordinates in the exact form '(p/q) + (r/s)*sqrt3'."""
+    x, eta = p.cartesian()
+    return (f"({x.numerator}/{x.denominator}) + (0/1)*sqrt3",
+            f"(0/1) + ({eta.numerator}/{eta.denominator})*sqrt3")
 
 
 # Largest magnitude an int64 numerator may take; lowering it forces the
@@ -317,15 +115,8 @@ class Lattice:
 
     @classmethod
     def of_points(cls, points: Sequence[Point]) -> "Lattice":
-        coords = []
-        for p in points:
-            uv = omega_coords(p)
-            if uv is None:
-                raise DomainError(f"{p!r} is not a point of Q(omega)")
-            coords.append(uv)
-        den = math.lcm(1, *(c.denominator for uv in coords for c in uv))
-        rows = [[int(c * den) for c in uv] for uv in coords]
-        num = np.array(rows, dtype=object).reshape(len(rows), 2)
+        den = math.lcm(1, *(c.denominator for p in points for c in p))
+        num = np.array([[int(c * den) for c in p] for p in points], dtype=object).reshape(-1, 2)
         return cls(_fit(num, _max_abs(num)), den)
 
     @property
@@ -358,11 +149,8 @@ class Lattice:
         return Lattice(_fit(self.num // g, _max_abs(self.num) // g), self.den // g)
 
     def point(self, index) -> Point:
-        """The point at ``index`` as exact Q[sqrt(3)] coordinates:
-        x = (2U + V) / (2 den), y = V / (2 den) * sqrt(3)."""
         u, v = (int(c) for c in self.num[index])
-        return Point(Scalar(Fraction(2 * u + v, 2 * self.den)),
-                     Scalar(0, Fraction(v, 2 * self.den)))
+        return Point(Fraction(u, self.den), Fraction(v, self.den))
 
     def points(self) -> list[Point]:
         return [self.point(i) for i in range(len(self.num))]
@@ -371,15 +159,17 @@ class Lattice:
 class OmegaMaps:
     """Maps z -> a_k z + b_k with a_k, b_k in Q(omega), over one common denominator D.
 
-    ``coeffs`` holds the integers (D*a, D*b) of every map, each written as a
-    pair (c0, c1) for c0 + c1*omega.
+    ``maps`` holds the Fractions (a0, a1, b0, b1) of every map, for
+    a = a0 + a1*omega and b = b0 + b1*omega; ``coeffs`` holds the integers
+    D times these.
     """
 
-    __slots__ = ("D", "coeffs", "_reach", "_shift")
+    __slots__ = ("maps", "D", "coeffs", "_reach", "_shift")
 
     def __init__(self, maps: Sequence[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]):
-        self.D = math.lcm(*(c.denominator for ab in maps for z in ab for c in z))
-        self.coeffs = tuple(tuple(int(c * self.D) for z in ab for c in z) for ab in maps)
+        self.maps = tuple(tuple(Fraction(c) for z in ab for c in z) for ab in maps)
+        self.D = math.lcm(*(c.denominator for f in self.maps for c in f))
+        self.coeffs = tuple(tuple(int(c * self.D) for c in f) for f in self.maps)
         # |U'|, |V'| <= reach * max(|U|, |V|) + shift * den, for every map
         self._reach = max(max(abs(a0) + abs(a1), abs(a1) + abs(a0 + a1))
                           for a0, a1, _, _ in self.coeffs)
@@ -392,12 +182,17 @@ class OmegaMaps:
         |a0 + a1 w|^2 = a0^2 + a0 a1 + a1^2, and b' = -a' b.
         """
         maps = []
-        for a0, a1, b0, b1 in self.coeffs:
-            a0, a1, b0, b1 = (Fraction(c, self.D) for c in (a0, a1, b0, b1))
+        for a0, a1, b0, b1 in self.maps:
             norm = a0 * a0 + a0 * a1 + a1 * a1
             i0, i1 = (a0 + a1) / norm, -a1 / norm
             maps.append(((i0, i1), (i1 * b1 - i0 * b0, -(i0 * b1 + i1 * b0 + i1 * b1))))
         return OmegaMaps(maps)
+
+    def apply(self, k: int, p: Point) -> Point:
+        """The image of one point under map k (products as in ``images``)."""
+        a0, a1, b0, b1 = self.maps[k]
+        u, v = p
+        return Point(a0 * u - a1 * v + b0, a1 * u + (a0 + a1) * v + b1)
 
     def images(self, lat: Lattice, headroom: int = 1) -> Lattice:
         """Images of every point under every map, stacked along a new leading axis.
@@ -413,13 +208,3 @@ class OmegaMaps:
         out = [np.stack((a0 * U - a1 * V + b0 * den, a1 * U + (a0 + a1) * V + b1 * den), axis=-1)
                for a0, a1, b0, b1 in self.coeffs]
         return Lattice(np.stack(out), den * self.D)
-
-
-def compose_word(maps: Iterable[Similarity]) -> Similarity:
-    """Composition F_{w_1} o F_{w_2} o ... for a sequence of maps."""
-    out = None
-    for f in maps:
-        out = f if out is None else out.compose(f)
-    if out is None:
-        return Similarity(ONE, ZERO, ZERO, ONE, ZERO, ZERO, check=False)
-    return out

@@ -5,38 +5,38 @@ four contractions of the closed unit-side equilateral triangle: the three
 corner halvings and a fourth scaled rotation whose image triangle sits in
 the central hole, touching each corner cell at a single point.
 
-Level geometry runs on the Eisenstein lattice (see ``exact``): in the basis
-(1, omega) the maps are z -> a z + b with a, b in Q(omega), so
-``cell_images`` maps whole point arrays with integer numerators over one
-denominator, and a ``VertexTable`` deduplicates them with ``np.unique``.
-Level geometries, glued copies and graphs all come from these two, and so
-does the frontier of the oracle contact set: whole levels of vertices are
-pulled back under the inverse maps as lattice arrays.  Attractor membership
-by pullback, the direct graph method and the per-word maps stay on exact
-Q[sqrt(3)] coordinates; they are the independent slow path.
+All geometry runs on the Eisenstein lattice (see ``exact``): in the basis
+(1, omega) the maps are z -> a z + b with a, b in Q(omega), and the
+reference triangle is u >= 0, v >= 0, u + v <= 1.  ``cell_images`` maps
+whole point arrays with integer numerators over one denominator, and a
+``VertexTable`` deduplicates them with ``np.unique``.  Level geometries,
+glued copies and graphs all come from these two.  The oracle contact set
+and the direct graph method pull whole point arrays back under the inverse
+maps on the same lattice, and attractor membership pulls single points
+back under them exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, DepthExceeded, DomainError, OrbitOverflow, UnknownVertex
-from .exact import (Lattice, OmegaMaps, Point, RationalLike, Scalar, Similarity,
-                    as_fraction, compose_word, omega_coords, point_decimal_str,
+from .exact import (Lattice, OmegaMaps, Point, RationalLike, as_fraction, point_decimal_str,
                     point_exact_str)
 from .network import _components
 
-# corners of the reference triangle: top, lower left, lower right
-P1 = Point(Scalar(Fraction(1, 2)), Scalar.sqrt3_times(Fraction(1, 2)))
-P2 = Point.rational(0, 0)
-P3 = Point.rational(1, 0)
+# corners of the reference triangle: top (omega), lower left (0), lower right (1)
+P1 = Point(Fraction(0), Fraction(1))
+P2 = Point(Fraction(0), Fraction(0))
+P3 = Point(Fraction(1), Fraction(0))
 CORNERS = (P1, P2, P3)
-CENTROID = Point(Scalar(Fraction(1, 2)), Scalar.sqrt3_times(Fraction(1, 6)))
+CENTROID = Point(Fraction(1, 3), Fraction(1, 3))
 
 GRAPH_LEVEL_CAP = 10
 MEMBERSHIP_CAP = 64
@@ -51,71 +51,39 @@ def word_weight(word: Word, r: float, s: float) -> float:
     return r ** (len(word) - n4) * s ** n4
 
 
-def _corner_map(i: int) -> Similarity:
-    """x -> x/2 + p_i/2."""
-    half = Fraction(1, 2)
-    p = CORNERS[i - 1]
-    return Similarity(Scalar(half), Scalar(), Scalar(), Scalar(half),
-                      p.x.scale(half), p.y.scale(half))
-
-
-def _added_map(lam: Fraction) -> Similarity:
-    """The scaled rotation placing the added triangle, pinned by its corner images."""
-    q = lam - Fraction(1, 4)
-    return Similarity(
-        Scalar(Fraction(1, 4)), Scalar.sqrt3_times(q),
-        Scalar.sqrt3_times(-q), Scalar(Fraction(1, 4)),
-        Scalar(Fraction(1, 2) - lam / 2), Scalar.sqrt3_times(lam / 2),
-    )
-
-
-def _rotation() -> Similarity:
-    """Rotation by 120 degrees about the centroid; sends p1->p2->p3->p1."""
-    h = Fraction(1, 2)
-    return Similarity(Scalar(-h), Scalar.sqrt3_times(-h),
-                      Scalar.sqrt3_times(h), Scalar(-h),
-                      Scalar(1), Scalar())
-
-
 class IFS:
     """The four-map system at one rational parameter, plus the order-3 rotation group."""
 
     def __init__(self, lam: Fraction):
         self.lam = lam
-        self.maps: tuple[Similarity, ...] = (
-            _corner_map(1), _corner_map(2), _corner_map(3), _added_map(lam))
-        self.inverses = tuple(f.inverse() for f in self.maps)
-        # the same maps as z -> a z + b on Q(omega), a and b as (c0, c1) for c0 + c1*omega
+        # z -> a z + b, a and b as (c0, c1) for c0 + c1*omega: the corner halvings
+        # z -> z/2 + p_i/2 and the added map, pinned by its corner images
         half, zero = Fraction(1, 2), Fraction(0)
         self.omega = OmegaMaps((
             ((half, zero), (zero, half)), ((half, zero), (zero, zero)),
             ((half, zero), (half, zero)), ((lam, half - 2 * lam), (half - lam, lam))))
         self.omega_inverses = self.omega.inverse()
-        rot = _rotation()
-        self.rotations = (rot, rot.compose(rot))
         # Caches keyed by this instance; all results are immutable.  ``_caches``
         # keeps one entry per level geometry, glue pattern or copy table built
         # (keyed by its kind and level) for the lifetime of the IFS; nothing is
         # evicted, so a long-lived IFS holds every level it was asked for.
-        self._membership: dict[tuple, bool] = {}
+        self._membership: dict[Point, bool] = {}
         self._boundary_fast = None
         self._caches: dict = {}
 
     @property
     def added_ratio_sq(self) -> Fraction:
-        rs = self.maps[3].ratio_sq
-        return rs.a  # rational by construction
+        """|a|^2 = a0^2 + a0 a1 + a1^2 for the added map's a = a0 + a1*omega."""
+        a0, a1 = self.omega.maps[3][:2]
+        return a0 * a0 + a0 * a1 + a1 * a1
 
     @property
     def added_ratio(self) -> float:
-        return self.maps[3].ratio
+        return math.sqrt(float(self.added_ratio_sq))
 
     def is_dyadic(self) -> bool:
         d = self.lam.denominator
         return d & (d - 1) == 0
-
-    def word_map(self, word: Word) -> Similarity:
-        return compose_word(self.maps[c - 1] for c in word)
 
     def __repr__(self) -> str:
         return f"IFS(lambda={self.lam})"
@@ -133,31 +101,14 @@ def make_ifs(lam: RationalLike) -> IFS:
 
 # -- membership of exact points in the attractor --------------------------------
 
-_SQ3 = Scalar.sqrt3_times(1)
-_ONE = Scalar(1)
-
-
 def point_in_triangle(p: Point) -> bool:
     """Exact containment in the closed reference triangle."""
-    if p.y.sign() < 0:
-        return False
-    if (_SQ3 * p.x - p.y).sign() < 0:          # left edge: y <= sqrt3 * x
-        return False
-    return (_SQ3 * (_ONE - p.x) - p.y).sign() >= 0  # right edge: y <= sqrt3 * (1 - x)
+    return p.u >= 0 and p.v >= 0 and p.u + p.v <= 1
 
 
 def point_on_triangle_boundary(p: Point) -> bool:
     """Exact containment in the boundary of the reference triangle."""
-    zero = Scalar()
-    if p.y == zero:
-        return p.x.sign() >= 0 and (_ONE - p.x).sign() >= 0
-    if p.y.sign() < 0:
-        return False
-    if p.y == _SQ3 * p.x:
-        return (Scalar(Fraction(1, 2)) - p.x).sign() >= 0 and p.x.sign() >= 0
-    if p.y == _SQ3 * (_ONE - p.x):
-        return (p.x - Scalar(Fraction(1, 2))).sign() >= 0 and (_ONE - p.x).sign() >= 0
-    return False
+    return point_in_triangle(p) and (p.u == 0 or p.v == 0 or p.u + p.v == 1)
 
 
 def point_in_attractor(ifs: IFS, p: Point, cap: int = MEMBERSHIP_CAP) -> bool:
@@ -171,32 +122,27 @@ def point_in_attractor(ifs: IFS, p: Point, cap: int = MEMBERSHIP_CAP) -> bool:
     only guards pathological inputs.
     """
     memo = ifs._membership
-    on_path: set[tuple] = set()
+    on_path: set[Point] = set()
 
     def descend(q: Point) -> bool:
-        k = q.key()
-        cached = memo.get(k)
+        cached = memo.get(q)
         if cached is not None:
             return cached
         if not point_in_triangle(q):
-            memo[k] = False
+            memo[q] = False
             return False
         if point_on_triangle_boundary(q):
-            memo[k] = True
+            memo[q] = True
             return True
-        if k in on_path:
+        if q in on_path:
             return True  # periodic pullback: infinite address exists
         if len(on_path) >= cap:
             raise DepthExceeded(
                 f"no resolution after {cap} distinct pullbacks; orbit may not be eventually periodic")
-        on_path.add(k)
-        res = False
-        for inv in ifs.inverses:
-            if descend(inv.apply(q)):
-                res = True
-                break
-        on_path.discard(k)
-        memo[k] = res
+        on_path.add(q)
+        res = any(descend(ifs.omega_inverses.apply(k, q)) for k in range(4))
+        on_path.discard(q)
+        memo[q] = res
         return res
 
     return descend(p)
@@ -224,11 +170,11 @@ class Label:
 def edge_point(edge: int, t: Fraction) -> Point:
     """Point at parameter t on a directed boundary edge (bottom p2->p3, right p3->p1, left p1->p2)."""
     if edge == 0:
-        return Point(Scalar(t), Scalar())
+        return Point(t, Fraction(0))
     if edge == 1:
-        return Point(Scalar(1 - t / 2), Scalar.sqrt3_times(t / 2))
+        return Point(1 - t, t)
     if edge == 2:
-        return Point(Scalar((1 - t) / 2), Scalar.sqrt3_times((1 - t) / 2))
+        return Point(Fraction(0), 1 - t)
     raise ValueError(f"edge index {edge}")
 
 
@@ -237,17 +183,14 @@ def classify_boundary_point(p: Point) -> Label:
     for i, c in enumerate(CORNERS):
         if p == c:
             return Label("corner", corner=i + 1)
-    zero = Scalar()
-    if p.y == zero:
-        return Label("edge", edge=0, t=p.x.a)
-    if p.y == _SQ3 * (_ONE - p.x):
-        t = (Fraction(1) - p.x.a) * 2
-        if 0 < t < 1:
-            return Label("edge", edge=1, t=t)
-    if p.y == _SQ3 * p.x:
-        t = 1 - 2 * p.x.a
-        if 0 < t < 1:
-            return Label("edge", edge=2, t=t)
+    u, v = p
+    if v == 0:
+        return Label("edge", edge=0, t=u)
+    if 0 < v < 1:
+        if u + v == 1:
+            return Label("edge", edge=1, t=v)
+        if u == 0:
+            return Label("edge", edge=2, t=1 - v)
     raise DomainError("point does not lie on the triangle boundary")
 
 
@@ -280,10 +223,10 @@ class BoundarySet:
         return len(self.points)
 
     def index_of(self, p: Point) -> int:
-        return self._index[p.key()]
+        return self._index[p]
 
     def __post_init__(self):
-        self._index = {p.key(): i for i, p in enumerate(self.points)}
+        self._index = {p: i for i, p in enumerate(self.points)}
 
     @property
     def g_permutation(self) -> tuple[int, ...]:
@@ -335,11 +278,11 @@ def boundary_set(ifs: IFS, mode: Literal["fast", "oracle"] = "fast",
     parameters (the added cell touches the bottom edge's mirror point at
     parameter 2*lam, and pullbacks double the parameter).  Oracle mode
     evaluates the defining union directly down to ``depth`` subdivisions:
-    enumerate the level vertices and pull them back inside the triangle on
-    the Eisenstein lattice, then test the survivors for attractor
-    membership exactly on Q[sqrt(3)].  The two must agree; tests enforce
-    it, and they check the oracle against a pullback written wholly on
-    Q[sqrt(3)].
+    enumerate the level vertices, pull them back inside the triangle on the
+    Eisenstein lattice, and test the survivors for attractor membership
+    exactly.  The two must agree; tests enforce it, and they check the
+    oracle against an independent reference written in Cartesian
+    coordinates (x, y / sqrt(3)) with rational affine maps.
     """
     if mode == "fast":
         if ifs._boundary_fast is None:
@@ -350,6 +293,14 @@ def boundary_set(ifs: IFS, mode: Literal["fast", "oracle"] = "fast",
     if depth is None:
         depth = len(doubling_orbit(2 * ifs.lam, guard)) + 2
     return _boundary_set_oracle(ifs, depth)
+
+
+def _pullbacks(ifs: IFS, lat: Lattice) -> tuple[Lattice, np.ndarray]:
+    """A flat point array pulled back under the four inverse maps (shape (4, N)),
+    and the mask of the pullbacks inside the closed reference triangle."""
+    images = ifs.omega_inverses.images(lat, headroom=2)  # U + V must not wrap either
+    U, V = images.num[..., 0], images.num[..., 1]
+    return images, (U >= 0) & (V >= 0) & (U + V <= images.den)
 
 
 def _boundary_set_oracle(ifs: IFS, depth: int) -> BoundarySet:
@@ -369,12 +320,8 @@ def _boundary_set_oracle(ifs: IFS, depth: int) -> BoundarySet:
             level = VertexTable(ifs.omega.images(level)).lattice()
         pulled = level
         for _ in range(m):
-            # headroom 2: U + V below must not wrap either
-            pulled = ifs.omega_inverses.images(pulled, headroom=2)
-            rows = pulled.num.reshape(-1, 2)
-            U, V = rows[:, 0], rows[:, 1]
-            inside = rows[(U >= 0) & (V >= 0) & (U + V <= pulled.den)]
-            pulled = VertexTable(Lattice(inside, pulled.den)).lattice().reduced()
+            images, inside = _pullbacks(ifs, pulled)
+            pulled = VertexTable(Lattice(images.num[inside], images.den)).lattice().reduced()
         survivors.append(pulled)
     ts: set[Fraction] = set()
     for p in VertexTable(Lattice.concat(survivors)).lattice().points():
@@ -387,23 +334,6 @@ def _boundary_set_oracle(ifs: IFS, depth: int) -> BoundarySet:
 
 
 # -- approximating graphs --------------------------------------------------------
-
-def _iter_word_maps(ifs: IFS, m: int) -> Iterator[tuple[Word, Similarity]]:
-    """All (word, composed map) pairs of length m, in lexicographic order."""
-    ident = compose_word(())
-    if m == 0:
-        yield (), ident
-        return
-
-    def rec(word: Word, fw: Similarity) -> Iterator[tuple[Word, Similarity]]:
-        if len(word) == m:
-            yield word, fw
-            return
-        for c in (1, 2, 3, 4):
-            yield from rec(word + (c,), fw.compose(ifs.maps[c - 1]))
-
-    yield from rec((), ident)
-
 
 def numbered(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct keys by first occurrence.
@@ -544,9 +474,11 @@ class LevelGeometry:
         self.types: list[tuple[int, ...]] = [tuple(np.flatnonzero(kept[f]).tolist())
                                              for f in first]
         self.cell_type: list[int] = type_ids.tolist()
-        flat = gids[kept]
-        ends = np.cumsum(kept.sum(axis=1)).tolist()
-        self.cell_gids: list[np.ndarray] = [flat[a:b] for a, b in zip([0] + ends, ends)]
+        # the global ids of every cell's kept images, cell after cell
+        self.kept_gids = gids[kept]
+        counts = kept.sum(axis=1)
+        self.kept_start = np.cumsum(counts) - counts
+        self.cell_gids: list[np.ndarray] = np.split(self.kept_gids, self.kept_start[1:])
         digits = (np.arange(4 ** m)[:, None] // 4 ** np.arange(m - 1, -1, -1)) % 4
         self.letter_counts = np.stack([(digits == c).sum(axis=1) for c in range(4)],
                                       axis=1).astype(np.int16)
@@ -586,8 +518,7 @@ class LevelGeometry:
         return int(self.leaf_corners[self.leaf_index(padded), corner - 1])
 
     def vid_of_point(self, p: Point) -> int:
-        uv = omega_coords(p)
-        g = None if uv is None else self.table.index_of(*uv)
+        g = self.table.index_of(*p)
         if g is None:
             raise UnknownVertex("point is not a vertex at this level")
         return g
@@ -643,9 +574,11 @@ def approximation_graph(ifs: IFS, m: int, method: Literal["fast", "direct"] = "f
 
     Both methods use the level's vertex table.  The fast method reads each
     cell's vertices off the level geometry (a vertex lies in a cell iff it
-    is the image of a contact point); the direct method tests membership
-    with exact Q[sqrt(3)] pullbacks and validates the fast one on small
-    levels.
+    is the image of a contact point).  The direct method validates it on
+    small levels: it pulls the whole vertex table back under every inverse
+    cell map F_w^-1 = F_{w_m}^-1 o ... o F_{w_1}^-1 as lattice arrays, one
+    letter at a time, drops the pullbacks outside the closed triangle
+    exactly, and tests each remaining one for attractor membership.
     """
     if m < 0:
         raise DomainError("level must be nonnegative")
@@ -654,26 +587,23 @@ def approximation_graph(ifs: IFS, m: int, method: Literal["fast", "direct"] = "f
     if method not in ("fast", "direct"):
         raise DomainError(f"unknown method {method!r}")
     geom = _level_geometry(ifs, m)
-    cells: dict[Word, tuple[int, ...]] = {}
     if method == "fast":
-        words = itertools.product((1, 2, 3, 4), repeat=m)
-        for word, gids in zip(words, geom.cell_gids):
-            cells[word] = tuple(sorted(gids.tolist()))
+        members = [gids.tolist() for gids in geom.cell_gids]
     else:
-        points = geom.points
-        coords = np.array([p.float_xy() for p in points])
-        for (word, fw), corners in zip(_iter_word_maps(ifs, m), geom.leaf_corners):
-            cell_corners = coords[corners]
-            lo = cell_corners.min(axis=0) - 1e-9
-            hi = cell_corners.max(axis=0) + 1e-9
-            inside = np.nonzero((coords >= lo).all(axis=1) & (coords <= hi).all(axis=1))[0]
-            inv = fw.inverse()
-            ids = []
-            for idx in inside:
-                q = inv.apply(points[idx])
-                if point_in_triangle(q) and point_in_attractor(ifs, q):
-                    ids.append(int(idx))
-            cells[word] = tuple(sorted(ids))
+        pulled = geom.table.lattice()
+        word = np.zeros(len(geom.table), dtype=np.int64)
+        vid = np.arange(len(geom.table))
+        for _ in range(m):
+            images, inside = _pullbacks(ifs, pulled)
+            letter, at = np.nonzero(inside)
+            word, vid = 4 * word[at] + letter, vid[at]
+            pulled = Lattice(images.num[inside], images.den).reduced()
+        members = [[] for _ in range(4 ** m)]
+        for i, (w, g) in enumerate(zip(word.tolist(), vid.tolist())):
+            if point_in_attractor(ifs, pulled.point(i)):
+                members[w].append(g)
+    words = itertools.product((1, 2, 3, 4), repeat=m)
+    cells = {w: tuple(sorted(ids)) for w, ids in zip(words, members)}
     edges = {pair for ids in cells.values() for pair in itertools.combinations(ids, 2)}
     g = GraphApprox(m, geom.points, edges, cells)
     if not g.is_connected():
@@ -687,9 +617,9 @@ def _corner_cloud(ifs: IFS, depth: int) -> np.ndarray:
     """All depth-k cell corner images as a float array (within 2^-k of the attractor)."""
     pts = np.array([c.float_xy() for c in CORNERS])
     mats = []
-    for f in ifs.maps:
-        m00, m01, m10, m11, tx, ty = f.linear_floats()
-        mats.append((np.array([[m00, m01], [m10, m11]]), np.array([tx, ty])))
+    for a0, a1, b0, b1 in ifs.omega.maps:
+        ar, ai = Point(a0, a1).float_xy()  # multiplying by a rotates and scales by |a|
+        mats.append((np.array([[ar, -ai], [ai, ar]]), np.array(Point(b0, b1).float_xy())))
     for _ in range(depth):
         pts = np.concatenate([pts @ A.T + b for A, b in mats], axis=0)
     return pts
@@ -719,18 +649,14 @@ def hausdorff_distance(ifs1: IFS, ifs2: IFS, depth: int = 8,
 def track_point(word: Word, corner: int, lam1: RationalLike,
                 lam2: RationalLike) -> tuple[Point, Point, float]:
     """Track one addressed vertex across two parameters; the distance obeys 2|lam1-lam2|."""
-    if corner not in (1, 2, 3):
-        raise DomainError("corner index must be 1, 2 or 3")
-    if any(c not in (1, 2, 3, 4) for c in word):
-        raise DomainError("word letters must be in {1,2,3,4}")
     ifs1, ifs2 = make_ifs(lam1), make_ifs(lam2)
-    p = ifs1.word_map(word).apply(CORNERS[corner - 1])
-    q = ifs2.word_map(word).apply(CORNERS[corner - 1])
-    dist = p.distance(q)
+    p = point_of_address(ifs1, word, corner)
+    q = point_of_address(ifs2, word, corner)
+    du, dv = p.u - q.u, p.v - q.v
+    dist_sq = du * du + du * dv + dv * dv  # |z|^2 for z = du + dv*omega
+    dist = math.sqrt(float(dist_sq))
     gap = 2 * abs(ifs1.lam - ifs2.lam)
-    # exact form of the tracked-point bound
-    bound_sq = Scalar(4 * (ifs1.lam - ifs2.lam) ** 2)
-    assert (bound_sq - p.distance_sq(q)).sign() >= 0, "tracked-point bound violated"
+    assert dist_sq <= gap * gap, "tracked-point bound violated"  # exact form of the bound
     assert dist <= float(gap) + 1e-12
     return p, q, dist
 
@@ -739,4 +665,9 @@ def point_of_address(ifs: IFS, word: Word, corner: int) -> Point:
     """Exact coordinates of the vertex addressed by (word, corner)."""
     if corner not in (1, 2, 3):
         raise DomainError("corner index must be 1, 2 or 3")
-    return ifs.word_map(word).apply(CORNERS[corner - 1])
+    if any(c not in (1, 2, 3, 4) for c in word):
+        raise DomainError("word letters must be in {1,2,3,4}")
+    p = CORNERS[corner - 1]
+    for c in reversed(word):  # F_w = F_{w_1} o ... o F_{w_m}
+        p = ifs.omega.apply(c - 1, p)
+    return p

@@ -164,8 +164,7 @@ class GlueContext:
         if self.include_added:
             t = 2 * self.ifs.lam
             for e in range(3):
-                q = edge_point(e, t)
-                if self.bset._index.get(q.key()) is not None:
+                if edge_point(e, t) in self.bset._index:
                     count += 1
         return count
 
@@ -216,7 +215,7 @@ class GlueContext:
 
 
 def _glue_context(ifs: IFS, bset: BoundarySet, include_added: bool) -> GlueContext:
-    key = ("glue", tuple(p.key() for p in bset.points), include_added)
+    key = ("glue", tuple(bset.points), include_added)
     ctx = ifs._caches.get(key)
     if ctx is None:
         ctx = GlueContext(ifs, bset, include_added)
@@ -515,7 +514,7 @@ def _close_with_group(sig: tuple[int, ...], extra: tuple[int, int],
 
 def _tilde_level_maps(ifs: IFS, bset: BoundarySet, k: int) -> tuple[int, list[np.ndarray]]:
     """Glued ids of every depth-k copy of the boundary set (boundary seeded first)."""
-    key = ("tilde", tuple(p.key() for p in bset.points), k)
+    key = ("tilde", tuple(bset.points), k)
     cached = ifs._caches.get(key)
     if cached is not None:
         return cached

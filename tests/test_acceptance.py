@@ -13,9 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 import agres
+import exact_reference as ref
 from agres.approx import (boundary_resistance_check, decimation_identity,
                           scaling_exponent)
-from agres.exact import Scalar
 from agres.geometry import CORNERS, boundary_set, cell_images
 from agres.network import (FiniteForm, effective_resistance, resistance_matrix,
                            resolvent, trace)
@@ -211,7 +211,7 @@ def test_criterion_08_boundary_sets():
         ifs = agres.make_ifs(lam)
         fast = boundary_set(ifs, "fast")
         oracle = boundary_set(ifs, "oracle")
-        match = [p.key() for p in fast.points] == [p.key() for p in oracle.points]
+        match = fast.points == oracle.points
         ok = ok and match and fast.size == size
         details.append(f"{lam}: size {fast.size} (want {size}), fast==oracle: {match}")
     _report(8, ok, "; ".join(details))
@@ -324,13 +324,13 @@ def test_criterion_13_distance_bounds():
         checked += norm.size
         tracked_ok = tracked_ok and bool(
             (norm * bound_sq.denominator <= bound_sq.numerator * den * den).all())
-        # the lattice distances are the exact Q[sqrt(3)] word-map distances
+        # the lattice distances are the exact distances of the reference word maps
         for idx in range(4 ** k) if k <= 3 else sampled if k == 8 else ():
             word = tuple(idx // 4 ** (k - 1 - j) % 4 + 1 for j in range(k))
-            f1, f2 = ifs1.word_map(word), ifs2.word_map(word)
-            for c, corner in enumerate(CORNERS):
-                d2 = f1.apply(corner).distance_sq(f2.apply(corner))
-                assert d2 == Scalar(Fraction(int(norm[idx, c]), den * den)), (word, c)
+            f1, f2 = ref.word_map(lam1, word), ref.word_map(lam2, word)
+            for c, corner in enumerate(ref.CORNERS):
+                d2 = ref.distance_sq(ref.apply(f1, corner), ref.apply(f2, corner))
+                assert d2 == Fraction(int(norm[idx, c]), den * den), (word, c)
     ok = all_pass and tracked_ok
     _report(13, ok, f"20 random dyadic pairs at depth 8 inside the 2|dl| + 2^-7 "
                     f"bound: {all_pass}; tracked-point bound exact for "

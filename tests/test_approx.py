@@ -3,15 +3,30 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import agres
+import exact_reference as ref
+from agres import approx
 from agres.approx import (EdgeTraceTower, boundary_resistance_check, decimation_identity,
                           envelope_check, level_form, measure_weights, resistance_metric,
                           resolvent_kernel, scaling_exponent, vertex_masses,
-                          _level_geometry)
-from agres.errors import BadWeights, CapExceeded, InsufficientScales, UnknownVertex
-from agres.network import effective_resistance, harmonic_extension, trace
+                          _cell_table, _level_geometry)
+from agres.errors import (BadWeights, CapExceeded, IdentificationMismatch, InsufficientScales,
+                          UnknownVertex)
+from agres.exact import Lattice, Point
+from agres.geometry import VertexTable, cell_images
+from agres.network import FiniteForm, effective_resistance, harmonic_extension, trace
+
+
+def rotated(p) -> Point:
+    """The package point rotated by 120 degrees about the centroid (p1 -> p2 -> p3)."""
+    return Point(*ref.lattice_uv(ref.apply(ref.ROTATION, ref.cartesian(p))))
+
+
+def bottom_point(t) -> Point:
+    return Point(Fraction(t), Fraction(0))
 
 
 class TestLevelForm:
@@ -50,11 +65,10 @@ class TestLevelForm:
 
     def test_g_symmetry_of_level_form(self, ifs14, sol14):
         lf = level_form(ifs14, sol14, 2)
-        sigma = ifs14.rotations[0]
         geom = lf.geometry
         mapped = {}
         for i, p in enumerate(geom.points):
-            mapped[i] = geom.vid_of_point(sigma.apply(p))
+            mapped[i] = geom.vid_of_point(rotated(p))
         for (x, y), c in lf.form.conductances.items():
             assert lf.form.conductance(mapped[x], mapped[y]) == pytest.approx(
                 c, rel=1e-9)
@@ -62,8 +76,8 @@ class TestLevelForm:
     def test_conductances_supported_on_common_cell_pairs(self, ifs14, sol14):
         lf = level_form(ifs14, sol14, 2)
         g = agres.approximation_graph(ifs14, 2)
-        gidx = {p.key(): i for i, p in enumerate(g.points)}
-        translate = {i: gidx[p.key()] for i, p in enumerate(lf.geometry.points)}
+        gidx = {p: i for i, p in enumerate(g.points)}
+        translate = {i: gidx[p] for i, p in enumerate(lf.geometry.points)}
         for (x, y) in lf.form.conductances:
             a, b = translate[x], translate[y]
             assert (min(a, b), max(a, b)) in g.edges
@@ -76,7 +90,7 @@ class TestLevelForm:
         lf = level_form(ifs14, sol14, 2)
         vid = lf.vid_of_address((4,), 1)
         p = lf.points[vid]
-        assert p == ifs14.maps[3].apply(agres.geometry.CORNERS[0])
+        assert ref.cartesian(p) == ref.apply(ref.maps("1/4")[3], ref.P1)
         with pytest.raises(UnknownVertex):
             lf.vid_of_address((1, 2, 3), 1)  # word longer than level
 
@@ -121,9 +135,8 @@ class TestMeasures:
         ms = measure_weights(ifs14)
         geom = _level_geometry(ifs14, 2)
         masses = vertex_masses(ifs14, ms, 2)
-        sigma = ifs14.rotations[0]
         for i, p in enumerate(geom.points):
-            j = geom.vid_of_point(sigma.apply(p))
+            j = geom.vid_of_point(rotated(p))
             assert masses[i] == pytest.approx(masses[j], rel=1e-12)
 
 
@@ -189,10 +202,9 @@ class TestScalingExponent:
         pairs = [(Fraction(1, 8), Fraction(2, 8)), (Fraction(3, 8), Fraction(5, 8))]
         tower_vals = tower.bottom_resistances(pairs)
         lf = level_form(ifs14, sol14, 3)
-        zero = agres.Scalar()
         for (t1, t2), tv in zip(pairs, tower_vals):
-            v1 = lf.geometry.vid_of_point(agres.Point(agres.Scalar(t1), zero))
-            v2 = lf.geometry.vid_of_point(agres.Point(agres.Scalar(t2), zero))
+            v1 = lf.geometry.vid_of_point(bottom_point(t1))
+            v2 = lf.geometry.vid_of_point(bottom_point(t2))
             assert effective_resistance(lf.form, v1, v2) == pytest.approx(tv, abs=1e-9)
 
 
@@ -254,8 +266,77 @@ def test_tower_matches_level_form_at_bigger_boundary():
     pairs = [(Fraction(0), Fraction(1, 8)), (Fraction(3, 8), Fraction(1, 2))]
     tower_vals = tower.bottom_resistances(pairs)
     lf = level_form(ifs, sol, 3)
-    zero = agres.Scalar()
     for (t1, t2), tv in zip(pairs, tower_vals):
-        v1 = lf.geometry.vid_of_point(agres.Point(agres.Scalar(t1), zero))
-        v2 = lf.geometry.vid_of_point(agres.Point(agres.Scalar(t2), zero))
+        v1 = lf.geometry.vid_of_point(bottom_point(t1))
+        v2 = lf.geometry.vid_of_point(bottom_point(t2))
         assert effective_resistance(lf.form, v1, v2) == pytest.approx(tv, abs=1e-9)
+
+
+# -- array assembly against the dict accumulation it replaced ----------------------
+
+
+def dict_level_conductances(ifs, sol, m):
+    """Level-m conductances summed in a dict, cell after cell, table row after row."""
+    geom = _level_geometry(ifs, m)
+    tables = [_cell_table(sol.D, kept) for kept in geom.types]
+    cond: dict = {}
+    for li in range(len(geom.cell_type)):
+        n4 = int(geom.letter_counts[li, 3])
+        w = sol.r ** -(m - n4) * sol.s ** -n4
+        gids = geom.cell_gids[li]
+        for a, b, c in tables[geom.cell_type[li]]:
+            ga, gb = sorted((int(gids[a]), int(gids[b])))
+            cond[(ga, gb)] = cond.get((ga, gb), 0.0) + w * c
+    return FiniteForm(list(range(geom.n_vertices)), cond).conductances
+
+
+def dict_refine(tower):
+    """One tower refinement with the glued conductances summed in a dict."""
+    ifs, sol = tower.ifs, tower.sol
+    next_k = tower.K + 1
+    dyadics = np.zeros((2 ** next_k - 1, 2), dtype=np.int64)
+    dyadics[:, 0] = np.arange(1, 2 ** next_k)
+    keep = VertexTable(Lattice.concat([tower._bset, Lattice(dyadics, 2 ** next_k)]))
+    bset_images = cell_images(ifs, 1, tower._bset)
+    own_images = cell_images(ifs, 1, tower.table.lattice())
+    copies = [(bset_images, sol.D.form, sol.r), (own_images, tower.form, sol.r),
+              (own_images, tower.form, sol.r), (bset_images, sol.D.form, sol.s)]
+    glued = VertexTable(Lattice.concat([keep.lattice()] + [
+        Lattice(images.num[i], images.den) for i, (images, _, _) in enumerate(copies)]))
+    cond: dict = {}
+    start = len(keep)
+    for images, form, w in copies:
+        gids = glued.ids[start:start + images.shape[1]].tolist()
+        start += images.shape[1]
+        for (i, j), c in form.conductances.items():
+            key = tuple(sorted((gids[i], gids[j])))
+            cond[key] = cond.get(key, 0.0) + c / w
+    return trace(FiniteForm(list(range(len(glued))), cond), list(range(len(keep))))
+
+
+@pytest.mark.parametrize("lam", ["1/4", "3/16", "1/7"])
+def test_array_assembly_is_bit_identical_to_dict_accumulation(lam):
+    ifs = agres.make_ifs(lam)
+    sol = agres.solve_r(ifs, 0.5)
+    for m in range(5):
+        got = level_form(ifs, sol, m).form.conductances
+        assert list(got.items()) == list(dict_level_conductances(ifs, sol, m).items())
+    tower = EdgeTraceTower(ifs, sol)
+    for _ in range(4):
+        expected = dict_refine(tower)
+        tower.refine()
+        assert list(tower.form.conductances.items()) == list(expected.conductances.items())
+
+
+def test_tower_rejects_a_collapsed_pair(ifs14, sol14, monkeypatch):
+    tower = EdgeTraceTower(ifs14, sol14)
+    images = approx.cell_images
+
+    def collapsed(ifs, m, pts):  # every copy of the boundary set lands on one point
+        out = images(ifs, m, pts)
+        out.num[...] = 0
+        return out
+
+    monkeypatch.setattr(approx, "cell_images", collapsed)
+    with pytest.raises(IdentificationMismatch):
+        tower.refine()

@@ -1,58 +1,20 @@
-"""Field arithmetic in Q[sqrt(3)] and exact similarity maps."""
+"""Exact points and maps on Q(omega)."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from agres.errors import DomainError
-from agres.exact import Point, Scalar, Similarity, as_fraction
+from agres.exact import Lattice, OmegaMaps, Point, as_fraction, point_exact_str
 
-rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
-scalars = st.builds(Scalar, rationals, rationals)
-
-
-@given(scalars, scalars, scalars)
-@settings(max_examples=200, deadline=None)
-def test_field_axioms(x, y, z):
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + y == y + x
-    assert x * y == y * x
-
-
-@given(scalars)
-@settings(max_examples=200, deadline=None)
-def test_inverse_roundtrip(x):
-    if x.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            x.inverse()
-    else:
-        assert x * x.inverse() == Scalar(1)
-
-
-@given(scalars, scalars)
-@settings(max_examples=200, deadline=None)
-def test_sign_consistent_with_float(x, y):
-    d = x - y
-    s = d.sign()
-    f = float(d)
-    if abs(f) > 1e-9:  # float comparison is only trustworthy away from zero
-        assert s == (1 if f > 0 else -1)
-    assert (x == y) == (s == 0)
-
-
-def test_sqrt3_squares_to_three():
-    s3 = Scalar.sqrt3_times(1)
-    assert s3 * s3 == Scalar(3)
+# rotation by 120 degrees about the centroid, z -> omega^2 z + 1 with omega^2 = -1 + omega
+ROTATION = ((Fraction(-1), Fraction(1)), (Fraction(1), Fraction(0)))
 
 
 def test_equality_is_exact():
-    a = Scalar(Fraction(1, 3), Fraction(2, 7))
-    b = Scalar(Fraction(1, 3), Fraction(2, 7))
-    c = Scalar(Fraction(1, 3), Fraction(2, 7) + Fraction(1, 10**12))
+    a = Point(Fraction(1, 3), Fraction(2, 7))
+    b = Point(Fraction(1, 3), Fraction(2, 7))
+    c = Point(Fraction(1, 3), Fraction(2, 7) + Fraction(1, 10**12))
     assert a == b and hash(a) == hash(b)
     assert a != c
 
@@ -66,23 +28,20 @@ def test_as_fraction_rejects_floats_and_junk():
 
 
 def test_point_keys_distinguish_coordinates():
-    p = Point(Scalar(Fraction(1, 2)), Scalar.sqrt3_times(Fraction(1, 4)))
-    q = Point(Scalar(Fraction(1, 2)), Scalar(Fraction(1, 4)))
-    assert p != q and p.key() != q.key()
-
-
-def test_similarity_rejects_non_similar_linear_part():
-    with pytest.raises(DomainError):
-        Similarity(Scalar(1), Scalar(0), Scalar(0), Scalar(2), Scalar(0), Scalar(0))
-    with pytest.raises(DomainError):  # reflection: negative determinant
-        Similarity(Scalar(1), Scalar(0), Scalar(0), Scalar(-1), Scalar(0), Scalar(0))
+    p = Point(Fraction(1, 2), Fraction(1, 4))
+    q = Point(Fraction(1, 4), Fraction(1, 2))
+    assert p != q and hash(p) != hash(q)
+    # x = u + v/2 and y = (v/2) sqrt(3)
+    assert point_exact_str(p) == ("(5/8) + (0/1)*sqrt3", "(0/1) + (1/8)*sqrt3")
+    assert point_exact_str(q) == ("(1/2) + (0/1)*sqrt3", "(0/1) + (1/4)*sqrt3")
 
 
 def test_similarity_compose_and_inverse():
-    rot = Similarity(Scalar(Fraction(-1, 2)), Scalar.sqrt3_times(Fraction(-1, 2)),
-                     Scalar.sqrt3_times(Fraction(1, 2)), Scalar(Fraction(-1, 2)),
-                     Scalar(1), Scalar(0))
-    p = Point(Scalar(Fraction(1, 3)), Scalar.sqrt3_times(Fraction(1, 5)))
-    assert rot.inverse().apply(rot.apply(p)) == p
-    twice = rot.compose(rot)
-    assert twice.apply(p) == rot.apply(rot.apply(p))
+    rot = OmegaMaps([ROTATION])
+    p = Point(Fraction(1, 3), Fraction(1, 5))
+    assert rot.inverse().apply(0, rot.apply(0, p)) == p
+    lat = Lattice.of_points([p])
+    twice = rot.images(rot.images(lat))
+    assert Lattice(twice.num[0, 0], twice.den).points() == [rot.apply(0, rot.apply(0, p))]
+    thrice = rot.apply(0, rot.apply(0, rot.apply(0, p)))
+    assert thrice == p

@@ -4,38 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agres
+import exact_reference as ref
 from agres.errors import CapExceeded, DomainError
-from agres.exact import Point, Scalar
+from agres.exact import Point
 from agres.geometry import (CENTROID, CORNERS, boundary_set, classify_boundary_point,
                             doubling_orbit, edge_point, point_in_attractor,
-                            point_in_triangle, point_on_triangle_boundary,
-                            _iter_word_maps)
+                            point_in_triangle, point_on_triangle_boundary, point_of_address)
+from exact_reference import cartesian
 
 
-def cover_excludes(ifs, p, depth):
-    """Certify non-membership: no depth-k cell triangle contains the point.
+def lattice_point(p) -> Point:
+    return Point(*ref.lattice_uv(p))
 
-    Being inside some cell at every depth is necessary for membership, so
-    an empty cover certifies False (the converse certifies nothing).
-    """
-    frontier = [p]
-    for _ in range(depth):
-        nxt = []
-        for q in frontier:
-            for inv in ifs.inverses:
-                qq = inv.apply(q)
-                if point_in_triangle(qq):
-                    nxt.append(qq)
-        if not nxt:
-            return True
-        # keep distinct pullbacks only
-        seen = {}
-        for q in nxt:
-            seen.setdefault(q.key(), q)
-        frontier = list(seen.values())
-    return False
+
+def added_image(ifs, corner: int) -> Point:
+    return point_of_address(ifs, (4,), corner)
 
 
 class TestMakeIfs:
@@ -48,98 +35,124 @@ class TestMakeIfs:
 
     def test_added_map_images_at_quarter(self):
         ifs = agres.make_ifs("1/4")
-        f4 = ifs.maps[3]
-        assert f4.apply(CORNERS[0]) == Point(Scalar(Fraction(1, 2)),
-                                             Scalar.sqrt3_times(Fraction(1, 4)))
-        assert f4.apply(CORNERS[1]) == Point(Scalar(Fraction(3, 8)),
-                                             Scalar.sqrt3_times(Fraction(1, 8)))
-        assert f4.apply(CORNERS[2]) == Point(Scalar(Fraction(5, 8)),
-                                             Scalar.sqrt3_times(Fraction(1, 8)))
+        images = [cartesian(added_image(ifs, c)) for c in (1, 2, 3)]
+        assert images == [(Fraction(1, 2), Fraction(1, 4)), (Fraction(3, 8), Fraction(1, 8)),
+                          (Fraction(5, 8), Fraction(1, 8))]
+        assert images == [ref.apply(ref.maps("1/4")[3], c) for c in ref.CORNERS]
 
     def test_added_ratio_at_quarter(self):
         assert agres.make_ifs("1/4").added_ratio_sq == Fraction(1, 16)
 
     def test_added_map_is_exact_similarity(self):
-        # orthogonality residual identically zero in exact arithmetic
+        # every distance scales by the same exact ratio
         ifs = agres.make_ifs("1/8")
-        f4 = ifs.maps[3]
-        off = f4.m00 * f4.m01 + f4.m10 * f4.m11
-        assert off.is_zero()
-        assert f4.ratio_sq.a == Fraction(1, 16) + 3 * Fraction(1, 8) ** 2
+        assert ifs.added_ratio_sq == Fraction(1, 16) + 3 * Fraction(1, 8) ** 2
+        probes = list(CORNERS) + [CENTROID, edge_point(0, Fraction(1, 3))]
+        for p in probes:
+            for q in probes:
+                fp, fq = (ifs.omega.apply(3, z) for z in (p, q))
+                assert (ref.distance_sq(cartesian(fp), cartesian(fq))
+                        == ifs.added_ratio_sq * ref.distance_sq(cartesian(p), cartesian(q)))
 
     def test_added_map_image_formula_random_lambdas(self):
         for lam in (Fraction(1, 8), Fraction(2, 7), Fraction(5, 16), Fraction(99, 256)):
             ifs = agres.make_ifs(lam)
-            f4 = ifs.maps[3]
-            assert f4.apply(CORNERS[0]) == Point(Scalar(Fraction(1, 4) + lam),
-                                                 Scalar.sqrt3_times(Fraction(1, 4)))
-            assert f4.apply(CORNERS[1]) == Point(Scalar(Fraction(1, 2) - lam / 2),
-                                                 Scalar.sqrt3_times(lam / 2))
-            assert f4.apply(CORNERS[2]) == Point(Scalar(Fraction(3, 4) - lam / 2),
-                                                 Scalar.sqrt3_times(Fraction(1, 4) - lam / 2))
+            assert cartesian(added_image(ifs, 1)) == (Fraction(1, 4) + lam, Fraction(1, 4))
+            assert cartesian(added_image(ifs, 2)) == (Fraction(1, 2) - lam / 2, lam / 2)
+            assert cartesian(added_image(ifs, 3)) == (Fraction(3, 4) - lam / 2,
+                                                      Fraction(1, 4) - lam / 2)
 
     def test_rotations_permute_corner_maps_and_fix_added(self):
         ifs = agres.make_ifs("5/16")
-        sigma = ifs.rotations[0]
-        # sigma sends p1 -> p2 -> p3 -> p1
-        assert sigma.apply(CORNERS[0]) == CORNERS[1]
-        assert sigma.apply(CORNERS[1]) == CORNERS[2]
-        assert sigma.apply(CORNERS[2]) == CORNERS[0]
+        sigma, sigma_inv = ref.ROTATION, ref.inverse(ref.ROTATION)
+        # sigma (omega^2 about the centroid) sends p1 -> p2 -> p3 -> p1
+        assert [ref.apply(sigma, cartesian(c)) for c in CORNERS] == [
+            cartesian(c) for c in (CORNERS[1], CORNERS[2], CORNERS[0])]
+
+        def conjugated(k, c):  # sigma o F_k o sigma^-1, with the package's F_k
+            pulled = lattice_point(ref.apply(sigma_inv, cartesian(c)))
+            return ref.apply(sigma, cartesian(ifs.omega.apply(k, pulled)))
+
         perm = {1: 2, 2: 3, 3: 1}
+        probes = list(CORNERS) + [edge_point(1, Fraction(2, 5))]
         for i in (1, 2, 3):
-            lhs = sigma.compose(ifs.maps[i - 1]).compose(sigma.inverse())
-            rhs = ifs.maps[perm[i] - 1]
-            for c in CORNERS:
-                assert lhs.apply(c) == rhs.apply(c)
+            for c in probes:
+                assert conjugated(i - 1, c) == cartesian(ifs.omega.apply(perm[i] - 1, c))
         # the added map commutes with the rotation
-        for c in CORNERS:
-            assert sigma.apply(ifs.maps[3].apply(c)) == ifs.maps[3].apply(sigma.apply(c))
+        for c in probes:
+            assert conjugated(3, c) == cartesian(ifs.omega.apply(3, c))
 
 
 class TestAttractorMembership:
     def test_boundary_points_belong(self):
         for lam in ("1/4", "1/7", "5/16"):
             ifs = agres.make_ifs(lam)
-            q = Point(Scalar(2 * ifs.lam), Scalar())
+            q = Point(2 * ifs.lam, Fraction(0))
             assert point_in_attractor(ifs, q)
 
     def test_added_cell_corner_belongs(self, ifs14):
-        assert point_in_attractor(ifs14, ifs14.maps[3].apply(CORNERS[0]))
+        assert point_in_attractor(ifs14, added_image(ifs14, 1))
 
     def test_centroid_is_the_added_map_fixed_point(self, ifs14):
         # the added map preserves the centroid, so the centroid lies in the
         # attractor for every parameter (its address is the constant added letter)
-        assert ifs14.maps[3].apply(CENTROID) == CENTROID
+        assert ifs14.omega.apply(3, CENTROID) == CENTROID
+        assert cartesian(CENTROID) == ref.CENTROID
+        assert ref.apply(ref.maps("1/4")[3], ref.CENTROID) == ref.CENTROID
         assert point_in_attractor(ifs14, CENTROID)
-        assert not cover_excludes(ifs14, CENTROID, depth=10)
+        assert not ref.cover_excludes("1/4", ref.CENTROID, depth=10)
 
     def test_cover_oracle_certifies_an_outside_point(self, ifs14):
         # in the central hole below the added triangle: in no cell at depth 1
-        p = Point(Scalar(Fraction(1, 2)), Scalar.sqrt3_times(Fraction(1, 16)))
-        assert cover_excludes(ifs14, p, depth=10)
-        assert not point_in_attractor(ifs14, p)
+        p = (Fraction(1, 2), Fraction(1, 16))
+        assert ref.cover_excludes("1/4", p, depth=10)
+        assert not point_in_attractor(ifs14, lattice_point(p))
 
     def test_deep_pullback_of_centroid_belongs(self, ifs14):
-        q = ifs14.maps[0].apply(CENTROID)  # image of a member is a member
+        q = ifs14.omega.apply(0, CENTROID)  # image of a member is a member
         assert point_in_attractor(ifs14, q)
 
     def test_membership_matches_cover_oracle_on_grid(self, ifs14):
         # every point the cover oracle excludes must be excluded
         rng = random.Random(5)
         for _ in range(40):
-            p = Point(Scalar(Fraction(rng.randrange(0, 64), 64)),
-                      Scalar.sqrt3_times(Fraction(rng.randrange(0, 32), 64)))
-            if not point_in_triangle(p):
+            p = (Fraction(rng.randrange(0, 64), 64), Fraction(rng.randrange(0, 32), 64))
+            if not ref.in_triangle(p):
                 continue
-            if cover_excludes(ifs14, p, depth=12):
-                assert not point_in_attractor(ifs14, p)
+            assert point_in_triangle(lattice_point(p))
+            if ref.cover_excludes("1/4", p, depth=12):
+                assert not point_in_attractor(ifs14, lattice_point(p))
 
     def test_triangle_predicates(self):
         assert point_in_triangle(CENTROID)
         assert not point_on_triangle_boundary(CENTROID)
         for c in CORNERS:
             assert point_in_triangle(c) and point_on_triangle_boundary(c)
-        assert point_on_triangle_boundary(Point(Scalar(Fraction(1, 3)), Scalar()))
+        assert point_on_triangle_boundary(Point(Fraction(1, 3), Fraction(0)))
+        assert not point_in_triangle(Point(Fraction(2, 3), Fraction(1, 2)))
+        assert not point_in_triangle(Point(Fraction(-1, 9), Fraction(1, 2)))
+
+
+lambdas_q32 = st.builds(Fraction, st.integers(1, 15), st.integers(3, 32)).filter(
+    lambda x: x < Fraction(1, 2))
+
+
+def membership(is_member, *args):
+    """The answer of a membership test, or 'cap' when it gives up."""
+    try:
+        return is_member(*args)
+    except (agres.DepthExceeded, ref.CapReached):
+        return "cap"
+
+
+@given(lam=lambdas_q32, i=st.integers(0, 64), k=st.integers(0, 32))
+@settings(max_examples=60, deadline=None)
+def test_membership_matches_reference_on_grid(lam, i, k):
+    # a point (i/64, j/64) of the triangle 0 <= eta <= min(x, 1 - x)
+    p = (Fraction(i, 64), Fraction(k % (min(i, 64 - i) + 1), 64))
+    assert ref.in_triangle(p)
+    expected = membership(ref.in_attractor, lam, p)
+    assert membership(point_in_attractor, agres.make_ifs(lam), lattice_point(p)) == expected
 
 
 class TestBoundarySet:
@@ -158,7 +171,7 @@ class TestBoundarySet:
         ifs = agres.make_ifs(lam)
         fast = boundary_set(ifs, "fast")
         oracle = boundary_set(ifs, "oracle")
-        assert [p.key() for p in fast.points] == [p.key() for p in oracle.points]
+        assert fast.points == oracle.points
 
     def test_contact_parameter_is_in_set(self):
         for lam in (Fraction(1, 4), Fraction(5, 16), Fraction(1, 7)):
@@ -209,15 +222,23 @@ class TestApproximationGraph:
         ifs = agres.make_ifs(lam)
         fast = agres.approximation_graph(ifs, m, method="fast")
         direct = agres.approximation_graph(ifs, m, method="direct")
-        assert fast.edges == direct.edges
-        assert [p.key() for p in fast.points] == [p.key() for p in direct.points]
+        assert fast.edges == direct.edges and fast.cells == direct.cells
+        assert fast.points == direct.points
+        # a vertex lies in cell w iff F_w^-1 of it is in the attractor
+        points = [cartesian(p) for p in direct.points]
+        memo: dict = {}
+        for word, fw in ref.iter_word_maps(lam, m):
+            inv = ref.inverse(fw)
+            members = tuple(i for i, p in enumerate(points)
+                            if ref.in_attractor(lam, ref.apply(inv, p), memo=memo))
+            assert direct.cells[word] == members, word
 
     def test_vertex_count_against_quadratic_dedup_oracle(self, ifs14):
         # hash-free O(n^2) dedup of all corner images
         raw = []
-        for _, fw in _iter_word_maps(ifs14, 2):
-            for c in CORNERS:
-                raw.append(fw.apply(c))
+        for _, fw in ref.iter_word_maps("1/4", 2):
+            for c in ref.CORNERS:
+                raw.append(ref.apply(fw, c))
         distinct = []
         for p in raw:
             if not any(p == q for q in distinct):
@@ -228,18 +249,17 @@ class TestApproximationGraph:
     def test_nesting(self, ifs14):
         g1 = agres.approximation_graph(ifs14, 1)
         g2 = agres.approximation_graph(ifs14, 2)
-        keys2 = {p.key() for p in g2.points}
-        assert all(p.key() in keys2 for p in g1.points)
+        points2 = set(g2.points)
+        assert all(p in points2 for p in g1.points)
 
     def test_g_invariance_of_graph(self, ifs14):
         g = agres.approximation_graph(ifs14, 2)
-        sigma = ifs14.rotations[0]
-        index = {p.key(): i for i, p in enumerate(g.points)}
+        index = {cartesian(p): i for i, p in enumerate(g.points)}
         mapped = {}
         for i, p in enumerate(g.points):
-            q = sigma.apply(p)
-            assert q.key() in index
-            mapped[i] = index[q.key()]
+            q = ref.apply(ref.ROTATION, cartesian(p))
+            assert q in index
+            mapped[i] = index[q]
         for (a, b) in g.edges:
             ma, mb = mapped[a], mapped[b]
             assert (min(ma, mb), max(ma, mb)) in g.edges
@@ -293,7 +313,12 @@ class TestTrackPoint:
             i = rng.choice((1, 2, 3))
             l1, l2 = rng.sample(lams, 2)
             # the bound is asserted exactly inside track_point
-            agres.track_point(word, i, l1, l2)
+            p, q, d = agres.track_point(word, i, l1, l2)
+            p_ref, q_ref = (ref.apply(ref.word_map(lam, word), ref.CORNERS[i - 1])
+                            for lam in (l1, l2))
+            assert (cartesian(p), cartesian(q)) == (p_ref, q_ref)
+            assert ref.distance_sq(p_ref, q_ref) <= 4 * (l1 - l2) ** 2
+            assert d == pytest.approx(float(ref.distance_sq(p_ref, q_ref)) ** 0.5, rel=1e-15)
 
 
 class TestGuards:
@@ -304,7 +329,8 @@ class TestGuards:
         assert boundary_set(ifs, guard=8).size == 18
 
     def test_membership_depth_cap(self, ifs14):
-        deep = ifs14.maps[0].apply(ifs14.maps[0].apply(CENTROID))
+        deep = ifs14.omega.apply(0, ifs14.omega.apply(0, CENTROID))
+        assert ref.in_attractor("1/4", cartesian(deep))
         with pytest.raises(agres.DepthExceeded):
             point_in_attractor(agres.make_ifs("1/4"), deep, cap=1)
 
@@ -332,7 +358,7 @@ class TestBoundaryOracleExtended:
         fast = boundary_set(ifs, "fast")
         oracle = boundary_set(ifs, "oracle")
         assert fast.size == size
-        assert [p.key() for p in fast.points] == [p.key() for p in oracle.points]
+        assert fast.points == oracle.points
 
     def test_long_cycle_at_sufficiency_depth(self):
         # orbit of 2/9 is a pure 6-cycle; depth 1 + 0 + 6 suffices
@@ -340,4 +366,4 @@ class TestBoundaryOracleExtended:
         fast = boundary_set(ifs, "fast")
         oracle = boundary_set(ifs, "oracle", depth=7)
         assert fast.size == 21
-        assert [p.key() for p in fast.points] == [p.key() for p in oracle.points]
+        assert fast.points == oracle.points

@@ -1,7 +1,6 @@
-"""Lattice geometry: cell images, vertex tables and level tables against the Q[sqrt(3)] path."""
+"""Lattice geometry: cell images, vertex tables and level tables against the reference."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -11,33 +10,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agres
+import exact_reference as ref
 from agres import exact
 from agres.approx import _level_geometry, level_form, resistance_metric
-from agres.errors import DomainError, UnknownVertex
-from agres.exact import Lattice, Point, Scalar
-from agres.geometry import (CORNERS, LevelGeometry, VertexTable, _boundary_from_parameters,
-                            _iter_word_maps, boundary_set, cell_images,
-                            classify_boundary_point, edge_point, point_in_attractor,
-                            point_in_triangle)
+from agres.errors import UnknownVertex
+from agres.exact import Lattice, Point
+from agres.geometry import (CENTROID, CORNERS, LevelGeometry, VertexTable, boundary_set,
+                            cell_images, edge_point)
 from agres.network import effective_resistance
+from exact_reference import cartesian
 
 
-def reference_tables(ifs, m):
-    """Level tables from exact word maps, Similarity.apply and dict deduplication."""
-    bset = boundary_set(ifs)
+def reference_tables(lam, m):
+    """Level tables from the reference word maps and dict deduplication."""
+    bset = [cartesian(p) for p in boundary_set(agres.make_ifs(lam)).points]
     index, points, leaf_corners, types, cell_type, cell_gids = {}, [], [], {}, [], []
-    word_maps = list(_iter_word_maps(ifs, m))
+    word_maps = list(ref.iter_word_maps(lam, m))
     for _, fw in word_maps:
         row = []
-        for c in CORNERS:
-            p = fw.apply(c)
-            if p.key() not in index:
-                index[p.key()] = len(points)
+        for c in ref.CORNERS:
+            p = ref.apply(fw, c)
+            if p not in index:
+                index[p] = len(points)
                 points.append(p)
-            row.append(index[p.key()])
+            row.append(index[p])
         leaf_corners.append(row)
     for _, fw in word_maps:
-        hits = [(bi, index.get(fw.apply(p).key())) for bi, p in enumerate(bset.points)]
+        hits = [(bi, index.get(ref.apply(fw, p))) for bi, p in enumerate(bset)]
         kept = tuple(bi for bi, g in hits if g is not None)
         cell_type.append(types.setdefault(kept, len(types)))
         cell_gids.append([g for _, g in hits if g is not None])
@@ -47,7 +46,7 @@ def reference_tables(ifs, m):
 
 
 def assert_same_tables(geom, ref):
-    assert [p.key() for p in geom.points] == [p.key() for p in ref["points"]]
+    assert [cartesian(p) for p in geom.points] == ref["points"]
     assert geom.leaf_corners.tolist() == ref["leaf_corners"]
     assert geom.types == ref["types"]
     assert list(geom.cell_type) == ref["cell_type"]
@@ -58,15 +57,15 @@ def assert_same_tables(geom, ref):
                                    ("181/512", 3), ("1/7", 0), ("3/16", 1)])
 def test_level_tables_match_word_map_reference(lam, m):
     ifs = agres.make_ifs(lam)
-    ref = reference_tables(ifs, m)
+    tables = reference_tables(lam, m)
     geom = LevelGeometry(ifs, m)
-    assert_same_tables(geom, ref)
-    counts = [[w.count(c) for c in (1, 2, 3, 4)] for w in ref["words"]]
+    assert_same_tables(geom, tables)
+    counts = [[w.count(c) for c in (1, 2, 3, 4)] for w in tables["words"]]
     assert geom.letter_counts.tolist() == counts
 
     g = agres.approximation_graph(ifs, m, "fast")
-    assert [p.key() for p in g.points] == [p.key() for p in ref["points"]]
-    cells = {w: tuple(sorted(gids)) for w, gids in zip(ref["words"], ref["cell_gids"])}
+    assert [cartesian(p) for p in g.points] == tables["points"]
+    cells = {w: tuple(sorted(gids)) for w, gids in zip(tables["words"], tables["cell_gids"])}
     assert g.cells == cells
     assert g.edges == {e for ids in cells.values() for e in itertools.combinations(ids, 2)}
 
@@ -78,7 +77,7 @@ def test_object_fallback_gives_the_same_tables(monkeypatch):
     monkeypatch.setattr(exact, "INT64_LIMIT", 0)
     narrow = LevelGeometry(ifs, 3)
     assert narrow.table.num.dtype == object
-    assert [p.key() for p in narrow.points] == [p.key() for p in wide.points]
+    assert narrow.points == wide.points
     for name in ("leaf_corners", "letter_counts"):
         assert np.array_equal(getattr(narrow, name), getattr(wide, name))
     assert narrow.types == wide.types and narrow.cell_type == wide.cell_type
@@ -91,9 +90,9 @@ def word_of(index, m):
 
 def assert_images_match(ifs, m, points, images, cells):
     for k in cells:
-        fw = ifs.word_map(word_of(k, m))
-        got = [images.point((k, i)) for i in range(len(points))]
-        assert got == [fw.apply(p) for p in points]
+        fw = ref.word_map(ifs.lam, word_of(k, m))
+        got = [cartesian(images.point((k, i))) for i in range(len(points))]
+        assert got == [ref.apply(fw, cartesian(p)) for p in points]
 
 
 lambdas = st.builds(Fraction, st.integers(1, 63), st.integers(3, 64)).filter(
@@ -132,9 +131,10 @@ def test_real_overflow_takes_the_object_fallback():
     assert table.num.dtype == object
     assert np.array_equal(table.lookup(Lattice(images.num[:, :3], images.den)), table.ids)
     for k in cells:
-        fw = ifs.word_map(word_of(k, 7))
+        fw = ref.word_map(ifs.lam, word_of(k, 7))
         for c in range(3):
-            assert table.lattice().point(int(table.ids[k, c])) == fw.apply(CORNERS[c])
+            point = table.lattice().point(int(table.ids[k, c]))
+            assert cartesian(point) == ref.apply(fw, ref.CORNERS[c])
 
 
 class TestVertexTable:
@@ -157,11 +157,11 @@ class TestVertexTable:
         assert lat.points() == pts
 
     def test_points_off_the_lattice_are_rejected(self, ifs14):
-        off = Point(Scalar(0, 1), Scalar(0))
-        with pytest.raises(DomainError):
-            Lattice.of_points([off])
-        with pytest.raises(UnknownVertex):
-            _level_geometry(ifs14, 2).vid_of_point(off)
+        geom = _level_geometry(ifs14, 2)
+        assert geom.vid_of_point(edge_point(0, Fraction(1, 4))) >= 0
+        for off in (Point(Fraction(1, 3), Fraction(0)), CENTROID, Point(Fraction(2), Fraction(0))):
+            with pytest.raises(UnknownVertex):
+                geom.vid_of_point(off)
 
 
 def test_resistance_metric_matches_pairwise_solves(ifs14, sol14):
@@ -189,8 +189,10 @@ class TestLatticeMaps:
         for k in range(4):
             assert Lattice(back.num[k, k], back.den).points() == points
         pulled = inverse.images(Lattice.of_points(points))
-        for k, inv in enumerate(ifs.inverses):
-            assert Lattice(pulled.num[k], pulled.den).points() == [inv.apply(p) for p in points]
+        for k, f in enumerate(ref.maps(lam)):
+            inv = ref.inverse(f)
+            assert ([cartesian(p) for p in Lattice(pulled.num[k], pulled.den).points()]
+                    == [ref.apply(inv, cartesian(p)) for p in points])
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_reduced_keeps_the_points(self, dtype):
@@ -213,67 +215,18 @@ class TestLatticeMaps:
         assert coprime.reduced() is coprime and coprime.num.dtype == object
 
 
-def _qsqrt3_boundary_reference(ifs, depth):
-    """The defining-union oracle on Q[sqrt(3)], independent of the lattice.
-
-    For every level m <= depth and every level-m vertex, walk down the cell
-    tree keeping only branches whose (closed) triangle contains the vertex;
-    cells whose triangle excludes it cannot contain it.  Each surviving
-    length-m pullback is tested for attractor membership exactly.
-    """
-    inv_floats = [inv.linear_floats() for inv in ifs.inverses]
-    sq3 = math.sqrt(3.0)
-    margin = 1e-9
-
-    def surely_outside(x: float, y: float) -> bool:
-        return (y < -margin or y > sq3 * x + margin or y > sq3 * (1.0 - x) + margin)
-
-    found: dict[tuple, Point] = {}
-    for m in range(depth + 1):
-        verts: dict[tuple, Point] = {}
-        for _, fw in _iter_word_maps(ifs, m):
-            for c in CORNERS:
-                p = fw.apply(c)
-                verts.setdefault(p.key(), p)
-        for v in verts.values():
-            frontier = {v.key(): (v, float(v.x), float(v.y))}
-            for _ in range(m):
-                nxt: dict[tuple, tuple] = {}
-                for q, fx, fy in frontier.values():
-                    for inv, (a00, a01, a10, a11, tx, ty) in zip(ifs.inverses, inv_floats):
-                        # cheap float screen; exact confirmation for the rest
-                        gx = a00 * fx + a01 * fy + tx
-                        gy = a10 * fx + a11 * fy + ty
-                        if surely_outside(gx, gy):
-                            continue
-                        qq = inv.apply(q)
-                        if point_in_triangle(qq):
-                            nxt.setdefault(qq.key(), (qq, float(qq.x), float(qq.y)))
-                frontier = nxt
-            for q, _, _ in frontier.values():
-                if q.key() not in found and point_in_attractor(ifs, q):
-                    found[q.key()] = q
-    ts: set[Fraction] = set()
-    for p in found.values():
-        lab = classify_boundary_point(p)  # raises if a contact leaves the edge skeleton
-        if lab.kind == "edge":
-            ts.add(lab.t)
-    return _boundary_from_parameters(ts)
-
-
 _reference_keys: dict = {}
 
 
 def reference_boundary_keys(lam, depth):
     key = (Fraction(lam), depth)
     if key not in _reference_keys:
-        bset = _qsqrt3_boundary_reference(agres.make_ifs(lam), depth)
-        _reference_keys[key] = [p.key() for p in bset.points]
+        _reference_keys[key] = ref.boundary_set(lam, depth)
     return _reference_keys[key]
 
 
 def oracle_keys(lam, depth):
-    return [p.key() for p in boundary_set(agres.make_ifs(lam), "oracle", depth=depth).points]
+    return [cartesian(p) for p in boundary_set(agres.make_ifs(lam), "oracle", depth=depth).points]
 
 
 @pytest.mark.parametrize("force_objects", [False, True])
