@@ -20,8 +20,7 @@ import numpy as np
 from .errors import (BadWeights, CapExceeded, DomainError, IdentificationMismatch,
                      InsufficientScales, UnknownVertex)
 from .exact import Lattice, Point
-from .geometry import (IFS, LevelGeometry, VertexTable, Word, _level_geometry, cell_images,
-                       numbered)
+from .geometry import IFS, LevelGeometry, VertexTable, Word, _level_geometry, cell_images
 from .network import (FiniteForm, _dipole_resistances, effective_resistance,
                       harmonic_extension, resolvent, trace)
 from .renorm import BoundaryForm, Solution
@@ -46,11 +45,11 @@ class LevelForm:
         return self.geometry.vid_of_address(word, corner)
 
 
-def _cell_table(D: BoundaryForm, kept: Sequence[int]) -> list[tuple[int, int, float]]:
-    """Conductances of the boundary form traced to a kept subset, in local kept order."""
+def _cell_table(D: BoundaryForm, kept: Sequence[int]) -> np.ndarray:
+    """Edges (a, b, c) of the boundary form traced to a kept subset, with a and b
+    positions in the kept order."""
     sub = trace(D.form, list(kept)) if len(kept) < D.n else D.form
-    local = {v: i for i, v in enumerate(kept)}
-    return [(local[x], local[y], float(c)) for (x, y), c in sub.conductances.items()]
+    return np.rec.fromarrays([sub._a, sub._b, sub._c], names="a,b,c")
 
 
 def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,19 +57,6 @@ def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its position within the run."""
     run = np.repeat(np.arange(len(sizes)), sizes)
     return run, np.arange(len(run)) - (np.cumsum(sizes) - sizes)[run]
-
-
-def _summed_form(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> FiniteForm:
-    """Form on vertices 0..n-1 with the contributions c[k] on the pairs (a[k], b[k]) added up.
-
-    Pairs are numbered by first occurrence and each pair's contributions
-    are added in input order, as a dict accumulation would add them.
-    """
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    first, ids = numbered(lo * n + hi)
-    sums = np.bincount(ids, c, len(first))
-    return FiniteForm(list(range(n)),
-                      dict(zip(zip(lo[first].tolist(), hi[first].tolist()), sums.tolist())))
 
 
 def level_form(ifs: IFS, sol: Solution, m: int, cap: int = LEVEL_CAP) -> LevelForm:
@@ -87,16 +73,15 @@ def level_form(ifs: IFS, sol: Solution, m: int, cap: int = LEVEL_CAP) -> LevelFo
     tables = [_cell_table(sol.D, kept) for kept in geom.types]
     # one contribution per (cell, row of the cell's table), cell after cell
     sizes = np.array([len(tab) for tab in tables])
-    la, lb, lc = (np.array(col) for col in zip(*(row for tab in tables for row in tab)))
     types = np.asarray(geom.cell_type)
     cell, k = _ragged(sizes[types])
-    row = (np.cumsum(sizes) - sizes)[types[cell]] + k
+    rows = np.concatenate(tables)[(np.cumsum(sizes) - sizes)[types[cell]] + k]
     base = geom.kept_start[cell]
     r, s = sol.r, sol.s
     weight = np.array([r ** -(m - n4) * s ** -n4 for n4 in range(m + 1)])
-    c = weight[geom.letter_counts[cell, 3]] * lc[row]
-    form = _summed_form(geom.n_vertices, geom.kept_gids[base + la[row]],
-                        geom.kept_gids[base + lb[row]], c)
+    form = FiniteForm.from_arrays(range(geom.n_vertices), geom.kept_gids[base + rows["a"]],
+                                  geom.kept_gids[base + rows["b"]],
+                                  weight[geom.letter_counts[cell, 3]] * rows["c"])
     return LevelForm(m, form, geom, sol)
 
 
@@ -273,14 +258,14 @@ class EdgeTraceTower:
         for images, form, w in copies:
             gids = glued.ids[start:start + images.shape[1]]
             start += images.shape[1]
-            pairs = np.array(list(form.conductances), dtype=np.int64).reshape(-1, 2)
-            a.append(gids[pairs[:, 0]])
-            b.append(gids[pairs[:, 1]])
-            c.append(np.fromiter(form.conductances.values(), float) / w)
+            a.append(gids[form._a])
+            b.append(gids[form._b])
+            c.append(form._c / w)
         a, b = np.concatenate(a), np.concatenate(b)
         if (a == b).any():
             raise IdentificationMismatch("copy collapsed a conductance pair")
-        traced = trace(_summed_form(len(glued), a, b, np.concatenate(c)), list(range(n_keep)))
+        glued_form = FiniteForm.from_arrays(range(len(glued)), a, b, np.concatenate(c))
+        traced = trace(glued_form, list(range(n_keep)))
         self.K = next_k
         self.table = keep
         self.form = traced
@@ -420,7 +405,7 @@ def _celled_energy(D: BoundaryForm, weights: np.ndarray, vals: np.ndarray) -> fl
     assembly: fresh kept-set discovery, fresh traces, no level form.
     """
     total = 0.0
-    memo: dict[tuple[int, ...], list[tuple[int, int, float]]] = {}
+    memo: dict[tuple[int, ...], np.ndarray] = {}
     for w, row in zip(weights.tolist(), vals):
         kept = np.flatnonzero(~np.isnan(row))
         key = tuple(kept.tolist())
@@ -428,9 +413,8 @@ def _celled_energy(D: BoundaryForm, weights: np.ndarray, vals: np.ndarray) -> fl
         if tab is None:
             tab = memo[key] = _cell_table(D, key)
         cell_vals = row[kept]
-        for (a, b, c) in tab:
-            d = cell_vals[a] - cell_vals[b]
-            total += w * c * d * d
+        d = cell_vals[tab["a"]] - cell_vals[tab["b"]]
+        total += w * float(np.dot(tab["c"], d * d))
     return total
 
 

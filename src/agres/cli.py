@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,11 +135,6 @@ def validate(cfg: RunConfig) -> list[str]:
                     v.append("n: schedule range is empty")
             except ValueError:
                 v.append(f"n: malformed range {cfg.n_range!r}")
-        if cfg.pairs:
-            try:
-                _parse_pairs(cfg.pairs)
-            except ValidationError as exc:
-                v.append(f"pairs: {exc}")
     if cfg.command in ("solve", "resistance", "resolvent", "estimates", "converge"):
         if cfg.s is None:
             v.append("s: required")
@@ -146,7 +142,7 @@ def validate(cfg: RunConfig) -> list[str]:
             v.append("s must lie in (0,1); irregular cases s >= 1 are out of scope")
     if cfg.command == "resistance" and not cfg.pairs:
         v.append("pairs: required for resistance")
-    if cfg.command == "resistance" and cfg.pairs:
+    if cfg.command in ("resistance", "converge") and cfg.pairs:
         try:
             _parse_pairs(cfg.pairs)
         except ValidationError as exc:
@@ -167,6 +163,12 @@ def validate(cfg: RunConfig) -> list[str]:
         v.append("alpha: must be positive")
     if cfg.measure not in ("hausdorff", "uniform"):
         v.append(f"measure: must be hausdorff or uniform, got {cfg.measure!r}")
+    for name in ("eigen_tol", "bisect_tol"):
+        if not (math.isfinite(getattr(cfg, name)) and getattr(cfg, name) > 0):
+            v.append(f"{name}: must be finite and positive")
+    for name in ("max_iters", "relation_depth"):
+        if getattr(cfg, name) < 1:
+            v.append(f"{name}: must be at least 1")
     return v
 
 
@@ -194,10 +196,15 @@ def _points_json(points, labels=None) -> list:
     return rows
 
 
+def _solve(cfg: RunConfig, lam, s: Optional[float] = None) -> tuple:
+    """The IFS of lam and its weight solve at s (default: the configured s)."""
+    ifs = geometry.make_ifs(lam)
+    return ifs, renorm.solve_r(ifs, cfg.s if s is None else s, eigen_tol=cfg.eigen_tol,
+                               bisect_tol=cfg.bisect_tol, max_iters=cfg.max_iters)
+
+
 def _cmd_solve(cfg: RunConfig, outdir: Path) -> None:
-    ifs = geometry.make_ifs(cfg.lam)
-    sol = renorm.solve_r(ifs, cfg.s, eigen_tol=cfg.eigen_tol,
-                         bisect_tol=cfg.bisect_tol, max_iters=cfg.max_iters)
+    _, sol = _solve(cfg, cfg.lam)
     _write_json(outdir, "solution.json", sol.to_json_obj())
 
 
@@ -219,30 +226,23 @@ def _cmd_graph(cfg: RunConfig, outdir: Path) -> None:
 
 
 def _cmd_resistance(cfg: RunConfig, outdir: Path) -> None:
-    ifs = geometry.make_ifs(cfg.lam)
-    sol = renorm.solve_r(ifs, cfg.s, eigen_tol=cfg.eigen_tol, bisect_tol=cfg.bisect_tol)
+    ifs, sol = _solve(cfg, cfg.lam)
     pairs = _parse_pairs(cfg.pairs)
     lf = approx.level_form(ifs, sol, cfg.level)
     rows = approx.resistance_metric(ifs, sol, cfg.level, pairs, level=lf)
     lines = ["word_1,corner_1,word_2,corner_2,x1,y1,x2,y2,"
              "x1_exact,y1_exact,x2_exact,y2_exact,resistance"]
-    for ((a1, a2), val) in rows:
-        p1 = lf.geometry.point(lf.vid_of_address(a1[0], a1[1]))
-        p2 = lf.geometry.point(lf.vid_of_address(a2[0], a2[1]))
-        w1 = "".join(map(str, a1[0]))
-        w2 = "".join(map(str, a2[0]))
-        d1 = point_decimal_str(p1)
-        d2 = point_decimal_str(p2)
-        e1 = point_exact_str(p1)
-        e2 = point_exact_str(p2)
-        lines.append(f"{w1},{a1[1]},{w2},{a2[1]},{d1[0]},{d1[1]},{d2[0]},{d2[1]},"
-                     f'"{e1[0]}","{e1[1]}","{e2[0]}","{e2[1]}",{val:.17g}')
+    for pair, val in rows:
+        points = [lf.geometry.point(lf.vid_of_address(word, c)) for word, c in pair]
+        cells = [f"{''.join(map(str, word))},{c}" for word, c in pair]
+        cells += [x for p in points for x in point_decimal_str(p)]
+        cells += [f'"{x}"' for p in points for x in point_exact_str(p)]
+        lines.append(",".join(cells + [f"{val:.17g}"]))
     _write(outdir, "resistance.csv", "\n".join(lines) + "\n")
 
 
 def _cmd_resolvent(cfg: RunConfig, outdir: Path) -> None:
-    ifs = geometry.make_ifs(cfg.lam)
-    sol = renorm.solve_r(ifs, cfg.s, eigen_tol=cfg.eigen_tol, bisect_tol=cfg.bisect_tol)
+    ifs, sol = _solve(cfg, cfg.lam)
     alpha = cfg.alpha if cfg.alpha is not None else 1.0
     mspec = approx.measure_weights(ifs, cfg.measure)
     kernel, lf, _ = approx.resolvent_kernel(ifs, sol, cfg.level, alpha, mspec)
@@ -280,8 +280,7 @@ def _cmd_relations(cfg: RunConfig, outdir: Path) -> None:
 
 
 def _cmd_estimates(cfg: RunConfig, outdir: Path) -> None:
-    ifs = geometry.make_ifs(cfg.lam)
-    sol = renorm.solve_r(ifs, cfg.s, eigen_tol=cfg.eigen_tol, bisect_tol=cfg.bisect_tol)
+    ifs, sol = _solve(cfg, cfg.lam)
     bottom = []
     for m in (4, 5, 6):
         value, bound, ok = approx.boundary_resistance_check(ifs, sol, m)
@@ -305,8 +304,7 @@ def _cmd_estimates(cfg: RunConfig, outdir: Path) -> None:
                 if not (Fraction(1, 8) <= lam <= Fraction(3, 8)) or lam.denominator != den:
                     continue
                 for s in (0.2, 0.5, 0.8, 0.95):
-                    rsol = renorm.solve_r(geometry.make_ifs(lam), s,
-                                          eigen_tol=cfg.eigen_tol, bisect_tol=cfg.bisect_tol)
+                    _, rsol = _solve(cfg, lam, s)
                     rows.append({"lambda": f"{lam.numerator}/{lam.denominator}",
                                  "s": s, "r": rsol.r})
                     worst = max(worst, rsol.r)
@@ -321,7 +319,8 @@ def _cmd_converge(cfg: RunConfig, outdir: Path) -> None:
                                       alpha=cfg.alpha, m=cfg.level,
                                       measure_scheme=cfg.measure,
                                       eigen_tol=cfg.eigen_tol,
-                                      bisect_tol=cfg.bisect_tol)
+                                      bisect_tol=cfg.bisect_tol,
+                                      max_iters=cfg.max_iters)
     _write(outdir, "report.csv", rep.to_csv())
     _write_json(outdir, "report.json", rep.to_json_obj())
 

@@ -21,7 +21,7 @@ from .approx import level_form, measure_weights, resistance_metric, resolvent_ke
 from .errors import DomainError, TrackingError
 from .geometry import Word, hausdorff_distance, make_ifs
 from .network import harmonic_extension
-from .renorm import solve_r
+from .renorm import EIGEN_MAX_ITERS, solve_r
 
 DIFF_THRESHOLD = 1e-2
 TREND_SLACK = 1e-12
@@ -243,9 +243,9 @@ class ConvergenceReport:
 
 def _report_row(n: int, lam: Fraction, s: float, pairs: list[TrackedPair],
                 alpha: Optional[float], m: int, measure_scheme: str,
-                eigen_tol: float, bisect_tol: float) -> ReportRow:
+                eigen_tol: float, bisect_tol: float, max_iters: int) -> ReportRow:
     ifs = make_ifs(lam)
-    sol = solve_r(ifs, s, eigen_tol=eigen_tol, bisect_tol=bisect_tol)
+    sol = solve_r(ifs, s, eigen_tol=eigen_tol, bisect_tol=bisect_tol, max_iters=max_iters)
     lf = level_form(ifs, sol, m)
     res = [value for _, value in resistance_metric(ifs, sol, m, pairs, level=lf)]
     us: list[float] = []
@@ -264,7 +264,8 @@ def convergence_report(target, s: float, n_range: Sequence[int],
                        alpha: Optional[float] = None, m: int = 3,
                        measure_scheme: str = "hausdorff",
                        eigen_tol: float = 1e-12, bisect_tol: float = 1e-10,
-                       diff_threshold: float = DIFF_THRESHOLD) -> ConvergenceReport:
+                       diff_threshold: float = DIFF_THRESHOLD,
+                       max_iters: int = EIGEN_MAX_ITERS) -> ConvergenceReport:
     """Solve along a dyadic schedule and track quantities at addressed vertices.
 
     Tracked points are (word, corner) addresses, so they exist canonically
@@ -278,7 +279,8 @@ def convergence_report(target, s: float, n_range: Sequence[int],
             if len(addr[0]) > m:
                 raise TrackingError(
                     f"address word {addr[0]} longer than level {m}")
-    rows = [_report_row(n, lam, s, pairs, alpha, m, measure_scheme, eigen_tol, bisect_tol)
+    rows = [_report_row(n, lam, s, pairs, alpha, m, measure_scheme, eigen_tol, bisect_tol,
+                        max_iters)
             for n, lam in sched.entries]
     report = ConvergenceReport(sched.target, float(s), m, alpha, pairs, rows,
                                diff_threshold=diff_threshold)
@@ -354,26 +356,14 @@ def gamma_diagnostic(target, s: float, n_range: Sequence[int],
         hvec = np.array([h[v] for v in range(lf.form.n)])
         solved.append((n, lam, lf, hvec))
 
-    # canonical address per vertex of the finest entry: first (leaf, corner) hit
     _, _, lf_fin, h_fin = solved[-1]
-
-    def canonical_addresses(geom):
-        addr = {}
-        lc = geom.leaf_corners
-        for li in range(lc.shape[0]):
-            for ci in range(3):
-                vid = int(lc[li, ci])
-                if vid not in addr:
-                    addr[vid] = (li, ci)
-        return addr
-
+    fin_corners = lf_fin.geometry.leaf_corners.ravel()
     rows = []
     for (n, lam, lf, hvec) in solved:
-        addr = canonical_addresses(lf.geometry)
-        comp = np.empty(lf.form.n)
-        fin_lc = lf_fin.geometry.leaf_corners
-        for vid, (li, ci) in addr.items():
-            comp[vid] = h_fin[int(fin_lc[li, ci])]
+        # vertex ids are numbered by first occurrence in (leaf, corner) order, so the
+        # first occurrence of each id is its canonical address
+        addr = np.unique(lf.geometry.leaf_corners.ravel(), return_index=True)[1]
+        comp = h_fin[fin_corners[addr]]
         e_h = lf.form.energy(hvec)
         e_t = lf.form.energy(comp)
         rows.append(GammaRow(n, lam, float(e_h), float(e_t),

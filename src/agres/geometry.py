@@ -29,7 +29,7 @@ import numpy as np
 from .errors import CapExceeded, DepthExceeded, DomainError, OrbitOverflow, UnknownVertex
 from .exact import (Lattice, OmegaMaps, Point, RationalLike, as_fraction, point_decimal_str,
                     point_exact_str)
-from .network import _components
+from .network import _components, numbered
 
 # corners of the reference triangle: top (omega), lower left (0), lower right (1)
 P1 = Point(Fraction(0), Fraction(1))
@@ -334,19 +334,6 @@ def _boundary_set_oracle(ifs: IFS, depth: int) -> BoundarySet:
 
 
 # -- approximating graphs --------------------------------------------------------
-
-def numbered(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct keys by first occurrence.
-
-    Returns the index of every distinct key's first occurrence, in id
-    order, and the id of every key.
-    """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse.reshape(-1)]
-
 
 def _row_keys(mask: np.ndarray) -> np.ndarray:
     """One int64 per boolean row, equal exactly when the rows are equal.

@@ -1,7 +1,10 @@
 """Finite resistance forms as weighted graphs.
 
 A form is a symmetric nonnegative conductance map on a connected vertex
-set; its energy is sum over unordered pairs of c * (f(x) - f(y))^2.  The
+set; its energy is sum over unordered pairs of c * (f(x) - f(y))^2.  A
+``FiniteForm`` stores it as an edge list of three arrays (two vertex
+positions and a conductance per distinct pair); the pair-keyed mapping
+``conductances`` is a read-only view built from them on first use.  The
 operations here are the classical electrical-network toolkit: Schur
 complement traces, harmonic extension, effective resistances (two point
 and point-to-set), energy comparison factors, and resolvent kernels with
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -36,6 +40,19 @@ def _pair(x: VertexId, y: VertexId) -> tuple[VertexId, VertexId]:
         return (x, y) if x < y else (y, x)
     except TypeError:
         return (x, y) if repr(x) < repr(y) else (y, x)
+
+
+def numbered(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys by first occurrence.
+
+    Returns the index of every distinct key's first occurrence, in id
+    order, and the id of every key.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
 
 
 def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -128,37 +145,75 @@ def _pair_conductances(S: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.
 
 
 class FiniteForm:
-    """A resistance form on a finite vertex set, stored as sparse conductances.
+    """A resistance form on a finite vertex set, stored as an edge list.
 
-    Besides the ``conductances`` mapping, the form keeps its edges as
-    arrays of vertex indices and conductances, which every Laplacian is
-    built from; forms are not modified after construction.
+    ``_a`` and ``_b`` hold the vertex positions of every distinct unordered
+    pair, oriented as ``_pair`` orders their ids, and ``_c`` its positive
+    conductance, pairs in order of first occurrence; every Laplacian is built
+    from these arrays.  ``from_arrays`` validates and sums contributions; the
+    mapping constructor only maps pair keys to positions for it.
+    ``conductances`` is a read-only {id pair: conductance} view in edge order,
+    built on first use.  Forms are not modified after construction.
     """
 
     def __init__(self, vertices: Sequence[VertexId],
                  conductances: Mapping[tuple[VertexId, VertexId], float]):
-        self.vertices = list(vertices)
-        self._pos = {v: i for i, v in enumerate(self.vertices)}
-        if len(self._pos) != len(self.vertices):
+        vertices = list(vertices)
+        pos = {v: i for i, v in enumerate(vertices)}  # unknown ids go past the end
+        ab = [[pos.setdefault(v, len(pos)) for v in key] for key in conductances]
+        c = np.fromiter(map(float, conductances.values()), float, len(ab))
+        a, b = np.array(ab, dtype=np.int64).reshape(-1, 2).T
+        self._assemble(vertices, a, b, c, list(pos))
+
+    @classmethod
+    def from_arrays(cls, vertices: Sequence[VertexId], a, b, c) -> "FiniteForm":
+        """The form with contribution c[k] on the vertex positions (a[k], b[k]).
+
+        Zero contributions are dropped, the contributions to one pair (in either
+        orientation) are added in input order, and pairs are numbered by first
+        occurrence, as a dict accumulation would do it.
+        """
+        form = cls.__new__(cls)
+        form._assemble(list(vertices), a, b, c)
+        return form
+
+    def _assemble(self, vertices: list, a, b, c, names: Optional[list] = None) -> None:
+        self.vertices, n = vertices, len(vertices)
+        self._pos = {v: i for i, v in enumerate(vertices)}
+        if len(self._pos) != n:
             raise DomainError("duplicate vertex ids")
-        self.conductances: dict[tuple[VertexId, VertexId], float] = {}
-        for (x, y), c in conductances.items():
-            if x == y:
-                raise DomainError("self-loops are not allowed")
-            if x not in self._pos or y not in self._pos:
-                raise DomainError(f"edge ({x!r},{y!r}) references unknown vertex")
-            c = float(c)
-            if c < 0:
-                raise DomainError(f"negative conductance on ({x!r},{y!r})")
-            if c == 0.0:
-                continue
-            key = _pair(x, y)
-            self.conductances[key] = self.conductances.get(key, 0.0) + c
-        pos = self._pos
-        self._a = np.array([pos[x] for x, _ in self.conductances], dtype=np.int64)
-        self._b = np.array([pos[y] for _, y in self.conductances], dtype=np.int64)
-        self._c = np.fromiter(self.conductances.values(), float, len(self.conductances))
+        a, b, c = np.asarray(a, np.int64), np.asarray(b, np.int64), np.asarray(c, float)
+        loop, unknown = a == b, (np.minimum(a, b) < 0) | (np.maximum(a, b) >= n)
+        bad = np.flatnonzero(loop | unknown | (c < 0))
+        if bad.size:
+            k, names = bad[0], names or vertices
+            x, y = (names[p] if 0 <= p < len(names) else p for p in (int(a[k]), int(b[k])))
+            raise DomainError("self-loops are not allowed" if loop[k] else
+                              f"edge ({x!r},{y!r}) references unknown vertex" if unknown[k] else
+                              f"negative conductance on ({x!r},{y!r})")
+        live = c != 0.0
+        lo, hi = np.minimum(a[live], b[live]), np.maximum(a[live], b[live])
+        first, ids = numbered(lo * n + hi)
+        lo, hi = lo[first], hi[first]
+        try:  # ids increasing under < are ordered by position, as _pair orders them
+            ascending = all(x < y for x, y in zip(vertices, vertices[1:]))
+        except TypeError:
+            ascending = False
+        if not ascending:
+            flip = np.array([_pair(vertices[x], vertices[y])[0] is not vertices[x]
+                             for x, y in zip(lo.tolist(), hi.tolist())], dtype=bool)
+            lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+        self._a, self._b, self._c = lo, hi, np.bincount(ids, c[live], len(first))
+        self._view: Optional[Mapping[tuple[VertexId, VertexId], float]] = None
         self._connected: Optional[bool] = None
+
+    @property
+    def conductances(self) -> Mapping[tuple[VertexId, VertexId], float]:
+        if self._view is None:
+            vs = self.vertices
+            self._view = MappingProxyType({(vs[x], vs[y]): c for x, y, c in zip(
+                self._a.tolist(), self._b.tolist(), self._c.tolist())})
+        return self._view
 
     # -- basic queries ---------------------------------------------------------
 
@@ -193,21 +248,18 @@ class FiniteForm:
             raise Disconnected("support graph is disconnected")
 
     def scaled(self, a: float) -> "FiniteForm":
-        return FiniteForm(self.vertices, {k: a * c for k, c in self.conductances.items()})
+        return FiniteForm.from_arrays(self.vertices, self._a, self._b, a * self._c)
 
-    def _laplacian_ordered(self, order: Optional[Sequence[VertexId]], sparse: bool):
-        a, b = self._a, self._b
-        if order is not None:
-            pos = np.empty(self.n, dtype=np.int64)
-            pos[[self._pos[v] for v in order]] = np.arange(len(order))
-            a, b = pos[a], pos[b]
-        return _laplacian(self.n, a, b, self._c, sparse)
+    def _edges_in(self, order: Optional[Sequence[VertexId]]) -> tuple[np.ndarray, np.ndarray]:
+        """The edge endpoints as positions in the given ordering of all the vertices."""
+        if order is None:
+            return self._a, self._b
+        pos = np.empty(self.n, dtype=np.int64)
+        pos[[self._pos[v] for v in order]] = np.arange(len(order))
+        return pos[self._a], pos[self._b]
 
     def laplacian_dense(self, order: Sequence[VertexId] | None = None) -> np.ndarray:
-        return self._laplacian_ordered(order, sparse=False)
-
-    def laplacian_sparse(self, order: Sequence[VertexId] | None = None) -> sp.csc_matrix:
-        return self._laplacian_ordered(order, sparse=True)
+        return _laplacian(self.n, *self._edges_in(order), self._c)
 
     def _laplacian_first(self, first: Sequence[VertexId]) -> tuple:
         """Laplacian with the given vertices first and the rest after them in vertex
@@ -215,32 +267,31 @@ class FiniteForm:
         factored, exceeds DENSE_LIMIT vertices, and dense otherwise."""
         firstset = set(first)
         rest = [v for v in self.vertices if v not in firstset]
-        return self._laplacian_ordered(list(first) + rest, len(rest) > DENSE_LIMIT), rest
+        order = list(first) + rest
+        return _laplacian(self.n, *self._edges_in(order), self._c, len(rest) > DENSE_LIMIT), rest
 
     # -- serialization -----------------------------------------------------------
 
+    def _sorted_edges(self) -> list:
+        return sorted(self.conductances.items(), key=lambda e: (repr(e[0][0]), repr(e[0][1])))
+
     def to_csv(self) -> str:
-        lines = ["x_id,y_id,conductance"]
-        for (x, y) in sorted(self.conductances, key=lambda k: (repr(k[0]), repr(k[1]))):
-            lines.append(f"{x},{y},{self.conductances[(x, y)]:.17g}")
-        return "\n".join(lines) + "\n"
+        rows = [f"{x},{y},{c:.17g}\n" for (x, y), c in self._sorted_edges()]
+        return "x_id,y_id,conductance\n" + "".join(rows)
 
     def to_json_obj(self) -> dict:
-        return {
-            "vertices": [repr(v) if not isinstance(v, (int, str)) else v for v in self.vertices],
-            "edges": [
-                {"x": x if isinstance(x, (int, str)) else repr(x),
-                 "y": y if isinstance(y, (int, str)) else repr(y),
-                 "c": self.conductances[(x, y)]}
-                for (x, y) in sorted(self.conductances, key=lambda k: (repr(k[0]), repr(k[1])))
-            ],
-        }
+        def plain(v):
+            return v if isinstance(v, (int, str)) else repr(v)
+
+        return {"vertices": [plain(v) for v in self.vertices],
+                "edges": [{"x": plain(x), "y": plain(y), "c": c}
+                          for (x, y), c in self._sorted_edges()]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
     def __repr__(self) -> str:
-        return f"FiniteForm({self.n} vertices, {len(self.conductances)} conductances)"
+        return f"FiniteForm({self.n} vertices, {len(self._c)} conductances)"
 
 
 def trace(form: FiniteForm, keep: Iterable[VertexId]) -> FiniteForm:
@@ -258,7 +309,7 @@ def trace(form: FiniteForm, keep: Iterable[VertexId]) -> FiniteForm:
         raise DomainError(f"keep set contains unknown vertices: {missing[:3]}")
     form.require_connected()
     if len(keep) == form.n:
-        return FiniteForm(keep, dict(form.conductances))
+        return FiniteForm.from_arrays(keep, *form._edges_in(keep), form._c)
     L, _ = form._laplacian_first(keep)
     S, fac = _schur(L, len(keep))
     if fac.pivot_ratio is not None and fac.pivot_ratio > PIVOT_RATIO_WARN:
@@ -266,8 +317,8 @@ def trace(form: FiniteForm, keep: Iterable[VertexId]) -> FiniteForm:
                       ConditionWarning, stacklevel=2)
     i, j = np.triu_indices(len(keep), 1)
     c, dust = _pair_conductances(S, i, j)
-    return FiniteForm(keep, {(keep[x], keep[y]): c[k]
-                             for k, (x, y) in enumerate(zip(i, j)) if c[k] > dust})
+    live = c > dust
+    return FiniteForm.from_arrays(keep, i[live], j[live], c[live])
 
 
 def harmonic_extension(form: FiniteForm, boundary: Mapping[VertexId, float]) -> dict[VertexId, float]:
@@ -301,10 +352,7 @@ def effective_resistance(form: FiniteForm, x: VertexId,
     """Effective resistance from a vertex to a vertex or to a grounded set."""
     if x not in form._pos:
         raise DomainError(f"unknown vertex {x!r}")
-    if isinstance(target, (list, set, frozenset)):
-        tset = set(target)
-    else:
-        tset = {target}
+    tset = set(target) if isinstance(target, (list, set, frozenset)) else {target}
     missing = [v for v in tset if v not in form._pos]
     if missing:
         raise DomainError(f"unknown target vertices: {missing[:3]}")
@@ -381,9 +429,7 @@ class ResolventKernel:
     matrix: np.ndarray
 
     def value(self, x: VertexId, y: VertexId) -> float:
-        i = self.vertices.index(x)
-        j = self.vertices.index(y)
-        return float(self.matrix[i, j])
+        return float(self.matrix[self.vertices.index(x), self.vertices.index(y)])
 
     def row_mass_error(self) -> float:
         """Max deviation of sum_y u(x,y) m_y from 1/alpha."""
@@ -432,5 +478,4 @@ def resolvent(form: FiniteForm, masses: Union[Mapping[VertexId, float], Sequence
 
 def triangle_form(c: float = 1.0, ids: Sequence[VertexId] = (0, 1, 2)) -> FiniteForm:
     """Unit (or scaled) conductances on the three pairs of a triangle."""
-    a, b, d = ids
-    return FiniteForm(list(ids), {_pair(a, b): c, _pair(b, d): c, _pair(a, d): c})
+    return FiniteForm.from_arrays(ids, [0, 1, 0], [1, 2, 2], [c, c, c])

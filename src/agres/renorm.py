@@ -44,11 +44,6 @@ def _pair_orbit_ids(perm: Sequence[int]) -> np.ndarray:
     return np.unique(rep, return_inverse=True)[1]
 
 
-def _pair_form(n: int, pairs, cvec: np.ndarray) -> FiniteForm:
-    """Form on vertices 0..n-1 carrying the positive entries of a pair vector."""
-    return FiniteForm(list(range(n)), {p: c for p, c in zip(pairs, cvec.tolist()) if c > 0})
-
-
 def _orbit_average(cvec: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Replace each pair value by the mean over its rotation orbit."""
     return (np.bincount(ids, cvec) / np.bincount(ids))[ids]
@@ -61,7 +56,10 @@ def corner_only_boundary() -> BoundarySet:
 
 @dataclass
 class BoundaryForm:
-    """A resistance form on a boundary set, with a rotation-symmetry certificate."""
+    """A resistance form on a boundary set, with a rotation-symmetry certificate.
+
+    The form lives on the vertices 0..n-1, the indices of the boundary points.
+    """
     bset: BoundarySet
     form: FiniteForm
     symmetric: bool = False
@@ -71,22 +69,18 @@ class BoundaryForm:
         return self.bset.size
 
     def vector(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        return np.array([self.form.conductance(i, j) for i, j in pairs])
-
-    def g_asymmetry(self) -> float:
-        """Max conductance deviation across rotation orbits of vertex pairs."""
-        perm = self.bset.g_permutation
-        worst = 0.0
-        for (i, j), c in self.form.conductances.items():
-            c1 = self.form.conductance(perm[i], perm[j])
-            c2 = self.form.conductance(perm[perm[i]], perm[perm[j]])
-            worst = max(worst, abs(c - c1), abs(c - c2))
-        return worst
+        """Conductances of the given vertex pairs, zero where there is no edge."""
+        dense, f = np.zeros((self.n, self.n)), self.form
+        dense[f._a, f._b] = dense[f._b, f._a] = f._c
+        return dense[tuple(np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)]
 
     def symmetrized(self) -> "BoundaryForm":
-        pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
-        avg = _orbit_average(self.vector(pairs), _pair_orbit_ids(self.bset.g_permutation))
-        return BoundaryForm(self.bset, _pair_form(self.n, pairs, avg), symmetric=True)
+        i, j = np.triu_indices(self.n, 1)
+        avg = _orbit_average(self.vector(np.column_stack([i, j])),
+                             _pair_orbit_ids(self.bset.g_permutation))
+        live = avg > 0
+        return BoundaryForm(self.bset, FiniteForm.from_arrays(range(self.n), i[live], j[live],
+                                                              avg[live]), symmetric=True)
 
     def scaled(self, a: float) -> "BoundaryForm":
         return BoundaryForm(self.bset, self.form.scaled(a), self.symmetric)
@@ -95,15 +89,12 @@ class BoundaryForm:
 def symmetric_start(bset: BoundarySet, rng: Optional[np.random.Generator] = None) -> BoundaryForm:
     """A connected rotation-symmetric initial form: unit (or randomized) complete graph."""
     n = bset.size
-    cond = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            cond[(i, j)] = 1.0
-    bf = BoundaryForm(bset, FiniteForm(list(range(n)), cond), symmetric=True)
+    i, j = np.triu_indices(n, 1)
     if rng is None:
-        return bf
-    noisy = {k: float(rng.uniform(0.2, 5.0)) for k in bf.form.conductances}
-    return BoundaryForm(bset, FiniteForm(list(range(n)), noisy)).symmetrized()
+        return BoundaryForm(bset, FiniteForm.from_arrays(range(n), i, j, np.ones(len(i))),
+                            symmetric=True)
+    noisy = rng.uniform(0.2, 5.0, len(i))
+    return BoundaryForm(bset, FiniteForm.from_arrays(range(n), i, j, noisy)).symmetrized()
 
 
 class GlueContext:
@@ -247,20 +238,21 @@ def glue_level_one(ifs: IFS, D: BoundaryForm, weights) -> FiniteForm:
     """
     ws, include_added = _normalize_weights(weights)
     ctx = _glue_context(ifs, D.bset, include_added)
-    cvec = D.vector(ctx.pairs)
-    gvec = ctx.glued_vector(cvec, ws)
-    return _pair_form(ctx.n_glued, zip(ctx.gpair_a.tolist(), ctx.gpair_b.tolist()), gvec)
+    gvec = ctx.glued_vector(D.vector(ctx.pairs), ws)
+    live = gvec > 0
+    return FiniteForm.from_arrays(range(ctx.n_glued), ctx.gpair_a[live], ctx.gpair_b[live],
+                                  gvec[live])
 
 
 def renorm_map(ifs: IFS, D: BoundaryForm, weights) -> BoundaryForm:
     """One subdivide-glue-trace step applied to a boundary form."""
     ws, include_added = _normalize_weights(weights)
     ctx = _glue_context(ifs, D.bset, include_added)
-    cvec = D.vector(ctx.pairs)
-    out = ctx.apply(cvec, ws)
+    out = ctx.apply(D.vector(ctx.pairs), ws)
     if D.symmetric:
         out = ctx.symmetrize_vector(out)
-    form = _pair_form(ctx.N, ctx.pairs, out)
+    live = out > 0
+    form = FiniteForm.from_arrays(range(ctx.N), ctx.pair_i[live], ctx.pair_j[live], out[live])
     if not form.is_connected():
         raise Disconnected("renormalized form is disconnected")
     return BoundaryForm(D.bset, form, symmetric=D.symmetric)
@@ -334,7 +326,9 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
     if not (0.6 - 1e-9 <= C < 1.0):
         raise DegenerateLimit(f"scale factor {C!r} escapes [3/5, 1)")
 
-    D = BoundaryForm(bset, _pair_form(ctx.N, ctx.pairs, c), symmetric=True)
+    live = c > 0
+    D = BoundaryForm(bset, FiniteForm.from_arrays(range(ctx.N), ctx.pair_i[live], ctx.pair_j[live],
+                                                  c[live]), symmetric=True)
     return EigenResult(float(rtilde4), float(C), D, iters, delta, residual)
 
 
@@ -564,13 +558,9 @@ def enumerate_preserved_relations(ifs: IFS, k: int = 1,
                     seen.add(new)
                     queue.append(new)
 
-    preserved = []
-    for sig in sorted(seen):
-        if _restricted_relation(ifs, bset, sig, 1) != sig:
-            continue
-        ok = all(_restricted_relation(ifs, bset, sig, kk) == sig for kk in range(2, k + 1))
-        if not ok:
-            continue
-        preserved.append(Relation(_sig_blocks(sig), g_invariant=True, preserved=True))
+    preserved = [Relation(_sig_blocks(sig), g_invariant=True, preserved=True)
+                 for sig in sorted(seen)
+                 if all(_restricted_relation(ifs, bset, sig, kk) == sig
+                        for kk in range(1, max(k, 1) + 1))]
     preserved.sort(key=lambda rel: (len(rel.blocks), rel.blocks))
     return preserved

@@ -12,7 +12,7 @@ from agres import approx
 from agres.approx import (EdgeTraceTower, boundary_resistance_check, decimation_identity,
                           envelope_check, level_form, measure_weights, resistance_metric,
                           resolvent_kernel, scaling_exponent, vertex_masses,
-                          _cell_table, _level_geometry)
+                          _celled_energy, _cell_table, _level_geometry)
 from agres.errors import (BadWeights, CapExceeded, IdentificationMismatch, InsufficientScales,
                           UnknownVertex)
 from agres.exact import Lattice, Point
@@ -340,3 +340,30 @@ def test_tower_rejects_a_collapsed_pair(ifs14, sol14, monkeypatch):
     monkeypatch.setattr(approx, "cell_images", collapsed)
     with pytest.raises(IdentificationMismatch):
         tower.refine()
+
+
+def loop_celled_energy(D, weights, vals):
+    """Energy of per-cell traced copies of D, summed one table row at a time."""
+    total = 0.0
+    for w, row in zip(weights.tolist(), vals):
+        kept = np.flatnonzero(~np.isnan(row)).tolist()
+        sub = trace(D.form, kept) if len(kept) < D.n else D.form
+        for (x, y), c in sub.conductances.items():
+            d = row[x] - row[y]
+            total += w * c * d * d
+    return total
+
+
+@pytest.mark.parametrize("lam", ["1/4", "3/16"])
+def test_celled_energy_matches_row_loop(lam):
+    ifs = agres.make_ifs(lam)
+    sol = agres.solve_r(ifs, 0.5)
+    geom = _level_geometry(ifs, 3)
+    rng = np.random.default_rng(5)
+    hnan = np.append(rng.uniform(-1, 1, geom.n_vertices), np.nan)  # id -1 reads NaN
+    gids = geom.table.lookup(cell_images(ifs, 1, cell_images(ifs, 2, sol.D.bset.points)))
+    weights = rng.uniform(0.5, 2.0, gids.shape[1])
+    for i in range(4):
+        vals = hnan[gids[i]]
+        assert _celled_energy(sol.D, weights, vals) == pytest.approx(
+            loop_celled_energy(sol.D, weights, vals), rel=1e-12)

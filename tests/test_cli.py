@@ -195,3 +195,30 @@ class TestCommands:
         err = capsys.readouterr().err
         obj = json.loads(err.strip().splitlines()[-1])
         assert obj["error"]["type"] == "NoConvergence"
+
+    @pytest.mark.parametrize("args", [
+        ["resistance", "--lambda", "1/4", "--s", "0.5", "--level", "2",
+         "--pairs", "(,1):(,2)"],
+        ["converge", "--target", "1/sqrt8", "--s", "0.5", "--n", "4..4", "--level", "2"],
+    ])
+    def test_max_iters_reaches_every_solve(self, tmp_path, capsys, args):
+        code, _ = run_cli(args + ["--max-iters", "1"], tmp_path)
+        assert code == 3
+        obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert obj["error"]["type"] == "NoConvergence"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-iters", "0"), ("--eigen-tol", "-1"), ("--eigen-tol", "nan"),
+        ("--bisect-tol", "-1"), ("--bisect-tol", "inf"), ("--relation-depth", "0"),
+    ])
+    def test_nonpositive_solver_settings_are_validation_errors(self, tmp_path, capsys,
+                                                              monkeypatch, flag, value):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started before validation")
+
+        monkeypatch.setattr("agres.renorm.solve_r", no_solve)
+        code, _ = run_cli(["solve", "--lambda", "1/4", "--s", "0.5", flag, value], tmp_path)
+        assert code == 2
+        obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert obj["error"]["type"] == "ValidationError"
+        assert flag[2:].replace("-", "_") in obj["error"]["message"]

@@ -333,3 +333,119 @@ def test_pivot_ratio_warning_on_dense_trace_only(monkeypatch):
 def test_singular_block_raises_singular_interior(block):
     with pytest.raises(SingularInterior):
         _Factor(block)
+
+
+# -- the array constructor against the dict accumulation it replaced ----------------
+
+
+class DictAccumulatedForm:
+    """FiniteForm's constructor as a dict accumulation loop, kept as the reference."""
+
+    def __init__(self, vertices, conductances):
+        self.vertices = list(vertices)
+        self._pos = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._pos) != len(self.vertices):
+            raise DomainError("duplicate vertex ids")
+        self.conductances = {}
+        for (x, y), c in conductances.items():
+            if x == y:
+                raise DomainError("self-loops are not allowed")
+            if x not in self._pos or y not in self._pos:
+                raise DomainError(f"edge ({x!r},{y!r}) references unknown vertex")
+            c = float(c)
+            if c < 0:
+                raise DomainError(f"negative conductance on ({x!r},{y!r})")
+            if c == 0.0:
+                continue
+            key = network._pair(x, y)
+            self.conductances[key] = self.conductances.get(key, 0.0) + c
+        pos = self._pos
+        self._a = np.array([pos[x] for x, _ in self.conductances], dtype=np.int64)
+        self._b = np.array([pos[y] for _, y in self.conductances], dtype=np.int64)
+        self._c = np.fromiter(self.conductances.values(), float, len(self.conductances))
+
+
+class Contributions:
+    """A list of ((x, y), c) contributions, duplicate keys allowed, read through items()."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def items(self):
+        return self.rows
+
+
+def built(make):
+    """The edges of a constructed form, or the message of the DomainError it raised."""
+    try:
+        form = make()
+    except DomainError as exc:
+        return str(exc)
+    return list(form.conductances.items()), form._a.tolist(), form._b.tolist(), form._c.tolist()
+
+
+ids = st.one_of(st.integers(-3, 12), st.text("abxyz", min_size=1, max_size=2))
+
+
+@st.composite
+def contribution_lists(draw):
+    """Vertex ids (int, str or mixed) and contributions on them: duplicate pairs in
+    both orientations and zeros always, and in some examples a repeated vertex id,
+    a self-loop, an unknown id or a negative contribution."""
+    def sometimes():
+        return draw(st.sampled_from([False, False, False, False, True]))
+
+    verts = draw(st.lists(ids, min_size=2, max_size=6, unique=True))
+    if sometimes():
+        verts.append(draw(st.sampled_from(verts)))
+    pool = verts + [draw(ids.filter(lambda v: v not in verts))] if sometimes() else verts
+    loops, negatives = sometimes(), sometimes()
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        x = draw(st.sampled_from(pool))
+        y = draw(st.sampled_from(pool if loops else [v for v in pool if v != x]))
+        c = draw(st.one_of(st.floats(0.1, 10.0), st.sampled_from([0.0, -0.0, 2.0]),
+                           st.just(-1.5) if negatives else st.just(1.0)))
+        rows.append(((x, y), c))
+    return verts, rows
+
+
+@given(contribution_lists())
+@settings(max_examples=300, deadline=None)
+def test_mapping_constructor_matches_dict_accumulation(case):
+    verts, rows = case
+    mapping = dict(rows)
+    assert built(lambda: FiniteForm(verts, mapping)) == \
+        built(lambda: DictAccumulatedForm(verts, mapping))
+
+
+@given(contribution_lists())
+@settings(max_examples=300, deadline=None)
+def test_from_arrays_matches_dict_accumulation(case):
+    verts, rows = case
+    pos = {v: i for i, v in enumerate(verts)}
+    rows = [((x, y), w) for (x, y), w in rows if x in pos and y in pos]
+    a = [pos[x] for (x, _), _ in rows]
+    b = [pos[y] for (_, y), _ in rows]
+    c = [w for _, w in rows]
+    assert built(lambda: FiniteForm.from_arrays(verts, a, b, c)) == \
+        built(lambda: DictAccumulatedForm(verts, Contributions(rows)))
+
+
+def test_from_arrays_rejects_positions_out_of_range():
+    with pytest.raises(DomainError, match="unknown vertex"):
+        FiniteForm.from_arrays(["a", "b"], [0, 1], [1, 2], [1.0, 1.0])
+    with pytest.raises(DomainError, match="unknown vertex"):
+        FiniteForm.from_arrays(["a", "b"], [-1], [1], [1.0])
+
+
+def test_string_id_serialization_is_unchanged():
+    form = FiniteForm(["o", "b", "a", "c", "d"],
+                      {("o", "a"): 1.0, ("b", "o"): 2.5, ("a", "b"): 0.5, ("c", "o"): 1 / 3,
+                       ("o", "b"): 0.25, ("d", "c"): 0.0})
+    assert form.to_csv() == ("x_id,y_id,conductance\na,b,0.5\na,o,1\nb,o,2.75\n"
+                             "c,o,0.33333333333333331\n")
+    assert form.to_json() == (
+        '{"edges": [{"c": 0.5, "x": "a", "y": "b"}, {"c": 1.0, "x": "a", "y": "o"}, '
+        '{"c": 2.75, "x": "b", "y": "o"}, {"c": 0.3333333333333333, "x": "c", "y": "o"}], '
+        '"vertices": ["o", "b", "a", "c", "d"]}')
