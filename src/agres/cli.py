@@ -10,6 +10,7 @@ failure; errors are also emitted as JSON on standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -383,9 +384,12 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Flags carry no defaults: only flags given explicitly appear in the namespace,
-    so they override the config file, which overrides the RunConfig defaults."""
+    so they override the config file, which overrides the RunConfig defaults.
+
+    Built once per process: every ``parse_args`` call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="agres",
         description="Self-similar resistance forms on gaskets with an added rotated triangle")
@@ -403,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pairs", help="'(w,i):(w,i);...' addressed vertex pairs")
         p.add_argument("--measure", choices=("hausdorff", "uniform"))
         p.add_argument("--eigen-tol", dest="eigen_tol", type=float)
-        p.add_argument("--bisect-tol", dest="bisect_tol", type=float)
+        p.add_argument("--bisect-tol", dest="bisect_tol", type=float,
+                       help="weight solve stops once |x*C(x) - s| <= this")
         p.add_argument("--max-iters", dest="max_iters", type=int)
         p.add_argument("--relation-depth", dest="relation_depth", type=int)
         p.add_argument("--guard", type=int)

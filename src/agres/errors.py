@@ -91,7 +91,7 @@ class DegenerateLimit(NumericalError):
 
 
 class BracketFailure(NumericalError):
-    """Bisection could not bracket the requested value."""
+    """The weight solve could not bracket the requested value."""
 
 
 class ConditionWarning(UserWarning):

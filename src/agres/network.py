@@ -13,6 +13,7 @@ respect to a probability measure on the vertices.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -174,14 +175,17 @@ class FiniteForm:
         occurrence, as a dict accumulation would do it.
         """
         form = cls.__new__(cls)
-        form._assemble(list(vertices), a, b, c)
+        form._assemble(vertices, a, b, c)
         return form
 
-    def _assemble(self, vertices: list, a, b, c, names: Optional[list] = None) -> None:
-        self.vertices, n = vertices, len(vertices)
-        self._pos = {v: i for i, v in enumerate(vertices)}
-        if len(self._pos) != n:
-            raise DomainError("duplicate vertex ids")
+    def _assemble(self, vertices: Sequence[VertexId], a, b, c, names: Optional[list] = None):
+        ranged = isinstance(vertices, range)  # distinct, increasing ids: nothing to check
+        self.vertices, n = list(vertices), len(vertices)
+        vertices = self.vertices
+        if not ranged:
+            self._pos = {v: i for i, v in enumerate(vertices)}
+            if len(self._pos) != n:
+                raise DomainError("duplicate vertex ids")
         a, b, c = np.asarray(a, np.int64), np.asarray(b, np.int64), np.asarray(c, float)
         loop, unknown = a == b, (np.minimum(a, b) < 0) | (np.maximum(a, b) >= n)
         bad = np.flatnonzero(loop | unknown | (c < 0))
@@ -196,7 +200,7 @@ class FiniteForm:
         first, ids = numbered(lo * n + hi)
         lo, hi = lo[first], hi[first]
         try:  # ids increasing under < are ordered by position, as _pair orders them
-            ascending = all(x < y for x, y in zip(vertices, vertices[1:]))
+            ascending = ranged or all(x < y for x, y in zip(vertices, vertices[1:]))
         except TypeError:
             ascending = False
         if not ascending:
@@ -206,6 +210,11 @@ class FiniteForm:
         self._a, self._b, self._c = lo, hi, np.bincount(ids, c[live], len(first))
         self._view: Optional[Mapping[tuple[VertexId, VertexId], float]] = None
         self._connected: Optional[bool] = None
+
+    @functools.cached_property
+    def _pos(self) -> dict[VertexId, int]:
+        """Position of every vertex id, built on first use."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @property
     def conductances(self) -> Mapping[tuple[VertexId, VertexId], float]:

@@ -5,14 +5,14 @@ boundary form along the cell contact points (one copy per map, copy i
 scaled by 1/r_i) and reduces back to the boundary set by a Schur trace.
 A self-similar form corresponds to a fixed point; at unit corner weights
 the operator has a one-dimensional fixed ray whose scale factor C depends
-monotonically on the added-cell weight, which is what the bisection in
-``solve_r`` exploits.
+monotonically on the added-cell weight, which is what the Brent root
+finder in ``solve_r`` exploits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -332,13 +332,26 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
     return EigenResult(float(rtilde4), float(C), D, iters, delta, residual)
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """One evaluation of the weight solve's g(x) = x * C(x) - s, by ``eigen_solve`` at x."""
+    x: float
+    g: float
+    C: float
+    power_iterations: int
+    delta: float
+    residual: float
+
+
 @dataclass
 class Solution:
     """Solved renormalization data for one (lambda, s) pair.
 
     ``eigen_iterations`` counts the ``eigen_solve`` calls of the weight
     solve (one per root-finder evaluation), not the power iterations inside
-    them; each ``EigenResult.iterations`` holds those.
+    them; ``power_iterations`` is their total.  ``history`` holds one
+    record per evaluation, in call order, and ``bracket`` the final
+    sign-change interval of g; neither is serialized.
     """
     lam: Fraction
     s: float
@@ -350,6 +363,9 @@ class Solution:
     D: BoundaryForm
     experimental: bool = False
     eigen_iterations: int = 0
+    power_iterations: int = 0
+    history: list[Evaluation] = field(default_factory=list)
+    bracket: tuple[float, float] = (math.nan, math.nan)
 
     def to_json_obj(self) -> dict:
         return {
@@ -369,69 +385,94 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
             bisect_tol: float = BISECT_TOL, max_iters: int = EIGEN_MAX_ITERS) -> Solution:
     """Solve for the corner weight making a self-similar fixed point exist.
 
-    Bisects the nondecreasing map x -> x * C(x) to hit the added-cell
-    weight s; the bracket [s, s/0.58] contains the root because 3/5 <= C < 1
-    (0.58 leaves room below 3/5), and is widened if it does not.  The
-    returned r equals C at the solving abscissa, the fixed form D is
-    normalized to corner resistance 2/3, and the residual measures how far
-    D is from being fixed under weights (r, r, r, s).
+    Finds the root of g(x) = x * C(x) - s, which is nondecreasing in x, with
+    Brent's method (inverse quadratic interpolation or secant, safeguarded
+    by bisection; Brent 1973, ch. 4) until |g| <= ``bisect_tol``.  The
+    bracket [s, s/0.58] contains the root because 3/5 <= C < 1 (0.58 leaves
+    room below 3/5), and is widened if it does not.  The returned r equals
+    C at the solving abscissa, the fixed form D is normalized to corner
+    resistance 2/3, and the residual measures how far D is from being fixed
+    under weights (r, r, r, s).
     """
     s = float(s)
     if not (0.0 < s < 1.0):
         raise DomainError(f"s must lie in (0, 1), got {s}")
     bset = boundary_set(ifs)
     warm: Optional[BoundaryForm] = None
-    evals = 0
+    history: list[Evaluation] = []
 
-    def value(x: float) -> tuple[float, EigenResult]:
-        nonlocal warm, evals
+    def value(x: float) -> tuple[float, float, EigenResult]:
+        nonlocal warm
         res = eigen_solve(ifs, x, tol=eigen_tol, max_iters=max_iters, initial=warm, bset=bset)
         warm = res.D
-        evals += 1
-        return x * res.C - s, res
+        g = x * res.C - s
+        history.append(Evaluation(x, g, res.C, res.iterations, res.delta, res.residual))
+        return x, g, res
 
-    lo, hi = s, s / 0.58
-    glo, _ = value(lo)
+    lo = value(s)
     for _ in range(BRACKET_EXPANSIONS):
-        if glo <= 0:
+        if lo[1] <= 0:
             break
-        lo *= 0.5
-        glo, _ = value(lo)
+        lo = value(0.5 * lo[0])
     else:
         raise BracketFailure("could not bracket from below")
-    ghi, res_hi = value(hi)
+    hi = value(s / 0.58)
     for _ in range(BRACKET_EXPANSIONS):
-        if ghi >= 0:
+        if hi[1] >= 0:
             break
-        hi *= 2.0
-        ghi, res_hi = value(hi)
+        hi = value(2.0 * hi[0])
     else:
         raise BracketFailure("could not bracket from above")
 
-    mid, res_mid = hi, res_hi
+    # Brent's zero finder on (x, g, result) triples: b is the best point, c the far
+    # end of the bracket, a the previous b; d is the last step and e the one before
+    a, b, c = lo, hi, lo
+    d = e = hi[0] - lo[0]
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gmid, res_mid = value(mid)
-        if abs(gmid) <= bisect_tol:
+        if b[1] * c[1] > 0:
+            c = a
+            d = e = b[0] - a[0]
+        if abs(c[1]) < abs(b[1]):
+            a, b, c = b, c, b
+        if abs(b[1]) <= bisect_tol:
             break
-        if gmid < 0:
-            lo = mid
+        tol = 2.0 * np.finfo(float).eps * abs(b[0])
+        m = 0.5 * (c[0] - b[0])
+        if abs(m) <= tol:
+            raise NoConvergence(f"bracket collapsed at |g| = {abs(b[1]):.3e}")
+        if abs(e) >= tol and abs(a[1]) > abs(b[1]):
+            t = b[1] / a[1]
+            if a is c:  # secant
+                p, q = 2.0 * m * t, 1.0 - t
+            else:  # inverse quadratic interpolation
+                qa, rb = a[1] / c[1], b[1] / c[1]
+                p = t * (2.0 * m * qa * (qa - rb) - (b[0] - a[0]) * (rb - 1.0))
+                q = (qa - 1.0) * (rb - 1.0) * (t - 1.0)
+            p, q = (p, -q) if p > 0 else (-p, q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi = mid
+            d = e = m
+        a = b
+        b = value(b[0] + (d if abs(d) > tol else math.copysign(tol, m)))
     else:
-        raise NoConvergence("bisection did not reach tolerance")
+        raise NoConvergence("root finder did not reach tolerance")
 
-    r = res_mid.C
-    D = res_mid.D
+    rtilde4, _, res = b
+    r, D = res.C, res.D
     ctx = _glue_context(ifs, bset, include_added=True)
     cvec = D.vector(ctx.pairs)
     raw = ctx.apply(cvec, (r, r, r, s))
     floor = 1e-15 * max(1.0, float(cvec.max()))
     residual = float(np.max(np.abs(raw - cvec) / np.maximum(np.abs(cvec), floor)))
     theta = -math.log(r) / math.log(2.0)
-    return Solution(ifs.lam, s, r, res_mid.C, mid, theta, residual, D,
+    return Solution(ifs.lam, s, r, res.C, rtilde4, theta, residual, D,
                     experimental=not ifs.is_dyadic(),
-                    eigen_iterations=evals)
+                    eigen_iterations=len(history),
+                    power_iterations=sum(h.power_iterations for h in history),
+                    history=history, bracket=(min(b[0], c[0]), max(b[0], c[0])))
 
 
 def uniqueness_scan(ifs: IFS, s: float, sol: Solution, r_values: Sequence[float],

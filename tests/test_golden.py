@@ -4,8 +4,10 @@ The files under ``tests/golden/<case>/`` are the behaviour contract for
 refactors of the numerical core.  Exact artifacts (boundary sets, graphs,
 relations, coordinates and ids everywhere) must be byte-equal; float
 fields must agree to the acceptance suite's relative tolerance of 1e-8;
-error estimates are held to their bounds instead.  The manifest is
-compared without its ``out`` entry.
+error estimates are held to their bounds instead.  A successive difference
+of a report column (``diff_*`` cells, ``diffs`` entries) may move as much as
+its two inputs together, and must equal the difference of the observed
+inputs exactly.  The manifest is compared without its ``out`` entry.
 
 Re-record from the current tree (trusted commits only) with
 ``PYTHONPATH=src python tests/test_golden.py --record``.
@@ -59,6 +61,48 @@ def _close(expected: float, observed: float) -> bool:
     return math.isclose(expected, observed, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
+def diff_mismatches(expected: float, observed: float, i: int,
+                    exp_col: list[float], obs_col: list[float]) -> list[str]:
+    """Check the difference |col[i+1] - col[i]|.
+
+    Each input may move by REL_TOL, so the difference is held to
+    REL_TOL * (|a| + |b|) of the recorded inputs a, b; and it must be
+    exactly the difference of the observed inputs.
+    """
+    a, b = exp_col[i], exp_col[i + 1]
+    out = []
+    if not math.isclose(expected, observed, rel_tol=REL_TOL,
+                        abs_tol=REL_TOL * (abs(a) + abs(b))):
+        out.append(f"{observed!r} != {expected!r}")
+    if observed != abs(obs_col[i + 1] - obs_col[i]):
+        out.append(f"{observed!r} is not the difference of its observed inputs")
+    return out
+
+
+def _json_column(rows: list[dict], name: str) -> list[float]:
+    """Report column ``r``, ``R_k`` or ``u_k`` out of the JSON rows."""
+    key, _, k = name.partition("_")
+    return [row[key][int(k)] if k else row[key] for row in rows]
+
+
+def json_diffs_mismatches(expected: dict, observed: dict, path: str) -> list[str]:
+    """The ``diffs`` entry of a report, checked against the report's ``rows``."""
+    exp, obs = expected["diffs"], observed["diffs"]
+    if not isinstance(obs, dict) or set(exp) != set(obs):
+        return [f"{path}: keys differ"]
+    out = []
+    for name in sorted(exp):
+        e_col = _json_column(expected["rows"], name)
+        o_col = _json_column(observed["rows"], name)
+        if len(exp[name]) != len(obs[name]) or len(e_col) != len(o_col):
+            out.append(f"{path}.{name}: lengths differ")
+            continue
+        for i, (e, o) in enumerate(zip(exp[name], obs[name])):
+            out.extend(f"{path}.{name}[{i}]: {msg}"
+                       for msg in diff_mismatches(e, o, i, e_col, o_col))
+    return out
+
+
 def json_mismatches(expected, observed, path="") -> list[str]:
     where = path or "<root>"
     if isinstance(expected, dict):
@@ -67,6 +111,9 @@ def json_mismatches(expected, observed, path="") -> list[str]:
         out = []
         for key in sorted(expected):
             sub = f"{path}.{key}" if path else key
+            if key == "diffs" and "rows" in expected:
+                out.extend(json_diffs_mismatches(expected, observed, sub))
+                continue
             if key in BOUNDS:
                 if not abs(observed[key]) <= BOUNDS[key]:
                     out.append(f"{sub}: {observed[key]!r} exceeds {BOUNDS[key]}")
@@ -94,12 +141,21 @@ def csv_mismatches(expected: str, observed: str) -> list[str]:
     if len(exp_rows) != len(obs_rows) or exp_rows[:1] != obs_rows[:1]:
         return ["header or row count differs"]
     header = exp_rows[0]
+    if any(len(row) != len(header) for row in exp_rows + obs_rows):
+        return ["cell count differs"]
+
+    def column(rows, name):
+        k = header.index(name)
+        return [float(row[k]) for row in rows[1:]]
+
     out = []
     for lineno, (e_row, o_row) in enumerate(zip(exp_rows[1:], obs_rows[1:]), start=2):
-        if len(e_row) != len(o_row):
-            out.append(f"line {lineno}: cell count differs")
-            continue
         for name, e, o in zip(header, e_row, o_row):
+            if name.startswith("diff_") and e and o:
+                src = name[len("diff_"):]
+                out.extend(f"line {lineno}, {name}: {msg}" for msg in diff_mismatches(
+                    float(e), float(o), lineno - 3, column(exp_rows, src), column(obs_rows, src)))
+                continue
             same = (_close(float(e), float(o)) if _float_column(name) and e and o else e == o)
             if not same:
                 out.append(f"line {lineno}, {name}: {o!r} != {e!r}")
@@ -148,6 +204,24 @@ def test_checker_catches_changes():
     assert json_mismatches({"residual": 1e-12}, {"residual": 1e-6})
     assert artifact_mismatches("manifest.json", '{"config": {"out": "a", "threads": 1}}',
                                '{"config": {"out": "b"}}') == []
+
+
+def test_checker_holds_diffs_to_their_inputs():
+    a, b = 0.66666666666492114, 0.66666666665593854
+    b_moved = b + 4e-9  # within rel 1e-8 of b
+    template = "n,R_0,diff_R_0\n4,{a!r},\n5,{b!r},{d!r}\n"
+    recorded = template.format(a=a, b=b, d=abs(b - a))
+    assert csv_mismatches(recorded, template.format(a=a, b=b_moved, d=abs(b_moved - a))) == []
+    # a diff that its own columns do not give, however close to the recording
+    assert csv_mismatches(recorded, template.format(a=a, b=b, d=abs(b - a) * (1 + 1e-15)))
+    assert csv_mismatches(recorded, template.format(a=a, b=b + 1e-7, d=abs(b + 1e-7 - a)))
+
+    def report(b, d):
+        return {"rows": [{"r": 0.5, "R": [a]}, {"r": 0.5, "R": [b]}],
+                "diffs": {"r": [0.0], "R_0": [d]}}
+    assert json_mismatches(report(b, abs(b - a)), report(b_moved, abs(b_moved - a))) == []
+    assert json_mismatches(report(b, abs(b - a)), report(b, 0.0))
+    assert json_mismatches(report(b, abs(b - a)), report(b + 1e-7, abs(b + 1e-7 - a)))
 
 
 def record() -> None:

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 import agres
-from agres.errors import Disconnected, DomainError, GuardExceeded
+from agres import renorm
+from agres.errors import (BracketFailure, Disconnected, DomainError, GuardExceeded,
+                          NoConvergence)
 from agres.geometry import boundary_set
 from agres.network import FiniteForm, effective_resistance, trace, triangle_form
-from agres.renorm import (BoundaryForm, corner_only_boundary, eigen_solve,
+from agres.renorm import (BRACKET_EXPANSIONS, BoundaryForm, EigenResult,
+                          corner_only_boundary, eigen_solve,
                           enumerate_preserved_relations, glue_level_one, renorm_map,
                           solve_r, symmetric_start, uniqueness_scan, _glue_context)
 
@@ -295,3 +298,129 @@ def test_solve_extreme_added_weights(ifs14):
         sol = solve_r(ifs14, s)
         assert 0.6 <= sol.r < 1.0
         assert sol.residual <= 1e-8
+
+
+# -- the weight solve against a reference bisection ----------------------------------
+
+
+def bisection_solve(ifs, s, eigen_tol=1e-12, bisect_tol=1e-10,
+                    max_iters=renorm.EIGEN_MAX_ITERS):
+    """The bisection ``solve_r`` ran before the Brent root finder: (rtilde4, r)."""
+    bset = boundary_set(ifs)
+    warm = None
+
+    def value(x):
+        nonlocal warm
+        res = eigen_solve(ifs, x, tol=eigen_tol, max_iters=max_iters, initial=warm, bset=bset)
+        warm = res.D
+        return x * res.C - s, res
+
+    lo, hi = s, s / 0.58
+    glo, _ = value(lo)
+    for _ in range(BRACKET_EXPANSIONS):
+        if glo <= 0:
+            break
+        lo *= 0.5
+        glo, _ = value(lo)
+    else:
+        raise BracketFailure("could not bracket from below")
+    ghi, res_hi = value(hi)
+    for _ in range(BRACKET_EXPANSIONS):
+        if ghi >= 0:
+            break
+        hi *= 2.0
+        ghi, res_hi = value(hi)
+    else:
+        raise BracketFailure("could not bracket from above")
+
+    mid, res_mid = hi, res_hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        gmid, res_mid = value(mid)
+        if abs(gmid) <= bisect_tol:
+            break
+        if gmid < 0:
+            lo = mid
+        else:
+            hi = mid
+    else:
+        raise NoConvergence("bisection did not reach tolerance")
+    return mid, res_mid.C
+
+
+GRID_CASES = [(lam, s) for lam in ("1/4", "1/8", "3/8", "5/16", "3/16") for s in (0.2, 0.5, 0.8)]
+# boundary sets of 6 to 27 points
+SOLVE_LAMBDAS = ("1/4", "1/7", "11/32", "45/128", "91/256", "181/512")
+
+
+@pytest.mark.parametrize("lam,s", GRID_CASES + [(lam, 0.5) for lam in SOLVE_LAMBDAS[1:]])
+def test_brent_matches_bisection(lam, s):
+    ifs = agres.make_ifs(lam)
+    sol = solve_r(ifs, s)
+    rtilde4, r = bisection_solve(ifs, s)
+    assert sol.rtilde4 == pytest.approx(rtilde4, rel=1e-9)
+    assert sol.r == pytest.approx(r, rel=1e-9)
+    assert abs(sol.rtilde4 * sol.C - s) <= 1e-10
+    assert sol.residual <= 1e-8
+    if s == 0.5:
+        # bisection takes about 30 evaluations from this bracket
+        assert sol.eigen_iterations <= 12
+
+
+def test_solve_history(ifs14):
+    sol = solve_r(ifs14, 0.5)
+    hist = sol.history
+    assert len(hist) == sol.eigen_iterations
+    assert sol.power_iterations == sum(h.power_iterations for h in hist)
+    assert all(h.power_iterations >= 1 and h.delta < 1e-12 for h in hist)
+    assert all(h.g == pytest.approx(h.x * h.C - 0.5, abs=1e-15) for h in hist)
+    # the first two evaluations are the ends of the initial bracket
+    assert [h.x for h in hist[:2]] == [0.5, 0.5 / 0.58]
+    assert (hist[-1].x, hist[-1].C) == (sol.rtilde4, sol.C)
+    assert abs(hist[-1].g) <= 1e-10
+    lo, hi = sol.bracket
+    assert lo <= sol.rtilde4 <= hi
+    assert "history" not in sol.to_json_obj()
+
+
+@pytest.fixture
+def synthetic_c(monkeypatch, ifs14):
+    """Patch ``eigen_solve`` to a given C(x); the form it returns is a real fixed form."""
+    D = eigen_solve(ifs14, 1.0).D
+
+    def install(C):
+        def fake(ifs, x, tol=None, max_iters=None, initial=None, bset=None):
+            return EigenResult(x, C(x), D, 3, 0.0, 0.0)
+        monkeypatch.setattr(renorm, "eigen_solve", fake)
+    return install
+
+
+def test_bracket_widens_downward(synthetic_c, ifs14):
+    synthetic_c(lambda x: 3.0 + x / (1.0 + x))  # root near 0.1, below s
+    sol = solve_r(ifs14, 0.4)
+    xs = [h.x for h in sol.history]
+    assert xs[:3] == [0.4, 0.2, 0.1]
+    assert abs(sol.rtilde4 * sol.C - 0.4) <= 1e-10
+    assert sol.power_iterations == 3 * sol.eigen_iterations
+
+
+def test_bracket_widens_upward(synthetic_c, ifs14):
+    synthetic_c(lambda x: 0.01 + 0.01 * x / (1.0 + x))  # root near 20
+    sol = solve_r(ifs14, 0.3)
+    xs = [h.x for h in sol.history]
+    assert xs[:3] == [0.3, 0.3 / 0.58, 0.6 / 0.58]
+    assert abs(sol.rtilde4 * sol.C - 0.3) <= 1e-10
+    assert sol.bracket[0] <= sol.rtilde4 <= sol.bracket[1]
+
+
+@pytest.mark.parametrize("C,message", [(lambda x: 1e30, "below"), (lambda x: 0.0, "above")])
+def test_bracket_failure(synthetic_c, ifs14, C, message):
+    synthetic_c(C)
+    with pytest.raises(BracketFailure, match=message):
+        solve_r(ifs14, 0.5)
+
+
+def test_no_convergence_when_g_jumps_over_zero(synthetic_c, ifs14):
+    synthetic_c(lambda x: 0.6 if x < 0.7 else 0.8)  # g jumps from -0.08 to +0.06 at 0.7
+    with pytest.raises(NoConvergence):
+        solve_r(ifs14, 0.5)
