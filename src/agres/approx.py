@@ -23,7 +23,7 @@ from .exact import Lattice, Point
 from .geometry import IFS, LevelGeometry, VertexTable, Word, _level_geometry, cell_images
 from .network import (FiniteForm, _dipole_resistances, effective_resistance,
                       harmonic_extension, resolvent, trace)
-from .renorm import BoundaryForm, Solution
+from .renorm import BoundaryForm, Solution, bracketed_root
 
 LEVEL_CAP = 8
 TOWER_CAP = 12
@@ -104,9 +104,10 @@ def measure_weights(ifs: IFS, scheme: Literal["hausdorff", "uniform", "custom"] 
                     custom: Optional[Sequence[float]] = None) -> MeasureSpec:
     """Cell measure weights: dimension-matched, uniform, or caller supplied.
 
-    The dimension-matched scheme solves 3*(1/2)^d + rho^d = 1 by bisection
-    (rho is the added map's contraction ratio) and assigns each cell the
-    d-th power of its ratio, which is the natural normalized volume.
+    The dimension-matched scheme solves 3*(1/2)^d + rho^d = 1 with the weight
+    solve's root finder, ``renorm.bracketed_root`` (rho is the added map's
+    contraction ratio), and assigns each cell the d-th power of its ratio,
+    which is the natural normalized volume.
     """
     if scheme == "uniform":
         return MeasureSpec("uniform", (0.25, 0.25, 0.25, 0.25))
@@ -124,25 +125,12 @@ def measure_weights(ifs: IFS, scheme: Literal["hausdorff", "uniform", "custom"] 
         raise BadWeights(f"unknown measure scheme {scheme!r}")
     rho = ifs.added_ratio
 
-    def g(d: float) -> float:
-        return 3.0 * 0.5 ** d + rho ** d - 1.0
+    def value(d: float) -> tuple[float, float, None]:
+        return d, 1.0 - 3.0 * 0.5 ** d - rho ** d, None
 
-    lo, hi = 1.0, 4.0
-    while g(lo) < 0:
-        lo *= 0.5
-    while g(hi) > 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    d = 0.5 * (lo + hi)
-    if abs(g(d)) > 1e-12:
-        raise BadWeights(f"dimension equation residual {g(d):.3e}")
+    (d, g, _), _ = bracketed_root(value, 1.0, 4.0, 1e-14)
+    if abs(g) > 1e-12:
+        raise BadWeights(f"dimension equation residual {g:.3e}")
     w = (0.5 ** d, 0.5 ** d, 0.5 ** d, rho ** d)
     total = sum(w)
     return MeasureSpec("hausdorff", tuple(x / total for x in w), dimension=d)

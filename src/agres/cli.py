@@ -451,15 +451,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         _write_json(outdir, "manifest.json", {"tool": "agres", "config": cfg.manifest()})
         _DISPATCH[cfg.command](cfg, outdir)
-    except ValidationError as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return 3
     except AgresError as exc:
         print(_error_json(exc), file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
     return 0
 
 

@@ -193,30 +193,19 @@ class ConvergenceReport:
         return out
 
     def to_csv(self) -> str:
-        names = list(self.quantity_columns())
-        header = ["n", "lambda_num", "lambda_den", "r"]
-        header += [f"R_{k}" for k in range(len(self.pairs))]
-        if self.alpha is not None:
-            header += [f"u_{k}" for k in range(len(self.pairs))]
-        header += [f"diff_{nm}" for nm in names]
-        header += [f"verdict_{nm}" for nm in names]
         if not self.verdicts:
             self.compute_verdicts()
-        diffs = self.diffs()
+        cols, diffs = self.quantity_columns(), self.diffs()
+        header = ["n", "lambda_num", "lambda_den", *cols]
+        header += [f"diff_{nm}" for nm in cols] + [f"verdict_{nm}" for nm in cols]
+        verdicts = ["1" if v["final_gap_ok"] and v["trend_nonincreasing"] is not False else "0"
+                    for v in (self.verdicts[nm] for nm in cols)]
         lines = [",".join(header)]
         for i, row in enumerate(self.rows):
-            cells = [str(row.n), str(row.lam.numerator), str(row.lam.denominator),
-                     f"{row.r:.17g}"]
-            cells += [f"{v:.17g}" for v in row.resistances]
-            if self.alpha is not None:
-                cells += [f"{v:.17g}" for v in row.resolvents]
-            for nm in names:
-                cells.append("" if i == 0 else f"{diffs[nm][i - 1]:.17g}")
-            for nm in names:
-                v = self.verdicts[nm]
-                ok = bool(v["final_gap_ok"]) and (v["trend_nonincreasing"] is not False)
-                cells.append("1" if ok else "0")
-            lines.append(",".join(cells))
+            cells = [str(row.n), str(row.lam.numerator), str(row.lam.denominator)]
+            cells += [f"{col[i]:.17g}" for col in cols.values()]
+            cells += ["" if i == 0 else f"{diffs[nm][i - 1]:.17g}" for nm in cols]
+            lines.append(",".join(cells + verdicts))
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:

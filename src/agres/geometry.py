@@ -71,6 +71,13 @@ class IFS:
         self._boundary_fast = None
         self._caches: dict = {}
 
+    def cached(self, key, build):
+        """The cached value for ``key``, made by ``build()`` on first use."""
+        value = self._caches.get(key)
+        if value is None:
+            value = self._caches[key] = build()
+        return value
+
     @property
     def added_ratio_sq(self) -> Fraction:
         """|a|^2 = a0^2 + a0 a1 + a1^2 for the added map's a = a0 + a1*omega."""
@@ -222,9 +229,6 @@ class BoundarySet:
     def size(self) -> int:
         return len(self.points)
 
-    def index_of(self, p: Point) -> int:
-        return self._index[p]
-
     def __post_init__(self):
         self._index = {p: i for i, p in enumerate(self.points)}
 
@@ -237,24 +241,8 @@ class BoundarySet:
                 img = Label("corner", corner=lab.corner % 3 + 1)
             else:
                 img = Label("edge", edge=(lab.edge + 1) % 3, t=lab.t)
-            perm.append(self._label_index(img))
+            perm.append(self.labels.index(img))
         return tuple(perm)
-
-    def _label_index(self, lab: Label) -> int:
-        return self.labels.index(lab)
-
-    def orbits(self) -> list[tuple[int, ...]]:
-        """Vertex orbits under the rotation group, each of size 3."""
-        perm = self.g_permutation
-        seen = set()
-        out = []
-        for i in range(len(self.points)):
-            if i in seen:
-                continue
-            orb = (i, perm[i], perm[perm[i]])
-            seen.update(orb)
-            out.append(orb)
-        return out
 
     def parameter_set(self) -> list[Fraction]:
         return sorted({lab.t for lab in self.labels if lab.kind == "edge"})
@@ -512,12 +500,7 @@ class LevelGeometry:
 
 
 def _level_geometry(ifs: IFS, m: int) -> LevelGeometry:
-    key = ("levelgeom", m)
-    geom = ifs._caches.get(key)
-    if geom is None:
-        geom = LevelGeometry(ifs, m)
-        ifs._caches[key] = geom
-    return geom
+    return ifs.cached(("levelgeom", m), lambda: LevelGeometry(ifs, m))
 
 
 @dataclass
@@ -601,15 +584,12 @@ def approximation_graph(ifs: IFS, m: int, method: Literal["fast", "direct"] = "f
 # -- Hausdorff distance between attractors ---------------------------------------
 
 def _corner_cloud(ifs: IFS, depth: int) -> np.ndarray:
-    """All depth-k cell corner images as a float array (within 2^-k of the attractor)."""
-    pts = np.array([c.float_xy() for c in CORNERS])
-    mats = []
-    for a0, a1, b0, b1 in ifs.omega.maps:
-        ar, ai = Point(a0, a1).float_xy()  # multiplying by a rotates and scales by |a|
-        mats.append((np.array([[ar, -ai], [ai, ar]]), np.array(Point(b0, b1).float_xy())))
-    for _ in range(depth):
-        pts = np.concatenate([pts @ A.T + b for A, b in mats], axis=0)
-    return pts
+    """The distinct depth-k cell corner images as Cartesian floats (within 2^-k of
+    the attractor).  Numerators are divided by the denominator as exact integers
+    first, so a denominator beyond float range still gives finite coordinates."""
+    table = VertexTable(cell_images(ifs, depth, CORNERS))
+    u, v = (np.asarray(table.num[:, k] / table.den, dtype=float) for k in (0, 1))
+    return np.column_stack([u + v / 2, v / 2 * math.sqrt(3.0)])
 
 
 def hausdorff_distance(ifs1: IFS, ifs2: IFS, depth: int = 8,

@@ -437,9 +437,6 @@ class ResolventKernel:
     masses: np.ndarray
     matrix: np.ndarray
 
-    def value(self, x: VertexId, y: VertexId) -> float:
-        return float(self.matrix[self.vertices.index(x), self.vertices.index(y)])
-
     def row_mass_error(self) -> float:
         """Max deviation of sum_y u(x,y) m_y from 1/alpha."""
         rows = self.matrix @ self.masses
@@ -447,14 +444,6 @@ class ResolventKernel:
 
     def symmetry_error(self) -> float:
         return float(np.abs(self.matrix - self.matrix.T).max())
-
-    def to_csv(self, labels: Sequence[str] | None = None) -> str:
-        labels = labels if labels is not None else [str(v) for v in self.vertices]
-        lines = ["x,y," + "u"]
-        for i, lx in enumerate(labels):
-            for j, ly in enumerate(labels):
-                lines.append(f"{lx},{ly},{self.matrix[i, j]:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def resolvent(form: FiniteForm, masses: Union[Mapping[VertexId, float], Sequence[float]],
@@ -472,12 +461,7 @@ def resolvent(form: FiniteForm, masses: Union[Mapping[VertexId, float], Sequence
         raise BadMeasure("vertex masses must be positive")
     if abs(m.sum() - 1.0) > 1e-12:
         raise BadMeasure(f"vertex masses must sum to 1, got {m.sum()!r}")
-    L = form.laplacian_dense()
-    A = L + alpha * np.diag(m)
-    try:
-        U = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInterior(str(exc)) from exc
+    U = _Factor(form.laplacian_dense() + alpha * np.diag(m)).solve(np.eye(form.n))
     asym = np.abs(U - U.T).max()
     if asym > 1e-10 * max(1.0, np.abs(U).max()):
         warnings.warn(f"resolvent asymmetry {asym:.3e}", ConditionWarning, stacklevel=2)

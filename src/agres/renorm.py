@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +68,15 @@ class BoundaryForm:
     def n(self) -> int:
         return self.bset.size
 
+    @classmethod
+    def of_vector(cls, bset: BoundarySet, c: np.ndarray, symmetric: bool = False) -> "BoundaryForm":
+        """The form with conductance c[k] on the k-th pair i < j in row-major order;
+        pairs with c[k] <= 0 carry no edge."""
+        i, j = np.triu_indices(bset.size, 1)
+        live = c > 0
+        return cls(bset, FiniteForm.from_arrays(range(bset.size), i[live], j[live], c[live]),
+                   symmetric)
+
     def vector(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
         """Conductances of the given vertex pairs, zero where there is no edge."""
         dense, f = np.zeros((self.n, self.n)), self.form
@@ -78,9 +87,7 @@ class BoundaryForm:
         i, j = np.triu_indices(self.n, 1)
         avg = _orbit_average(self.vector(np.column_stack([i, j])),
                              _pair_orbit_ids(self.bset.g_permutation))
-        live = avg > 0
-        return BoundaryForm(self.bset, FiniteForm.from_arrays(range(self.n), i[live], j[live],
-                                                              avg[live]), symmetric=True)
+        return BoundaryForm.of_vector(self.bset, avg, symmetric=True)
 
     def scaled(self, a: float) -> "BoundaryForm":
         return BoundaryForm(self.bset, self.form.scaled(a), self.symmetric)
@@ -88,13 +95,10 @@ class BoundaryForm:
 
 def symmetric_start(bset: BoundarySet, rng: Optional[np.random.Generator] = None) -> BoundaryForm:
     """A connected rotation-symmetric initial form: unit (or randomized) complete graph."""
-    n = bset.size
-    i, j = np.triu_indices(n, 1)
+    n_pairs = bset.size * (bset.size - 1) // 2
     if rng is None:
-        return BoundaryForm(bset, FiniteForm.from_arrays(range(n), i, j, np.ones(len(i))),
-                            symmetric=True)
-    noisy = rng.uniform(0.2, 5.0, len(i))
-    return BoundaryForm(bset, FiniteForm.from_arrays(range(n), i, j, noisy)).symmetrized()
+        return BoundaryForm.of_vector(bset, np.ones(n_pairs), symmetric=True)
+    return BoundaryForm.of_vector(bset, rng.uniform(0.2, 5.0, n_pairs)).symmetrized()
 
 
 class GlueContext:
@@ -118,7 +122,6 @@ class GlueContext:
 
         table, ids = seeded_copies(ifs, bset.points, 1, self.copies)
         self._table = table
-        self.vmap: list[np.ndarray] = list(ids)
         self.n_glued = len(table)
 
         covered = np.zeros(self.n_glued, dtype=bool)
@@ -133,7 +136,6 @@ class GlueContext:
         if merges != expected:
             raise IdentificationMismatch(
                 f"expected {expected} single-point identifications, found {merges}")
-        self.merge_count = merges
 
         # glued pairs numbered by first occurrence, and each copy's scatter into them
         a, b = ids[:, self.pair_i], ids[:, self.pair_j]
@@ -204,14 +206,15 @@ class GlueContext:
     def symmetrize_vector(self, cvec: np.ndarray) -> np.ndarray:
         return _orbit_average(cvec, self.orbit_ids)
 
+    def normalized(self, cvec: np.ndarray) -> np.ndarray:
+        """The vector symmetrized, then scaled to resistance 2/3 between corners 1 and 2."""
+        cvec = self.symmetrize_vector(cvec)
+        return cvec * (1.5 * self.resistance_p1p2(cvec))
+
 
 def _glue_context(ifs: IFS, bset: BoundarySet, include_added: bool) -> GlueContext:
-    key = ("glue", tuple(bset.points), include_added)
-    ctx = ifs._caches.get(key)
-    if ctx is None:
-        ctx = GlueContext(ifs, bset, include_added)
-        ifs._caches[key] = ctx
-    return ctx
+    return ifs.cached(("glue", tuple(bset.points), include_added),
+                      lambda: GlueContext(ifs, bset, include_added))
 
 
 def _normalize_weights(weights) -> tuple[tuple[float, ...], bool]:
@@ -251,11 +254,10 @@ def renorm_map(ifs: IFS, D: BoundaryForm, weights) -> BoundaryForm:
     out = ctx.apply(D.vector(ctx.pairs), ws)
     if D.symmetric:
         out = ctx.symmetrize_vector(out)
-    live = out > 0
-    form = FiniteForm.from_arrays(range(ctx.N), ctx.pair_i[live], ctx.pair_j[live], out[live])
-    if not form.is_connected():
+    new = BoundaryForm.of_vector(D.bset, out, symmetric=D.symmetric)
+    if not new.form.is_connected():
         raise Disconnected("renormalized form is disconnected")
-    return BoundaryForm(D.bset, form, symmetric=D.symmetric)
+    return new
 
 
 @dataclass
@@ -300,15 +302,12 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
         c = initial.vector(ctx.pairs)
     else:
         c = np.ones(len(ctx.pairs))
-    c = ctx.symmetrize_vector(c)
-    c *= 1.5 * ctx.resistance_p1p2(c)
+    c = ctx.normalized(c)
 
     delta = math.inf
     iters = 0
     for iters in range(1, max_iters + 1):
-        raw = ctx.apply(c, ws)
-        raw = ctx.symmetrize_vector(raw)
-        new = raw * (1.5 * ctx.resistance_p1p2(raw))
+        new = ctx.normalized(ctx.apply(c, ws))
         delta = _rel_delta(new, c)
         c = new
         if delta < tol:
@@ -326,9 +325,7 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
     if not (0.6 - 1e-9 <= C < 1.0):
         raise DegenerateLimit(f"scale factor {C!r} escapes [3/5, 1)")
 
-    live = c > 0
-    D = BoundaryForm(bset, FiniteForm.from_arrays(range(ctx.N), ctx.pair_i[live], ctx.pair_j[live],
-                                                  c[live]), symmetric=True)
+    D = BoundaryForm.of_vector(bset, c, symmetric=True)
     return EigenResult(float(rtilde4), float(C), D, iters, delta, residual)
 
 
@@ -381,15 +378,74 @@ class Solution:
         }
 
 
+def bracketed_root(value: Callable[[float], tuple[float, float, Any]], lo: float, hi: float,
+                   tol: float) -> tuple[tuple[float, float, Any], tuple[float, float, Any]]:
+    """Root of a nondecreasing g by Brent's method (inverse quadratic interpolation or
+    secant, safeguarded by bisection; Brent 1973, ch. 4), until |g| <= ``tol``.
+
+    ``value(x)`` returns a triple (x, g(x), payload).  The start bracket is widened,
+    halving ``lo`` and doubling ``hi``, until g(lo) <= 0 <= g(hi).  Returns the
+    triple of the root and that of the far end of the final bracket.
+    """
+    lo_v = value(lo)
+    for _ in range(BRACKET_EXPANSIONS):
+        if lo_v[1] <= 0:
+            break
+        lo_v = value(0.5 * lo_v[0])
+    else:
+        raise BracketFailure("could not bracket from below")
+    hi_v = value(hi)
+    for _ in range(BRACKET_EXPANSIONS):
+        if hi_v[1] >= 0:
+            break
+        hi_v = value(2.0 * hi_v[0])
+    else:
+        raise BracketFailure("could not bracket from above")
+
+    # b is the best point, c the far end of the bracket, a the previous b;
+    # d is the last step and e the one before
+    a, b, c = lo_v, hi_v, lo_v
+    d = e = hi_v[0] - lo_v[0]
+    for _ in range(200):
+        if b[1] * c[1] > 0:
+            c = a
+            d = e = b[0] - a[0]
+        if abs(c[1]) < abs(b[1]):
+            a, b, c = b, c, b
+        if abs(b[1]) <= tol:
+            return b, c
+        xtol = 2.0 * np.finfo(float).eps * abs(b[0])
+        m = 0.5 * (c[0] - b[0])
+        if abs(m) <= xtol:
+            raise NoConvergence(f"bracket collapsed at |g| = {abs(b[1]):.3e}")
+        if abs(e) >= xtol and abs(a[1]) > abs(b[1]):
+            t = b[1] / a[1]
+            if a is c:  # secant
+                p, q = 2.0 * m * t, 1.0 - t
+            else:  # inverse quadratic interpolation
+                qa, rb = a[1] / c[1], b[1] / c[1]
+                p = t * (2.0 * m * qa * (qa - rb) - (b[0] - a[0]) * (rb - 1.0))
+                q = (qa - 1.0) * (rb - 1.0) * (t - 1.0)
+            p, q = (p, -q) if p > 0 else (-p, q)
+            if 2.0 * p < min(3.0 * m * q - abs(xtol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a = b
+        b = value(b[0] + (d if abs(d) > xtol else math.copysign(xtol, m)))
+    raise NoConvergence("root finder did not reach tolerance")
+
+
 def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
             bisect_tol: float = BISECT_TOL, max_iters: int = EIGEN_MAX_ITERS) -> Solution:
     """Solve for the corner weight making a self-similar fixed point exist.
 
     Finds the root of g(x) = x * C(x) - s, which is nondecreasing in x, with
-    Brent's method (inverse quadratic interpolation or secant, safeguarded
-    by bisection; Brent 1973, ch. 4) until |g| <= ``bisect_tol``.  The
-    bracket [s, s/0.58] contains the root because 3/5 <= C < 1 (0.58 leaves
-    room below 3/5), and is widened if it does not.  The returned r equals
+    ``bracketed_root`` until |g| <= ``bisect_tol``.  The bracket
+    [s, s/0.58] contains the root because 3/5 <= C < 1 (0.58 leaves room
+    below 3/5), and is widened if it does not.  The returned r equals
     C at the solving abscissa, the fixed form D is normalized to corner
     resistance 2/3, and the residual measures how far D is from being fixed
     under weights (r, r, r, s).
@@ -409,57 +465,7 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
         history.append(Evaluation(x, g, res.C, res.iterations, res.delta, res.residual))
         return x, g, res
 
-    lo = value(s)
-    for _ in range(BRACKET_EXPANSIONS):
-        if lo[1] <= 0:
-            break
-        lo = value(0.5 * lo[0])
-    else:
-        raise BracketFailure("could not bracket from below")
-    hi = value(s / 0.58)
-    for _ in range(BRACKET_EXPANSIONS):
-        if hi[1] >= 0:
-            break
-        hi = value(2.0 * hi[0])
-    else:
-        raise BracketFailure("could not bracket from above")
-
-    # Brent's zero finder on (x, g, result) triples: b is the best point, c the far
-    # end of the bracket, a the previous b; d is the last step and e the one before
-    a, b, c = lo, hi, lo
-    d = e = hi[0] - lo[0]
-    for _ in range(200):
-        if b[1] * c[1] > 0:
-            c = a
-            d = e = b[0] - a[0]
-        if abs(c[1]) < abs(b[1]):
-            a, b, c = b, c, b
-        if abs(b[1]) <= bisect_tol:
-            break
-        tol = 2.0 * np.finfo(float).eps * abs(b[0])
-        m = 0.5 * (c[0] - b[0])
-        if abs(m) <= tol:
-            raise NoConvergence(f"bracket collapsed at |g| = {abs(b[1]):.3e}")
-        if abs(e) >= tol and abs(a[1]) > abs(b[1]):
-            t = b[1] / a[1]
-            if a is c:  # secant
-                p, q = 2.0 * m * t, 1.0 - t
-            else:  # inverse quadratic interpolation
-                qa, rb = a[1] / c[1], b[1] / c[1]
-                p = t * (2.0 * m * qa * (qa - rb) - (b[0] - a[0]) * (rb - 1.0))
-                q = (qa - 1.0) * (rb - 1.0) * (t - 1.0)
-            p, q = (p, -q) if p > 0 else (-p, q)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a = b
-        b = value(b[0] + (d if abs(d) > tol else math.copysign(tol, m)))
-    else:
-        raise NoConvergence("root finder did not reach tolerance")
-
+    b, c = bracketed_root(value, s, s / 0.58, bisect_tol)
     rtilde4, _, res = b
     r, D = res.C, res.D
     ctx = _glue_context(ifs, bset, include_added=True)
@@ -496,8 +502,7 @@ def uniqueness_scan(ifs: IFS, s: float, sol: Solution, r_values: Sequence[float]
             raw = ctx.apply(c, (rp, rp, rp, s))
             factor = ctx.energy_at_p1_indicator(raw) / ctx.energy_at_p1_indicator(c)
             tail.append(factor)
-            raw = ctx.symmetrize_vector(raw)
-            c = raw * (1.5 * ctx.resistance_p1p2(raw))
+            c = ctx.normalized(raw)
         factor = float(np.mean(tail[-5:]))
         out.append((float(rp), factor))
     return out
@@ -549,14 +554,11 @@ def _close_with_group(sig: tuple[int, ...], extra: tuple[int, int],
 
 def _tilde_level_maps(ifs: IFS, bset: BoundarySet, k: int) -> tuple[int, list[np.ndarray]]:
     """Glued ids of every depth-k copy of the boundary set (boundary seeded first)."""
-    key = ("tilde", tuple(bset.points), k)
-    cached = ifs._caches.get(key)
-    if cached is not None:
-        return cached
-    table, ids = seeded_copies(ifs, bset.points, k)
-    result = (len(table), list(ids))
-    ifs._caches[key] = result
-    return result
+    def build():
+        table, ids = seeded_copies(ifs, bset.points, k)
+        return len(table), list(ids)
+
+    return ifs.cached(("tilde", tuple(bset.points), k), build)
 
 
 def _restricted_relation(ifs: IFS, bset: BoundarySet, sig: tuple[int, ...],

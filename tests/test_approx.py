@@ -95,6 +95,29 @@ class TestLevelForm:
             lf.vid_of_address((1, 2, 3), 1)  # word longer than level
 
 
+def reference_dimension(rho: float) -> float:
+    """The bisection ``measure_weights`` ran before it shared the weight solve's root
+    finder: the root of 3*(1/2)^d + rho^d = 1."""
+
+    def g(d: float) -> float:
+        return 3.0 * 0.5 ** d + rho ** d - 1.0
+
+    lo, hi = 1.0, 4.0
+    while g(lo) < 0:
+        lo *= 0.5
+    while g(hi) > 0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            break
+    return 0.5 * (lo + hi)
+
+
 class TestMeasures:
     def test_hausdorff_dimension_equation(self, ifs14):
         ms = measure_weights(ifs14)
@@ -123,6 +146,12 @@ class TestMeasures:
             else:
                 hi = mid
         assert 0.5 * (lo + hi) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", ["1/4", "1/8", "1/7", "3/16", "181/512"])
+    def test_dimension_matches_reference_bisection(self, lam):
+        ifs = agres.make_ifs(lam)
+        expected = reference_dimension(ifs.added_ratio)
+        assert measure_weights(ifs).dimension == pytest.approx(expected, rel=1e-12)
 
     def test_vertex_masses_positive_and_normalized(self, ifs14, sol14):
         ms = measure_weights(ifs14)
@@ -221,6 +250,13 @@ class TestResolventKernel:
         kernel, lf, mspec = resolvent_kernel(ifs14, sol14, 2, 1.0)
         assert kernel.symmetry_error() <= 1e-12
         assert kernel.row_mass_error() <= 1e-10
+
+    @pytest.mark.parametrize("m,alpha", [(2, 1.0), (3, 0.5)])
+    def test_matches_dense_inverse(self, ifs14, sol14, m, alpha):
+        kernel, lf, mspec = resolvent_kernel(ifs14, sol14, m, alpha)
+        masses = vertex_masses(ifs14, mspec, m)
+        inverse = np.linalg.inv(lf.form.laplacian_dense() + alpha * np.diag(masses))
+        np.testing.assert_allclose(kernel.matrix, inverse, rtol=1e-10, atol=0)
 
     def test_cross_level_entries_stabilize(self, ifs14, sol14):
         vals = []

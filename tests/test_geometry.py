@@ -1,19 +1,23 @@
 """Geometry: the map family, attractor membership, boundary sets, graphs."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import agres
 import exact_reference as ref
 from agres.errors import CapExceeded, DomainError
 from agres.exact import Point
-from agres.geometry import (CENTROID, CORNERS, boundary_set, classify_boundary_point,
-                            doubling_orbit, edge_point, point_in_attractor,
-                            point_in_triangle, point_on_triangle_boundary, point_of_address)
+from agres.geometry import (CENTROID, CORNERS, _corner_cloud, boundary_set,
+                            classify_boundary_point, doubling_orbit, edge_point,
+                            point_in_attractor, point_in_triangle, point_on_triangle_boundary,
+                            point_of_address)
 from exact_reference import cartesian
 
 
@@ -293,6 +297,24 @@ class TestHausdorff:
         est, bound = agres.hausdorff_distance(agres.make_ifs("1/4"),
                                               agres.make_ifs(Fraction(17, 64)), 8)
         assert est <= 1 / 32 + 2 ** -7
+
+
+    def test_denominator_beyond_float_range(self):
+        # depth-6 corner images of this parameter share a denominator above 2**1000
+        est, bound = agres.hausdorff_distance(agres.make_ifs(Fraction(1, 2 ** 180 + 1)),
+                                              agres.make_ifs("1/4"), 6)
+        assert math.isfinite(est)
+        assert est == pytest.approx(0.06810779599282302, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", ["1/4", "1/7"])
+    def test_corner_cloud_is_the_distinct_corner_images(self, lam):
+        cloud = _corner_cloud(agres.make_ifs(lam), 4)
+        assert len(np.unique(cloud, axis=0)) == len(cloud)
+        images = {ref.apply(fw, c) for _, fw in ref.iter_word_maps(lam, 4) for c in ref.CORNERS}
+        assert len(cloud) == len(images)
+        expected = [(float(x), float(eta) * math.sqrt(3)) for x, eta in images]
+        dist, at = cKDTree(cloud).query(expected)
+        assert dist.max() <= 1e-14 and len(set(at.tolist())) == len(cloud)
 
 
 class TestTrackPoint:

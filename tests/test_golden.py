@@ -5,9 +5,9 @@ refactors of the numerical core.  Exact artifacts (boundary sets, graphs,
 relations, coordinates and ids everywhere) must be byte-equal; float
 fields must agree to the acceptance suite's relative tolerance of 1e-8;
 error estimates are held to their bounds instead.  A successive difference
-of a report column (``diff_*`` cells, ``diffs`` entries) may move as much as
-its two inputs together, and must equal the difference of the observed
-inputs exactly.  The manifest is compared without its ``out`` entry.
+of a report column (``diff_*`` cells, ``diffs`` entries and the verdicts'
+``final_gap``, the last of them) may move as much as its two inputs together,
+and must equal the difference of the observed inputs exactly.  The manifest is compared without its ``out`` entry.
 
 Re-record from the current tree (trusted commits only) with
 ``PYTHONPATH=src python tests/test_golden.py --record``.
@@ -103,6 +103,31 @@ def json_diffs_mismatches(expected: dict, observed: dict, path: str) -> list[str
     return out
 
 
+def json_verdicts_mismatches(expected: dict, observed: dict, path: str) -> list[str]:
+    """The ``verdicts`` entry of a report.  Each ``final_gap`` is the last ``diffs``
+    entry of its column, so it is checked as that difference is, and must equal
+    the observed last entry exactly; the other fields are checked as usual."""
+    exp, obs = expected["verdicts"], observed["verdicts"]
+    if not isinstance(obs, dict) or set(exp) != set(obs):
+        return [f"{path}: keys differ"]
+    out = []
+    for name in sorted(exp):
+        e, o, sub = exp[name], obs[name], f"{path}.{name}"
+        e_col = _json_column(expected["rows"], name)
+        o_col = _json_column(observed["rows"], name)
+        if (len(e_col) < 2 or len(o_col) != len(e_col) or not isinstance(o, dict)
+                or "final_gap" not in e or set(e) != set(o)):
+            out.extend(json_mismatches(e, o, sub))
+            continue
+        out.extend(json_mismatches({k: v for k, v in e.items() if k != "final_gap"},
+                                   {k: v for k, v in o.items() if k != "final_gap"}, sub))
+        out.extend(f"{sub}.final_gap: {msg}" for msg in diff_mismatches(
+            e["final_gap"], o["final_gap"], len(e_col) - 2, e_col, o_col))
+        if o["final_gap"] != observed["diffs"][name][-1]:
+            out.append(f"{sub}.final_gap: {o['final_gap']!r} is not the last observed diff")
+    return out
+
+
 def json_mismatches(expected, observed, path="") -> list[str]:
     where = path or "<root>"
     if isinstance(expected, dict):
@@ -113,6 +138,9 @@ def json_mismatches(expected, observed, path="") -> list[str]:
             sub = f"{path}.{key}" if path else key
             if key == "diffs" and "rows" in expected:
                 out.extend(json_diffs_mismatches(expected, observed, sub))
+                continue
+            if key == "verdicts" and "rows" in expected:
+                out.extend(json_verdicts_mismatches(expected, observed, sub))
                 continue
             if key in BOUNDS:
                 if not abs(observed[key]) <= BOUNDS[key]:
@@ -216,12 +244,27 @@ def test_checker_holds_diffs_to_their_inputs():
     assert csv_mismatches(recorded, template.format(a=a, b=b, d=abs(b - a) * (1 + 1e-15)))
     assert csv_mismatches(recorded, template.format(a=a, b=b + 1e-7, d=abs(b + 1e-7 - a)))
 
-    def report(b, d):
+    def report(b, d, gap=None):
+        gap = d if gap is None else gap
         return {"rows": [{"r": 0.5, "R": [a]}, {"r": 0.5, "R": [b]}],
-                "diffs": {"r": [0.0], "R_0": [d]}}
+                "diffs": {"r": [0.0], "R_0": [d]},
+                "verdicts": {"r": {"final_gap": 0.0, "final_gap_ok": True},
+                             "R_0": {"final_gap": gap, "final_gap_ok": True}}}
     assert json_mismatches(report(b, abs(b - a)), report(b_moved, abs(b_moved - a))) == []
     assert json_mismatches(report(b, abs(b - a)), report(b, 0.0))
     assert json_mismatches(report(b, abs(b - a)), report(b + 1e-7, abs(b + 1e-7 - a)))
+    # final_gap is the last diff: it may move with its inputs, beyond abs 1e-12 ...
+    assert abs(abs(b_moved - a) - abs(b - a)) > ABS_TOL
+    assert json_mismatches(report(b, abs(b - a)), report(b_moved, abs(b_moved - a))) == []
+    # ... but it must be the observed last diff, and close to the recorded one
+    assert json_mismatches(report(b, abs(b - a)),
+                           report(b, abs(b - a), gap=abs(b - a) * (1 + 1e-15)))
+    moved = report(b, abs(b - a))
+    moved["verdicts"]["R_0"]["final_gap"] = abs(b - a) + 1e-7
+    assert json_mismatches(report(b, abs(b - a)), moved)
+    flipped = report(b, abs(b - a))
+    flipped["verdicts"]["R_0"]["final_gap_ok"] = False
+    assert json_mismatches(report(b, abs(b - a)), flipped)
 
 
 def record() -> None:
