@@ -27,6 +27,8 @@ from .renorm import BoundaryForm, Solution, bracketed_root
 
 LEVEL_CAP = 8
 TOWER_CAP = 12
+EXPONENT_PAIRS = 8   # adjacent dyadic pairs sampled per scale by scaling_exponent
+ENVELOPE_SEED = 7
 
 
 @dataclass
@@ -59,7 +61,7 @@ def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(len(run)) - (np.cumsum(sizes) - sizes)[run]
 
 
-def level_form(ifs: IFS, sol: Solution, m: int, cap: int = LEVEL_CAP) -> LevelForm:
+def level_form(ifs: IFS, sol: Solution, m: int) -> LevelForm:
     """Trace of the solved self-similar form onto the level-m vertex set.
 
     Exact decomposition: one copy of the boundary form per cell, traced to
@@ -67,8 +69,8 @@ def level_form(ifs: IFS, sol: Solution, m: int, cap: int = LEVEL_CAP) -> LevelFo
     """
     if m < 0:
         raise DomainError("level must be nonnegative")
-    if m > cap:
-        raise CapExceeded(f"level {m} exceeds cap {cap}")
+    if m > LEVEL_CAP:
+        raise CapExceeded(f"level {m} exceeds cap {LEVEL_CAP}")
     geom = _level_geometry(ifs, m)
     tables = [_cell_table(sol.D, kept) for kept in geom.types]
     # one contribution per (cell, row of the cell's table), cell after cell
@@ -276,8 +278,8 @@ class EdgeTraceTower:
         return _dipole_resistances(self.form, [(vid(t1), vid(t2)) for t1, t2 in pairs]).tolist()
 
 
-def scaling_exponent(ifs: IFS, sol: Solution, levels: Sequence[int],
-                     pairs_per_level: int = 8) -> tuple[float, float, ResistanceEnvelope]:
+def scaling_exponent(ifs: IFS, sol: Solution,
+                     levels: Sequence[int]) -> tuple[float, float, ResistanceEnvelope]:
     """Fit the resistance-distance exponent on the bottom edge across dyadic scales.
 
     Uses adjacent dyadic pairs at each requested scale; the model exponent
@@ -296,7 +298,7 @@ def scaling_exponent(ifs: IFS, sol: Solution, levels: Sequence[int],
     dists: list[float] = []
     for k in levels:
         nmax = 2 ** k - 1
-        count = min(pairs_per_level, nmax + 1)
+        count = min(EXPONENT_PAIRS, nmax + 1)
         js = sorted({round(i * nmax / max(1, count - 1)) for i in range(count)})
         for j in js:
             t1 = Fraction(j, 2 ** k)
@@ -319,15 +321,14 @@ def scaling_exponent(ifs: IFS, sol: Solution, levels: Sequence[int],
     return float(slope), theta, env
 
 
-def envelope_check(ifs: IFS, sol: Solution, m: int = 4, n_pairs: int = 200,
-                   seed: int = 7) -> ResistanceEnvelope:
+def envelope_check(ifs: IFS, sol: Solution, m: int = 4, n_pairs: int = 200) -> ResistanceEnvelope:
     """Whole-attractor envelope: sampled resistances against the two-exponent bounds."""
     from .network import resistance_matrix
 
     lf = level_form(ifs, sol, m)
     n = lf.form.n
     R = resistance_matrix(lf.form)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ENVELOPE_SEED)
     theta = sol.theta
     rho = ifs.added_ratio
     eta_s = math.log(sol.s) / math.log(rho)

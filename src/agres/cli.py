@@ -41,11 +41,11 @@ class RunConfig:
     alpha: Optional[float] = None
     pairs: Optional[str] = None
     measure: str = "hausdorff"
-    eigen_tol: float = 1e-12
-    bisect_tol: float = 1e-10
-    max_iters: int = 10_000
+    eigen_tol: float = renorm.EIGEN_TOL
+    bisect_tol: float = renorm.BISECT_TOL
+    max_iters: int = renorm.EIGEN_MAX_ITERS
     relation_depth: int = 1
-    guard: int = 12
+    guard: int = renorm.RELATION_GUARD
     mode: str = "fast"
     grid: bool = False
     out: str = "."
@@ -150,8 +150,7 @@ def validate(cfg: RunConfig) -> list[str]:
             v.append(f"pairs: {exc}")
     if cfg.command == "relations" and lam is not None:
         try:
-            orbit = geometry.doubling_orbit(2 * lam)
-            size = 3 + 3 * len(orbit)
+            size = geometry.boundary_set(geometry.make_ifs(lam)).size
             if size > cfg.guard:
                 v.append(f"lambda: boundary set has {size} points, guard is {cfg.guard}")
         except AgresError as exc:
@@ -160,8 +159,8 @@ def validate(cfg: RunConfig) -> list[str]:
         v.append("level: must be nonnegative")
     if cfg.depth < 0 or cfg.depth > geometry.GRAPH_LEVEL_CAP:
         v.append(f"depth: must lie in 0..{geometry.GRAPH_LEVEL_CAP}")
-    if cfg.alpha is not None and cfg.alpha <= 0:
-        v.append("alpha: must be positive")
+    if cfg.alpha is not None and not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
+        v.append("alpha: must be finite and positive")
     if cfg.measure not in ("hausdorff", "uniform"):
         v.append(f"measure: must be hausdorff or uniform, got {cfg.measure!r}")
     for name in ("eigen_tol", "bisect_tol"):
@@ -433,25 +432,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     values = vars(ns)
     config_path = values.pop("config", None)
-    if config_path:
-        try:
-            values = {**_read_config_file(config_path), **values}
-        except (OSError, ValidationError) as exc:
-            print(_error_json(exc), file=sys.stderr)
-            return 2
-    cfg = RunConfig(**values)
-
-    violations = validate(cfg)
-    if violations:
-        exc = ValidationError("; ".join(violations))
-        print(_error_json(exc), file=sys.stderr)
-        return 2
-    outdir = Path(cfg.out)
     try:
+        if config_path:
+            values = {**_read_config_file(config_path), **values}
+        cfg = RunConfig(**values)
+        violations = validate(cfg)
+        if violations:
+            raise ValidationError("; ".join(violations))
+        outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
         _write_json(outdir, "manifest.json", {"tool": "agres", "config": cfg.manifest()})
         _DISPATCH[cfg.command](cfg, outdir)
-    except AgresError as exc:
+    except (OSError, AgresError) as exc:
         print(_error_json(exc), file=sys.stderr)
         return 3 if isinstance(exc, NumericalError) else 2
     return 0

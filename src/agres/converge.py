@@ -21,7 +21,7 @@ from .approx import level_form, measure_weights, resistance_metric, resolvent_ke
 from .errors import DomainError, TrackingError
 from .geometry import Word, hausdorff_distance, make_ifs
 from .network import harmonic_extension
-from .renorm import EIGEN_MAX_ITERS, solve_r
+from .renorm import BISECT_TOL, EIGEN_MAX_ITERS, EIGEN_TOL, solve_r
 
 DIFF_THRESHOLD = 1e-2
 TREND_SLACK = 1e-12
@@ -33,8 +33,8 @@ TrackedPair = tuple[Address, Address]
 class Target:
     """A real in (0, 1/2): an exact rational or an inverse square root.
 
-    Comparisons against rationals are exact in both cases, which makes the
-    dyadic rounding below reproducible.
+    Comparisons against rationals are exact in both cases, and so is the
+    dyadic rounding below.
     """
 
     def __init__(self, kind: str, value):
@@ -103,16 +103,15 @@ class DyadicSchedule:
 
 
 def dyadic_round(target: Target, n: int) -> Fraction:
-    """round(2^n t) / 2^n with exact comparisons; half rounds up."""
-    k = round(2 ** n * float(target))
-    # exact adjustment of the float guess
-    while target.compare(Fraction(2 * k + 1, 2 ** (n + 1))) > 0:
-        k += 1
-    while target.compare(Fraction(2 * k - 1, 2 ** (n + 1))) < 0:
-        k -= 1
-    if target.compare(Fraction(2 * k + 1, 2 ** (n + 1))) == 0:
-        k += 1
-    return Fraction(k, 2 ** n)
+    """round(2^n t) / 2^n (n >= 0, half up), exactly: (x + 1) // 2 with x = floor(2^(n+1) t),
+    which is 2^(n+1) p // q for t = p/q and isqrt(4^(n+1) // N) for t = 1/sqrt(N)."""
+    if n < 0:
+        raise DomainError(f"schedule scale n must be nonnegative, got {n}")
+    if target.kind == "rational":
+        x = 2 ** (n + 1) * target.value.numerator // target.value.denominator
+    else:
+        x = math.isqrt(4 ** (n + 1) // target.value)
+    return Fraction((x + 1) // 2, 2 ** n)
 
 
 def dyadic_schedule(target, n_range: Sequence[int]) -> DyadicSchedule:
@@ -159,7 +158,6 @@ class ConvergenceReport:
     alpha: Optional[float]
     pairs: list[TrackedPair]
     rows: list[ReportRow]
-    diff_threshold: float = DIFF_THRESHOLD
     verdicts: dict = field(default_factory=dict)
 
     def quantity_columns(self) -> dict[str, list[float]]:
@@ -187,7 +185,7 @@ class ConvergenceReport:
             out[name] = {
                 "trend_nonincreasing": bool(trend) if len(d) >= nd else None,
                 "final_gap": d[-1] if d else 0.0,
-                "final_gap_ok": bool(d[-1] <= self.diff_threshold) if d else True,
+                "final_gap_ok": bool(d[-1] <= DIFF_THRESHOLD) if d else True,
             }
         self.verdicts = out
         return out
@@ -252,8 +250,7 @@ def convergence_report(target, s: float, n_range: Sequence[int],
                        tracked: Sequence[TrackedPair],
                        alpha: Optional[float] = None, m: int = 3,
                        measure_scheme: str = "hausdorff",
-                       eigen_tol: float = 1e-12, bisect_tol: float = 1e-10,
-                       diff_threshold: float = DIFF_THRESHOLD,
+                       eigen_tol: float = EIGEN_TOL, bisect_tol: float = BISECT_TOL,
                        max_iters: int = EIGEN_MAX_ITERS) -> ConvergenceReport:
     """Solve along a dyadic schedule and track quantities at addressed vertices.
 
@@ -271,8 +268,7 @@ def convergence_report(target, s: float, n_range: Sequence[int],
     rows = [_report_row(n, lam, s, pairs, alpha, m, measure_scheme, eigen_tol, bisect_tol,
                         max_iters)
             for n, lam in sched.entries]
-    report = ConvergenceReport(sched.target, float(s), m, alpha, pairs, rows,
-                               diff_threshold=diff_threshold)
+    report = ConvergenceReport(sched.target, float(s), m, alpha, pairs, rows)
     report.compute_verdicts()
     return report
 
@@ -310,14 +306,6 @@ class GammaTable:
     f_corners: tuple[float, float, float]
     rows: list[GammaRow]
 
-    def diffs(self) -> dict[str, list[float]]:
-        h = [r.harmonic_energy for r in self.rows]
-        t = [r.transplant_energy for r in self.rows]
-        return {
-            "harmonic": [abs(h[i + 1] - h[i]) for i in range(len(h) - 1)],
-            "transplant": [abs(t[i + 1] - t[i]) for i in range(len(t) - 1)],
-        }
-
     def to_csv(self) -> str:
         lines = ["n,lambda_num,lambda_den,harmonic_energy,transplant_energy,minimality_ok"]
         for r in self.rows:
@@ -329,7 +317,7 @@ class GammaTable:
 
 def gamma_diagnostic(target, s: float, n_range: Sequence[int],
                      f_corners: Sequence[float], m: int = 3,
-                     eigen_tol: float = 1e-12, bisect_tol: float = 1e-10) -> GammaTable:
+                     eigen_tol: float = EIGEN_TOL, bisect_tol: float = BISECT_TOL) -> GammaTable:
     """Energies of harmonic extensions of fixed corner data along a schedule,
     with the finest solution transplanted back as a competitor at every entry."""
     if len(f_corners) != 3:

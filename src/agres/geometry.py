@@ -18,6 +18,7 @@ back under them exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,11 +65,10 @@ class IFS:
             ((half, zero), (half, zero)), ((lam, half - 2 * lam), (half - lam, lam))))
         self.omega_inverses = self.omega.inverse()
         # Caches keyed by this instance; all results are immutable.  ``_caches``
-        # keeps one entry per level geometry, glue pattern or copy table built
-        # (keyed by its kind and level) for the lifetime of the IFS; nothing is
-        # evicted, so a long-lived IFS holds every level it was asked for.
+        # keeps one entry per boundary set, level geometry, glue pattern or copy
+        # table built (keyed by its kind and its orbit guard or level) for the
+        # lifetime of the IFS; nothing is evicted, so it holds every level asked for.
         self._membership: dict[Point, bool] = {}
-        self._boundary_fast = None
         self._caches: dict = {}
 
     def cached(self, key, build):
@@ -273,9 +273,8 @@ def boundary_set(ifs: IFS, mode: Literal["fast", "oracle"] = "fast",
     coordinates (x, y / sqrt(3)) with rational affine maps.
     """
     if mode == "fast":
-        if ifs._boundary_fast is None:
-            ifs._boundary_fast = _boundary_from_parameters(doubling_orbit(2 * ifs.lam, guard))
-        return ifs._boundary_fast
+        return ifs.cached(("boundary", guard),
+                          lambda: _boundary_from_parameters(doubling_orbit(2 * ifs.lam, guard)))
     if mode != "oracle":
         raise DomainError(f"mode must be 'fast' or 'oracle', got {mode!r}")
     if depth is None:
@@ -323,17 +322,10 @@ def _boundary_set_oracle(ifs: IFS, depth: int) -> BoundarySet:
 
 # -- approximating graphs --------------------------------------------------------
 
-def _row_keys(mask: np.ndarray) -> np.ndarray:
-    """One int64 per boolean row, equal exactly when the rows are equal.
-
-    Forty columns at a time are packed as bits below the rank of the key so far.
-    """
-    key = np.zeros(len(mask), dtype=np.int64)
-    for j in range(0, mask.shape[1], 40):
-        bits = mask[:, j:j + 40]
-        rank = np.unique(key, return_inverse=True)[1].reshape(-1)
-        key = (rank << bits.shape[1]) | (bits @ (1 << np.arange(bits.shape[1])))
-    return key
+def _mask_keys(mask: np.ndarray) -> np.ndarray:
+    """One key per boolean row, its bits packed into bytes: equal exactly when the rows are."""
+    packed = np.packbits(mask, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
 
 
 def cell_images(ifs: IFS, m: int, pts) -> Lattice:
@@ -445,7 +437,7 @@ class LevelGeometry:
         self.leaf_corners = self.table.ids
         gids = self.table.lookup(images)
         kept = gids >= 0
-        first, type_ids = numbered(_row_keys(kept))
+        first, type_ids = numbered(_mask_keys(kept))
         self.types: list[tuple[int, ...]] = [tuple(np.flatnonzero(kept[f]).tolist())
                                              for f in first]
         self.cell_type: list[int] = type_ids.tolist()
@@ -457,18 +449,15 @@ class LevelGeometry:
         digits = (np.arange(4 ** m)[:, None] // 4 ** np.arange(m - 1, -1, -1)) % 4
         self.letter_counts = np.stack([(digits == c).sum(axis=1) for c in range(4)],
                                       axis=1).astype(np.int16)
-        self._points: Optional[list[Point]] = None
 
     @property
     def n_vertices(self) -> int:
         return len(self.table)
 
-    @property
+    @functools.cached_property
     def points(self) -> list[Point]:
         """Exact vertex coordinates, built on first use."""
-        if self._points is None:
-            self._points = self.table.lattice().points()
-        return self._points
+        return self.table.lattice().points()
 
     def point(self, vid: int) -> Point:
         return self.table.lattice().point(vid)
@@ -537,8 +526,8 @@ class GraphApprox:
         return "\n".join(lines) + "\n"
 
 
-def approximation_graph(ifs: IFS, m: int, method: Literal["fast", "direct"] = "fast",
-                        cap: int = GRAPH_LEVEL_CAP) -> GraphApprox:
+def approximation_graph(ifs: IFS, m: int,
+                        method: Literal["fast", "direct"] = "fast") -> GraphApprox:
     """Level-m graph: vertices are corner images of all length-m words, edges join
     vertices sharing a cell.
 
@@ -552,8 +541,8 @@ def approximation_graph(ifs: IFS, m: int, method: Literal["fast", "direct"] = "f
     """
     if m < 0:
         raise DomainError("level must be nonnegative")
-    if m > cap:
-        raise CapExceeded(f"level {m} exceeds cap {cap}")
+    if m > GRAPH_LEVEL_CAP:
+        raise CapExceeded(f"level {m} exceeds cap {GRAPH_LEVEL_CAP}")
     if method not in ("fast", "direct"):
         raise DomainError(f"unknown method {method!r}")
     geom = _level_geometry(ifs, m)
@@ -592,16 +581,15 @@ def _corner_cloud(ifs: IFS, depth: int) -> np.ndarray:
     return np.column_stack([u + v / 2, v / 2 * math.sqrt(3.0)])
 
 
-def hausdorff_distance(ifs1: IFS, ifs2: IFS, depth: int = 8,
-                       cap: int = GRAPH_LEVEL_CAP) -> tuple[float, float]:
+def hausdorff_distance(ifs1: IFS, ifs2: IFS, depth: int = 8) -> tuple[float, float]:
     """Hausdorff distance estimate between two attractors plus the Lipschitz bound.
 
     The estimate is the Hausdorff distance between depth-k corner clouds;
     it is within 2*2^-k of the true value.  The bound is 2*|lam1 - lam2|,
     sharp for this family.
     """
-    if depth > cap:
-        raise CapExceeded(f"depth {depth} exceeds cap {cap}")
+    if depth > GRAPH_LEVEL_CAP:
+        raise CapExceeded(f"depth {depth} exceeds cap {GRAPH_LEVEL_CAP}")
     from scipy.spatial import cKDTree
 
     c1 = _corner_cloud(ifs1, depth)

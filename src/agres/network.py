@@ -208,21 +208,17 @@ class FiniteForm:
                              for x, y in zip(lo.tolist(), hi.tolist())], dtype=bool)
             lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
         self._a, self._b, self._c = lo, hi, np.bincount(ids, c[live], len(first))
-        self._view: Optional[Mapping[tuple[VertexId, VertexId], float]] = None
-        self._connected: Optional[bool] = None
 
     @functools.cached_property
     def _pos(self) -> dict[VertexId, int]:
         """Position of every vertex id, built on first use."""
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @property
+    @functools.cached_property
     def conductances(self) -> Mapping[tuple[VertexId, VertexId], float]:
-        if self._view is None:
-            vs = self.vertices
-            self._view = MappingProxyType({(vs[x], vs[y]): c for x, y, c in zip(
-                self._a.tolist(), self._b.tolist(), self._c.tolist())})
-        return self._view
+        vs = self.vertices
+        return MappingProxyType({(vs[x], vs[y]): c for x, y, c in zip(
+            self._a.tolist(), self._b.tolist(), self._c.tolist())})
 
     # -- basic queries ---------------------------------------------------------
 
@@ -246,10 +242,11 @@ class FiniteForm:
             raise DomainError(f"function has shape {arr.shape}, expected ({self.n},)")
         return arr
 
+    @functools.cached_property
+    def _connected(self) -> bool:
+        return self.n > 0 and not any(_components(self.n, zip(self._a.tolist(), self._b.tolist())))
+
     def is_connected(self) -> bool:
-        if self._connected is None:
-            edges = zip(self._a.tolist(), self._b.tolist())
-            self._connected = self.n > 0 and not any(_components(self.n, edges))
         return self._connected
 
     def require_connected(self) -> None:
@@ -453,8 +450,8 @@ def resolvent(form: FiniteForm, masses: Union[Mapping[VertexId, float], Sequence
     Column x solves (L + alpha * diag(m)) u = e_x, so the kernel reproduces
     point evaluations in the alpha-shifted energy inner product.
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise DomainError("alpha must be finite and positive")
     form.require_connected()
     m = form._as_array(masses)
     if (m <= 0).any():

@@ -137,13 +137,13 @@ class GlueContext:
             raise IdentificationMismatch(
                 f"expected {expected} single-point identifications, found {merges}")
 
-        # glued pairs numbered by first occurrence, and each copy's scatter into them
+        # glued pairs numbered by first occurrence, and each copy's scatter into them, a row each
         a, b = ids[:, self.pair_i], ids[:, self.pair_j]
         if (a == b).any():
             raise IdentificationMismatch("a copy collapsed a conductance pair")
         lo, hi = np.minimum(a, b).reshape(-1), np.maximum(a, b).reshape(-1)
         first, gids = numbered(lo * self.n_glued + hi)
-        self.scatter = list(gids.reshape(a.shape))
+        self.scatter = gids.reshape(a.shape)
         self.gpair_a, self.gpair_b = lo[first], hi[first]
         self.n_gpairs = len(first)
 
@@ -164,13 +164,12 @@ class GlueContext:
     # -- numeric application ------------------------------------------------------
 
     def glued_vector(self, cvec: np.ndarray, weights: Sequence[float]) -> np.ndarray:
-        gvec = np.zeros(self.n_gpairs)
-        for arr, ci in zip(self.scatter, self.copies):
-            w = float(weights[ci])
-            if w <= 0:
-                raise DomainError("weights must be positive")
-            np.add.at(gvec, arr, cvec / w)
-        return gvec
+        """Sum of the copies' pair vectors, copy i divided by its weight, added in copy order."""
+        w = np.array([float(weights[ci]) for ci in self.copies])
+        if (w <= 0).any():
+            raise DomainError("weights must be positive")
+        return np.bincount(self.scatter.reshape(-1), (cvec[None, :] / w[:, None]).reshape(-1),
+                           self.n_gpairs)
 
     def trace_to_boundary(self, gvec: np.ndarray) -> np.ndarray:
         """Schur-complement the interior glued vertices; returns boundary pair vector."""
@@ -198,8 +197,8 @@ class GlueContext:
         """Energy of the indicator of corner 1: the sum of conductances touching vertex 0."""
         return float(cvec[self.pair_i == 0].sum())
 
-    def connected(self, cvec: np.ndarray, rel_floor: float = 1e-12) -> bool:
-        live = cvec > rel_floor * max(cvec.max(), 1e-300)
+    def connected(self, cvec: np.ndarray) -> bool:
+        live = cvec > 1e-12 * max(cvec.max(), 1e-300)
         pairs = zip(self.pair_i[live].tolist(), self.pair_j[live].tolist())
         return not any(_components(self.N, pairs))
 
@@ -513,10 +512,8 @@ def uniqueness_scan(ifs: IFS, s: float, sol: Solution, r_values: Sequence[float]
 
 @dataclass(frozen=True)
 class Relation:
-    """A partition of the boundary set with symmetry and preservation flags."""
+    """A rotation-invariant partition of the boundary set that one subdivision step reproduces."""
     blocks: tuple[tuple[int, ...], ...]
-    g_invariant: bool
-    preserved: bool
 
     @property
     def is_full(self) -> bool:
@@ -601,7 +598,7 @@ def enumerate_preserved_relations(ifs: IFS, k: int = 1,
                     seen.add(new)
                     queue.append(new)
 
-    preserved = [Relation(_sig_blocks(sig), g_invariant=True, preserved=True)
+    preserved = [Relation(_sig_blocks(sig))
                  for sig in sorted(seen)
                  if all(_restricted_relation(ifs, bset, sig, kk) == sig
                         for kk in range(1, max(k, 1) + 1))]

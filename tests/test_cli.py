@@ -1,11 +1,14 @@
 """Command-line contract: exit codes, artifacts, determinism, validation."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import agres
 from agres.cli import RunConfig, main, validate, _parse_pairs, _parse_range
 
 
@@ -178,6 +181,33 @@ class TestCommands:
         assert proc.returncode == 2
         assert json.loads(proc.stderr.strip().splitlines()[-1])["error"]
 
+    def test_out_naming_a_file_is_a_validation_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["solve", "--lambda", "1/4", "--s", "0.5", "--out", str(taken)])
+        assert code == 2
+        obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert obj["error"]["type"] == "FileExistsError"
+
+    def test_negative_schedule_scale_is_validation_error(self, tmp_path, capsys):
+        code, _ = run_cli(["converge", "--target", "1/sqrt8", "--s", "0.5", "--n=-3..-3"],
+                          tmp_path)
+        assert code == 2
+        obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert obj["error"]["type"] == "DomainError"
+
+    def test_fine_schedule_scale_fails_promptly(self, tmp_path):
+        # lambda_100 has a doubling orbit past the guard; run in a child process so a
+        # slow rounding times out instead of hanging the suite
+        env = {**os.environ, "PYTHONPATH": str(Path(agres.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "agres.cli", "converge", "--target", "1/sqrt8",
+             "--s", "0.5", "--n", "100..100", "--level", "2", "--out", str(tmp_path / "c")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert json.loads(proc.stderr.strip().splitlines()[-1])["error"]["type"] == \
+            "OrbitOverflow"
+
     def test_estimates_report(self, tmp_path):
         code, out = run_cli(["estimates", "--lambda", "1/4", "--s", "0.5"], tmp_path)
         assert code == 0
@@ -210,6 +240,7 @@ class TestCommands:
     @pytest.mark.parametrize("flag, value", [
         ("--max-iters", "0"), ("--eigen-tol", "-1"), ("--eigen-tol", "nan"),
         ("--bisect-tol", "-1"), ("--bisect-tol", "inf"), ("--relation-depth", "0"),
+        ("--alpha", "nan"), ("--alpha", "inf"),
     ])
     def test_nonpositive_solver_settings_are_validation_errors(self, tmp_path, capsys,
                                                               monkeypatch, flag, value):

@@ -1,6 +1,11 @@
 """Dyadic schedules, convergence reports, distance checks, variational diagnostics."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +49,31 @@ class TestSchedule:
         for n in range(2, 16):
             lam = dyadic_round(t, n)
             assert abs(float(lam) - float(t)) <= 2.0 ** -(n + 1) + 1e-15
+
+    def test_rounding_is_the_exact_nearest_dyadic(self):
+        # computed in a child process, so a rounding that walks one step at a time
+        # from a float guess times out instead of hanging the suite
+        targets = ["1/sqrt8", "1/sqrt5", "1/sqrt11", "1/3", "2/7", "11/32", "0.3"]
+        ns = list(range(0, 80, 3)) + [100, 1100, 2048]
+        code = ("import json, sys; from agres.converge import Target, dyadic_round; "
+                "print(json.dumps([[str(dyadic_round(Target.parse(t), n)) for n in "
+                f"{ns}] for t in {targets}]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(agres.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        for text, row in zip(targets, json.loads(proc.stdout)):
+            t = Target.parse(text)
+            for n, lam in zip(ns, map(Fraction, row)):
+                k = lam * 2 ** n
+                assert k.denominator == 1
+                # half rounds up: (2k - 1)/2^(n+1) <= t < (2k + 1)/2^(n+1)
+                assert t.compare(Fraction(2 * k - 1, 2 ** (n + 1))) >= 0
+                assert t.compare(Fraction(2 * k + 1, 2 ** (n + 1))) < 0
+
+    def test_negative_scale(self):
+        with pytest.raises(DomainError):
+            dyadic_round(Target.parse("1/sqrt8"), -3)
 
     def test_dyadic_target_is_fixed(self):
         sched = dyadic_schedule("1/4", range(2, 8))

@@ -350,6 +350,12 @@ class TestGuards:
             boundary_set(ifs, guard=4)
         assert boundary_set(ifs, guard=8).size == 18
 
+    def test_orbit_guard_holds_after_a_cached_boundary_set(self):
+        ifs = agres.make_ifs(Fraction(1, 31))
+        assert boundary_set(ifs).size == 18
+        with pytest.raises(agres.OrbitOverflow):
+            boundary_set(ifs, guard=4)
+
     def test_membership_depth_cap(self, ifs14):
         deep = ifs14.omega.apply(0, ifs14.omega.apply(0, CENTROID))
         assert ref.in_attractor("1/4", cartesian(deep))

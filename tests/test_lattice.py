@@ -15,9 +15,9 @@ from agres import exact
 from agres.approx import _level_geometry, level_form, resistance_metric
 from agres.errors import UnknownVertex
 from agres.exact import Lattice, Point
-from agres.geometry import (CENTROID, CORNERS, LevelGeometry, VertexTable, boundary_set,
-                            cell_images, edge_point)
-from agres.network import effective_resistance
+from agres.geometry import (CENTROID, CORNERS, LevelGeometry, VertexTable, _mask_keys,
+                            boundary_set, cell_images, edge_point)
+from agres.network import effective_resistance, numbered
 from exact_reference import cartesian
 
 
@@ -97,6 +97,33 @@ def assert_images_match(ifs, m, points, images, cells):
 
 lambdas = st.builds(Fraction, st.integers(1, 63), st.integers(3, 64)).filter(
     lambda x: 0 < x < Fraction(1, 2))
+
+
+def _row_keys(mask: np.ndarray) -> np.ndarray:
+    """One int64 per boolean row, equal exactly when the rows are equal.
+
+    Forty columns at a time are packed as bits below the rank of the key so far.
+    """
+    key = np.zeros(len(mask), dtype=np.int64)
+    for j in range(0, mask.shape[1], 40):
+        bits = mask[:, j:j + 40]
+        rank = np.unique(key, return_inverse=True)[1].reshape(-1)
+        key = (rank << bits.shape[1]) | (bits @ (1 << np.arange(bits.shape[1])))
+    return key
+
+
+@given(rows=st.integers(1, 300), cols=st.integers(1, 130), distinct=st.integers(1, 40),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=100, deadline=None)
+def test_mask_keys_number_rows_as_the_chunked_keys(rows, cols, distinct, density, seed):
+    """Packed-byte row keys give the same (first, ids) as the rank-chunked int64 keys
+    they replaced, over more columns than one 40-column chunk."""
+    rng = np.random.default_rng(seed)
+    pool = rng.random((distinct, cols)) < density
+    mask = pool[rng.integers(0, distinct, rows)]
+    first, ids = numbered(_mask_keys(mask))
+    ref_first, ref_ids = numbered(_row_keys(mask))
+    assert first.tolist() == ref_first.tolist() and ids.tolist() == ref_ids.tolist()
 
 
 @pytest.mark.parametrize("force_objects", [False, True])

@@ -248,8 +248,9 @@ class TestResolvent:
             resolvent(form, [0.5, 0.6], 1.0)
         with pytest.raises(BadMeasure):
             resolvent(form, [1.1, -0.1], 1.0)
-        with pytest.raises(DomainError):
-            resolvent(form, [0.5, 0.5], 0.0)
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                resolvent(form, [0.5, 0.5], alpha)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=5, max_size=5))

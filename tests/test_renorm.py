@@ -18,6 +18,17 @@ from agres.renorm import (BRACKET_EXPANSIONS, BoundaryForm, EigenResult,
                           solve_r, symmetric_start, uniqueness_scan, _glue_context)
 
 
+def glued_vector_by_copy(ctx, cvec, weights):
+    """The per-copy accumulation that ``GlueContext.glued_vector`` replaced."""
+    gvec = np.zeros(ctx.n_gpairs)
+    for arr, ci in zip(ctx.scatter, ctx.copies):
+        w = float(weights[ci])
+        if w <= 0:
+            raise DomainError("weights must be positive")
+        np.add.at(gvec, arr, cvec / w)
+    return gvec
+
+
 def full_start(ifs):
     return symmetric_start(boundary_set(ifs))
 
@@ -66,6 +77,18 @@ class TestGlue:
             strength[y] = strength.get(y, 0.0) + c
         for i in range(len(perm)):
             assert strength[i] == pytest.approx(strength[perm[i]], rel=1e-12)
+
+
+    @pytest.mark.parametrize("lam", ["1/4", "1/7", "181/512"])
+    def test_glued_vector_is_bit_identical_to_per_copy_accumulation(self, lam):
+        ifs = agres.make_ifs(lam)
+        rng = np.random.default_rng(23)
+        for include_added in (True, False):
+            ctx = _glue_context(ifs, boundary_set(ifs), include_added)
+            for _ in range(5):
+                cvec, weights = rng.uniform(0.0, 3.0, len(ctx.pairs)), rng.uniform(0.1, 2.0, 4)
+                assert ctx.glued_vector(cvec, weights).tobytes() == \
+                    glued_vector_by_copy(ctx, cvec, weights).tobytes()
 
 
 class TestRenormMap:
