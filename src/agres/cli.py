@@ -166,9 +166,10 @@ def validate(cfg: RunConfig) -> list[str]:
     for name in ("eigen_tol", "bisect_tol"):
         if not (math.isfinite(getattr(cfg, name)) and getattr(cfg, name) > 0):
             v.append(f"{name}: must be finite and positive")
-    for name in ("max_iters", "relation_depth"):
-        if getattr(cfg, name) < 1:
-            v.append(f"{name}: must be at least 1")
+    if cfg.max_iters < 1:
+        v.append("max_iters: must be at least 1")
+    if not 1 <= cfg.relation_depth <= approx.LEVEL_CAP:
+        v.append(f"relation_depth: must lie in 1..{approx.LEVEL_CAP}")
     return v
 
 

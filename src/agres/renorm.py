@@ -528,79 +528,77 @@ class Relation:
         return self.is_full or self.is_empty
 
 
-def _sig_blocks(sig: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    blocks: dict[int, list[int]] = {}
-    for i, b in enumerate(sig):
-        blocks.setdefault(b, []).append(i)
-    return tuple(tuple(v) for _, v in sorted(blocks.items()))
+def _invariant_partitions(perm: Sequence[int]) -> set[tuple[int, ...]]:
+    """Every rotation-invariant partition of 0..n-1, as block ids numbered by first occurrence.
+
+    Walks up from the discrete partition on block labels: the rotation permutes the
+    blocks (``bp``), and each child merges one orbit of block pairs, tried from its
+    least pair only.  Closures are cached by block count and orbit.
+    """
+    discrete = tuple(range(len(perm)))
+    seen, queue, closures = {discrete}, [discrete], {}
+    while queue:
+        sig = queue.pop()
+        b = max(sig) + 1
+        bp = [sig[perm[sig.index(p)]] for p in range(b)]
+        for p in range(b):
+            p2, p3 = bp[p], bp[bp[p]]
+            for q in range(p + 1, b):
+                q2, q3 = bp[q], bp[bp[q]]
+                x, y = (p2, q2) if p2 < q2 else (q2, p2)
+                u, v = (p3, q3) if p3 < q3 else (q3, p3)
+                if x < p or x == p and y < q or u < p or u == p and v < q:
+                    continue  # (p, q) is not the least pair of its orbit
+                key = (b, p, q, p2, q2, p3, q3)
+                if key not in closures:
+                    closures[key] = _components(b, ((p, q), (p2, q2), (p3, q3)))
+                new = tuple(map(closures[key].__getitem__, sig))
+                if new not in seen:
+                    seen.add(new)
+                    queue.append(new)
+    return seen
 
 
-def _block_pairs(sig: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Pairs joining every element to the first element of its block."""
-    first: dict[int, int] = {}
-    return [(i, first.setdefault(b, i)) for i, b in enumerate(sig)]
-
-
-def _close_with_group(sig: tuple[int, ...], extra: tuple[int, int],
-                      perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Smallest group-invariant equivalence relation containing sig and the extra pair."""
-    x, y = extra
-    orbit = [(x, y), (perm[x], perm[y]), (perm[perm[x]], perm[perm[y]])]
-    return _components(len(sig), _block_pairs(sig) + orbit)
-
-
-def _tilde_level_maps(ifs: IFS, bset: BoundarySet, k: int) -> tuple[int, list[np.ndarray]]:
-    """Glued ids of every depth-k copy of the boundary set (boundary seeded first)."""
-    def build():
-        table, ids = seeded_copies(ifs, bset.points, k)
-        return len(table), list(ids)
-
-    return ifs.cached(("tilde", tuple(bset.points), k), build)
-
-
-def _restricted_relation(ifs: IFS, bset: BoundarySet, sig: tuple[int, ...],
-                         k: int) -> tuple[int, ...]:
-    """Relation induced on the boundary set by depth-k copies of the relation graph."""
-    n_glued, copies = _tilde_level_maps(ifs, bset, k)
-    pairs = _block_pairs(sig)
-    joined = [(int(arr[i]), int(arr[j])) for arr in copies for i, j in pairs]
-    # boundary ids come first, so the prefix is already numbered by first occurrence
-    return _components(n_glued, joined)[:bset.size]
+def _slot_joins(ifs: IFS, bset: BoundarySet, k: int) -> tuple[np.ndarray, ...]:
+    """The depth-k copies' slots w * n + i (point i of copy w) as pairs of slots glued
+    to one point, then a slot holding each boundary point."""
+    table, ids = seeded_copies(ifs, bset.points, k)
+    if np.unique(ids).size < len(table):
+        raise IdentificationMismatch("a boundary point is not an image of any copy")
+    order = np.argsort(ids, axis=None)
+    glued = ids.reshape(-1)[order]
+    same = np.flatnonzero(glued[1:] == glued[:-1])
+    return order[same], order[same + 1], order[np.searchsorted(glued, range(bset.size))]
 
 
 def enumerate_preserved_relations(ifs: IFS, k: int = 1,
                                   guard: int = RELATION_GUARD) -> list[Relation]:
     """All rotation-invariant equivalence relations reproduced by one subdivision step.
 
-    Enumerates the lattice of rotation-invariant partitions of the boundary
-    set by closing pair merges under the rotation action, then keeps the
-    partitions whose depth-1 copy graph induces exactly the same relation
-    back on the boundary set.  ``k > 1`` re-checks survivors at deeper
-    subdivisions (they must persist).
+    Walks the rotation-invariant partitions of the boundary set by block-pair
+    orbits (``_invariant_partitions``) and keeps those whose depth-kk copy graph
+    induces exactly themselves back on the boundary set, for every kk = 1..k.
+    A copy graph has one node per block of each copy, joined where copies share
+    a point; each depth checks all its candidates in one stacked union-find.
     """
+    if k < 1:
+        raise DomainError(f"relation depth must be at least 1, got {k}")
     bset = boundary_set(ifs)
     n = bset.size
     if n > guard:
         raise GuardExceeded(f"boundary set has {n} points, guard is {guard}")
-    perm = bset.g_permutation
-
-    discrete = tuple(range(n))
-    seen = {discrete}
-    queue = [discrete]
-    while queue:
-        sig = queue.pop()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if sig[i] == sig[j]:
-                    continue
-                new = _close_with_group(sig, (i, j), perm)
-                if new not in seen:
-                    seen.add(new)
-                    queue.append(new)
-
-    preserved = [Relation(_sig_blocks(sig))
-                 for sig in sorted(seen)
-                 if all(_restricted_relation(ifs, bset, sig, kk) == sig
-                        for kk in range(1, max(k, 1) + 1))]
-    preserved.sort(key=lambda rel: (len(rel.blocks), rel.blocks))
-    return preserved
+    sigs = sorted(_invariant_partitions(bset.g_permutation))
+    for kk in range(1, k + 1):
+        # slot w of candidate t is the node of block s[t, w % n] in copy w // n
+        s, offset = np.array(sigs), np.arange(len(sigs))[:, None] * (4 ** kk * n)
+        a, b, head = (offset + w - w % n + s[:, w % n] for w in _slot_joins(ifs, bset, kk))
+        nodes, idx = np.unique(np.hstack([a, b, head]), return_inverse=True)
+        idx, e = idx.reshape(len(sigs), -1), a.shape[1]
+        labels = np.array(_components(len(nodes), zip(idx[:, :e].ravel().tolist(),
+                                                      idx[:, e:2 * e].ravel().tolist())))
+        keep = np.equal(*(np.argmax(x[:, :, None] == x[:, None, :], axis=2)
+                          for x in (labels[idx[:, 2 * e:]], s))).all(axis=1)
+        sigs = [sig for sig, ok in zip(sigs, keep.tolist()) if ok]
+    rels = [Relation(tuple(tuple(i for i, c in enumerate(sig) if c == blk)
+                           for blk in range(max(sig) + 1))) for sig in sigs]
+    return sorted(rels, key=lambda rel: (len(rel.blocks), rel.blocks))

@@ -122,6 +122,18 @@ class TestCommands:
         obj = json.loads((out / "relations.json").read_text())
         assert obj["count"] == 2 and obj["all_trivial"]
 
+    def test_relation_depth_above_the_level_cap_is_a_validation_error(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("an enumeration started before validation")
+
+        monkeypatch.setattr("agres.renorm.enumerate_preserved_relations", no_enumeration)
+        code, _ = run_cli(["relations", "--lambda", "1/7", "--relation-depth", "9"], tmp_path)
+        assert code == 2
+        obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert obj["error"]["type"] == "ValidationError"
+        assert "relation_depth" in obj["error"]["message"]
+
     def test_converge_report(self, tmp_path):
         code, out = run_cli(["converge", "--target", "1/sqrt8", "--s", "0.5",
                              "--n", "4..6", "--pairs", "(4,1):(4,2)",

@@ -1,5 +1,6 @@
 """The subdivision operator, its fixed ray, the weight solve, and preserved relations."""
 
+import functools
 import math
 import warnings
 
@@ -10,12 +11,13 @@ import agres
 from agres import renorm
 from agres.errors import (BracketFailure, Disconnected, DomainError, GuardExceeded,
                           NoConvergence)
-from agres.geometry import boundary_set
-from agres.network import FiniteForm, effective_resistance, trace, triangle_form
+from agres.geometry import boundary_set, seeded_copies
+from agres.network import FiniteForm, _components, effective_resistance, trace, triangle_form
 from agres.renorm import (BRACKET_EXPANSIONS, BoundaryForm, EigenResult,
                           corner_only_boundary, eigen_solve,
                           enumerate_preserved_relations, glue_level_one, renorm_map,
-                          solve_r, symmetric_start, uniqueness_scan, _glue_context)
+                          solve_r, symmetric_start, uniqueness_scan, _glue_context,
+                          _invariant_partitions)
 
 
 def glued_vector_by_copy(ctx, cvec, weights):
@@ -27,6 +29,79 @@ def glued_vector_by_copy(ctx, cvec, weights):
             raise DomainError("weights must be positive")
         np.add.at(gvec, arr, cvec / w)
     return gvec
+
+
+# -- reference enumeration: the point-pair walk and per-partition check that the
+# block-orbit walk and the batched union-find replaced, kept as an oracle ----------
+
+
+def _sig_blocks(sig: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    blocks: dict[int, list[int]] = {}
+    for i, b in enumerate(sig):
+        blocks.setdefault(b, []).append(i)
+    return tuple(tuple(v) for _, v in sorted(blocks.items()))
+
+
+def _block_pairs(sig: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Pairs joining every element to the first element of its block."""
+    first: dict[int, int] = {}
+    return [(i, first.setdefault(b, i)) for i, b in enumerate(sig)]
+
+
+def _close_with_group(sig: tuple[int, ...], extra: tuple[int, int],
+                      perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest group-invariant equivalence relation containing sig and the extra pair."""
+    x, y = extra
+    orbit = [(x, y), (perm[x], perm[y]), (perm[perm[x]], perm[perm[y]])]
+    return _components(len(sig), _block_pairs(sig) + orbit)
+
+
+def _tilde_level_maps(ifs, bset, k):
+    """Glued ids of every depth-k copy of the boundary set (boundary seeded first)."""
+    def build():
+        table, ids = seeded_copies(ifs, bset.points, k)
+        return len(table), list(ids)
+
+    return ifs.cached(("tilde", tuple(bset.points), k), build)
+
+
+def _restricted_relation(ifs, bset, sig: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Relation induced on the boundary set by depth-k copies of the relation graph."""
+    n_glued, copies = _tilde_level_maps(ifs, bset, k)
+    pairs = _block_pairs(sig)
+    joined = [(int(arr[i]), int(arr[j])) for arr in copies for i, j in pairs]
+    # boundary ids come first, so the prefix is already numbered by first occurrence
+    return _components(n_glued, joined)[:bset.size]
+
+
+@functools.lru_cache(maxsize=None)
+def pair_walk(perm: tuple[int, ...]) -> frozenset:
+    """Every rotation-invariant partition, by closing each unjoined point pair's orbit."""
+    n = len(perm)
+    discrete = tuple(range(n))
+    seen = {discrete}
+    queue = [discrete]
+    while queue:
+        sig = queue.pop()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if sig[i] == sig[j]:
+                    continue
+                new = _close_with_group(sig, (i, j), perm)
+                if new not in seen:
+                    seen.add(new)
+                    queue.append(new)
+    return frozenset(seen)
+
+
+def preserved_by_pair_walk(ifs, k):
+    """The preserved relations, each partition checked alone at depths 1..k."""
+    bset = boundary_set(ifs)
+    preserved = [_sig_blocks(sig)
+                 for sig in sorted(pair_walk(bset.g_permutation))
+                 if all(_restricted_relation(ifs, bset, sig, kk) == sig
+                        for kk in range(1, k + 1))]
+    return sorted(preserved, key=lambda blocks: (len(blocks), blocks))
 
 
 def full_start(ifs):
@@ -292,6 +367,36 @@ class TestPreservedRelations:
         for rel in rels:
             flat = sorted(v for b in rel.blocks for v in b)
             assert flat == list(range(n))
+
+    @pytest.mark.parametrize("lam, n", [("1/4", 6), ("1/8", 9), ("1/7", 12), ("1/5", 15)])
+    def test_block_orbit_walk_matches_pair_walk(self, lam, n):
+        perm = boundary_set(agres.make_ifs(lam)).g_permutation
+        assert len(perm) == n
+        assert _invariant_partitions(perm) == pair_walk(tuple(perm))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("lam, guard", [
+        ("1/4", 12), ("1/8", 12), ("1/16", 12), ("1/6", 12), ("1/7", 12), ("2/7", 12),
+        ("3/16", 12), ("1/5", 15), ("11/32", 15),
+    ])
+    def test_batched_check_matches_per_partition_check(self, lam, guard, k):
+        rels = enumerate_preserved_relations(agres.make_ifs(lam), k=k, guard=guard)
+        assert [r.blocks for r in rels] == preserved_by_pair_walk(agres.make_ifs(lam), k)
+
+    def test_only_trivial_for_dyadic_beyond_default_guard(self):
+        ifs = agres.make_ifs("11/32")
+        assert boundary_set(ifs).size == 15
+        rels = enumerate_preserved_relations(ifs, k=2, guard=15)
+        assert len(rels) == 2 and all(r.is_trivial for r in rels)
+
+    def test_nontrivial_exists_for_non_dyadic_beyond_default_guard(self):
+        rels = enumerate_preserved_relations(agres.make_ifs("1/5"), guard=15)
+        assert any(not r.is_trivial for r in rels)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_depth_below_one_is_a_domain_error(self, k):
+        with pytest.raises(DomainError):
+            enumerate_preserved_relations(agres.make_ifs("1/4"), k=k)
 
 
 def test_corner_only_form_with_added_copy_disconnects(ifs14):
