@@ -122,11 +122,13 @@ class _Factor:
         return lapack.dpotrs(self._cho, rhs)[0]
 
 
-def _schur(L, nk: int) -> tuple[np.ndarray, _Factor]:
-    """Schur complement of the trailing interior block onto the first nk indices."""
+def _schur(L, nk: int) -> tuple[np.ndarray, _Factor, np.ndarray]:
+    """Schur complement of the trailing interior block onto the first nk indices, the
+    block's factor, and X = L_II^-1 L_IB, so that [I; -X] is the harmonic extension."""
     fac = _Factor(L[nk:, nk:])
     L_ki = L[:nk, nk:]
-    return _dense(L[:nk, :nk]) - L_ki @ fac.solve(_dense(L_ki.T)), fac
+    X = fac.solve(_dense(L_ki.T))
+    return _dense(L[:nk, :nk]) - L_ki @ X, fac, X
 
 
 def _pair_conductances(S: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, float]:
@@ -317,7 +319,7 @@ def trace(form: FiniteForm, keep: Iterable[VertexId]) -> FiniteForm:
     if len(keep) == form.n:
         return FiniteForm.from_arrays(keep, *form._edges_in(keep), form._c)
     L, _ = form._laplacian_first(keep)
-    S, fac = _schur(L, len(keep))
+    S, fac, _ = _schur(L, len(keep))
     if fac.pivot_ratio is not None and fac.pivot_ratio > PIVOT_RATIO_WARN:
         warnings.warn(f"interior pivot ratio {fac.pivot_ratio:.3g} exceeds {PIVOT_RATIO_WARN:g}",
                       ConditionWarning, stacklevel=2)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
                      GuardExceeded, IdentificationMismatch, NoConvergence, SingularInterior)
@@ -28,6 +29,8 @@ from .network import (FiniteForm, _components, _Factor, _laplacian, _pair_conduc
 
 EIGEN_TOL = 1e-12
 EIGEN_MAX_ITERS = 10_000
+CHORD_START = 1e-2  # profile change below which eigen_solve switches to chord steps
+CHORD_RATE = 0.2    # a chord step contracting the change less than this rebuilds J once
 BISECT_TOL = 1e-10
 BRACKET_EXPANSIONS = 60
 RELATION_GUARD = 12
@@ -118,10 +121,12 @@ class GlueContext:
         self.pair_i, self.pair_j = np.triu_indices(n, 1)
         self.pairs = list(zip(self.pair_i.tolist(), self.pair_j.tolist()))
         self.orbit_ids = _pair_orbit_ids(bset.g_permutation)
+        # row k: the k-th pair of each orbit, least first (three each: one point is fixed)
+        self.orbit_pairs = np.argsort(self.orbit_ids, kind="stable").reshape(-1, 3).T
         self.copies = (0, 1, 2, 3) if include_added else (0, 1, 2)
 
         table, ids = seeded_copies(ifs, bset.points, 1, self.copies)
-        self._table = table
+        self._table, self.ids = table, ids
         self.n_glued = len(table)
 
         covered = np.zeros(self.n_glued, dtype=bool)
@@ -166,32 +171,54 @@ class GlueContext:
     def glued_vector(self, cvec: np.ndarray, weights: Sequence[float]) -> np.ndarray:
         """Sum of the copies' pair vectors, copy i divided by its weight, added in copy order."""
         w = np.array([float(weights[ci]) for ci in self.copies])
-        if (w <= 0).any():
+        if not (w > 0).all():
             raise DomainError("weights must be positive")
         return np.bincount(self.scatter.reshape(-1), (cvec[None, :] / w[:, None]).reshape(-1),
                            self.n_gpairs)
 
-    def trace_to_boundary(self, gvec: np.ndarray) -> np.ndarray:
-        """Schur-complement the interior glued vertices; returns boundary pair vector."""
+    def _schur(self, gvec: np.ndarray) -> tuple[np.ndarray, _Factor, np.ndarray]:
+        """``network._schur`` of the glued Laplacian onto the boundary vertices."""
         L = _laplacian(self.n_glued, self.gpair_a, self.gpair_b, gvec)
         try:
-            S, _ = _schur(L, self.N)
+            return _schur(L, self.N)
         except SingularInterior as exc:
             pairs = zip(self.gpair_a[gvec > 0].tolist(), self.gpair_b[gvec > 0].tolist())
             if any(_components(self.n_glued, pairs)):
                 raise Disconnected("glued network is disconnected") from exc
             raise
-        return _pair_conductances(S, self.pair_i, self.pair_j)[0]
 
     def apply(self, cvec: np.ndarray, weights: Sequence[float]) -> np.ndarray:
-        return self.trace_to_boundary(self.glued_vector(cvec, weights))
+        """Glue the weighted copies and trace to the boundary; returns its pair vector."""
+        S = self._schur(self.glued_vector(cvec, weights))[0]
+        return _pair_conductances(S, self.pair_i, self.pair_j)[0]
 
-    def resistance_p1p2(self, cvec: np.ndarray) -> float:
-        """Two-point resistance between the first two boundary vertices (corners 1, 2)."""
+    def jacobian(self, cvec: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+        """Jacobian of ``normalized(apply(.))`` at a rotation-symmetric vector: a row (its
+        least pair) and a column (summed over the orbit) per pair orbit.  The trace's
+        derivative in the glued conductance of (p, q) is -h[a] h[b] on the output pair
+        (a, b), h being row p minus row q of the harmonic extension (Kigami, Analysis on
+        Fractals, ch. 2); the normalization adds a rank-one term."""
+        S, _, X = self._schur(self.glued_vector(cvec, weights))
+        y = _pair_conductances(S, self.pair_i, self.pair_j)[0]
+        Ht = np.hstack([np.eye(self.N), -X.T])
+        rep = self.orbit_pairs[0]
+        a, b = self.pair_i[rep], self.pair_j[rep]
+        Jy = np.zeros((len(rep), len(rep)))  # output orbit x input orbit
+        for ids, ci in zip(self.ids, self.copies):
+            K = Ht[:, ids]
+            for m in self.orbit_pairs:
+                h = K[:, self.pair_i[m]] - K[:, self.pair_j[m]]  # boundary vertex x input orbit
+                Jy -= h[a] * h[b] / float(weights[ci])
+        u = self._unit_potential(y)
+        dR = -np.bincount(self.orbit_ids, (u[self.pair_i] - u[self.pair_j]) ** 2) @ Jy
+        return 1.5 * (u[1] * Jy + np.outer(y[rep], dR))
+
+    def _unit_potential(self, cvec: np.ndarray) -> np.ndarray:
+        """Potential of a unit current from corner 2 (vertex 1) to corner 1 (vertex 0),
+        grounded there; its value at vertex 1 is the resistance between the two."""
         L = _laplacian(self.N, self.pair_i, self.pair_j, cvec)
-        e = np.zeros(self.N - 1)
-        e[0] = 1.0  # vertex 1 sits at position 0 once vertex 0 is grounded
-        return float(_Factor(L[1:, 1:]).solve(e)[0])
+        e = np.eye(self.N - 1)[0]  # vertex 1 sits at position 0 once vertex 0 is grounded
+        return np.concatenate([[0.0], _Factor(L[1:, 1:]).solve(e)])
 
     def energy_at_p1_indicator(self, cvec: np.ndarray) -> float:
         """Energy of the indicator of corner 1: the sum of conductances touching vertex 0."""
@@ -208,7 +235,7 @@ class GlueContext:
     def normalized(self, cvec: np.ndarray) -> np.ndarray:
         """The vector symmetrized, then scaled to resistance 2/3 between corners 1 and 2."""
         cvec = self.symmetrize_vector(cvec)
-        return cvec * (1.5 * self.resistance_p1p2(cvec))
+        return cvec * (1.5 * float(self._unit_potential(cvec)[1]))
 
 
 def _glue_context(ifs: IFS, bset: BoundarySet, include_added: bool) -> GlueContext:
@@ -223,11 +250,10 @@ def _normalize_weights(weights) -> tuple[tuple[float, ...], bool]:
         ws.append(math.inf)
     if len(ws) != 4:
         raise DomainError("weights must have 3 or 4 entries")
-    include_added = not (ws[3] is None or math.isinf(float(ws[3])))
-    vals = tuple(float(w) for w in ws[:3]) + ((float(ws[3]),) if include_added else (math.inf,))
-    if any(w <= 0 for w in vals[:3]) or (include_added and vals[3] <= 0):
+    vals = tuple(float(w) for w in ws[:3]) + (math.inf if ws[3] is None else float(ws[3]),)
+    if not all(w > 0 for w in vals):
         raise DomainError("weights must be positive")
-    return vals, include_added
+    return vals, vals[3] != math.inf
 
 
 def glue_level_one(ifs: IFS, D: BoundaryForm, weights) -> FiniteForm:
@@ -261,13 +287,16 @@ def renorm_map(ifs: IFS, D: BoundaryForm, weights) -> BoundaryForm:
 
 @dataclass
 class EigenResult:
-    """Fixed ray of the unit-corner-weight subdivision map at one added weight."""
+    """Fixed ray of the unit-corner-weight subdivision map at one added weight; ``chord``
+    is the LU factor of J - I that a later solve on the same boundary set may start from."""
     rtilde4: float
     C: float
     D: BoundaryForm
-    iterations: int
+    iterations: int       # map applications, power and chord steps together
     delta: float          # last per-conductance relative change
     residual: float       # max relative deviation of apply(D) from C * D
+    jacobians: int = 0
+    chord: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 def _rel_delta(new: np.ndarray, old: np.ndarray) -> float:
@@ -280,16 +309,24 @@ def _rel_delta(new: np.ndarray, old: np.ndarray) -> float:
 def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
                 max_iters: int = EIGEN_MAX_ITERS,
                 initial: Optional[BoundaryForm] = None,
-                bset: Optional[BoundarySet] = None) -> EigenResult:
+                bset: Optional[BoundarySet] = None,
+                chord: Optional[tuple] = None) -> EigenResult:
     """Fixed conductance profile of the subdivision map at unit corner weights.
 
-    Iterates D <- normalize(apply(D)) from a rotation-symmetric start until
-    the max relative conductance change drops below ``tol``; normalization
-    rescales so the resistance between corners 1 and 2 is 2/3.  The scale
-    factor C is the energy ratio of one application at the limit; it lies
-    in [3/5, 1).  ``rtilde4 = inf`` omits the added copy (open circuit).
+    Iterates T = normalize(apply(.)) from a rotation-symmetric start until
+    it changes the profile by less than ``tol`` and takes that image;
+    normalization rescales so the resistance between corners 1 and 2 is 2/3.
+    Power steps D <- T(D) run until the change is below CHORD_START, then
+    chord steps z <- z - (J - I)^-1 (T(z) - z) on one value per pair orbit,
+    with the Jacobian J factored once (or passed in as ``chord``) and rebuilt
+    once if a step contracts the change by less than CHORD_RATE.  A chord step
+    that leaves the positive cone or does not reduce the change hands back to
+    power steps.  The scale factor C is the energy ratio of one application at
+    the limit; it lies in [3/5, 1).  ``rtilde4 = inf`` or None omits the added
+    copy (open circuit).
     """
-    if rtilde4 is not None and not math.isinf(rtilde4) and rtilde4 <= 0:
+    rtilde4 = math.inf if rtilde4 is None else float(rtilde4)
+    if not rtilde4 > 0:
         raise DomainError("rtilde4 must be positive or inf")
     bset = bset if bset is not None else boundary_set(ifs)
     ws, include_added = _normalize_weights((1.0, 1.0, 1.0, rtilde4))
@@ -303,14 +340,31 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
         c = np.ones(len(ctx.pairs))
     c = ctx.normalized(c)
 
-    delta = math.inf
-    iters = 0
+    rep = ctx.orbit_pairs[0]
+    lu = chord if chord is not None and len(chord[1]) == len(rep) else None
+    chording = fallen = rebuilt = False
+    delta, iters, jacobians = math.inf, 0, 0
     for iters in range(1, max_iters + 1):
         new = ctx.normalized(ctx.apply(c, ws))
-        delta = _rel_delta(new, c)
-        c = new
+        prev, delta = delta, _rel_delta(new, c)
+        if not math.isfinite(delta):
+            raise NoConvergence(f"profile change is {delta} after {iters} iterations")
         if delta < tol:
+            c = new
             break
+        fallen = fallen or (chording and not delta < prev)  # a chord step that did not help
+        if chording and not fallen and delta > CHORD_RATE * prev and not rebuilt:
+            lu, rebuilt = None, True
+        chording = not fallen and delta < CHORD_START
+        if chording and lu is None:
+            lu = lapack.dgetrf(ctx.jacobian(c, ws) - np.eye(len(rep)))[:2]
+            jacobians += 1
+        if chording:
+            t, z = new[rep], c[rep]
+            live = t > 0  # pairs the map leaves at zero stay there
+            z = np.where(live, z - lapack.dgetrs(*lu, t - z)[0], 0.0)
+            fallen = not (z[live] > 0).all()
+        c = z[ctx.orbit_ids] if chording and not fallen else new
     else:
         raise NoConvergence(f"no fixed profile after {max_iters} iterations (delta={delta:.3e})")
 
@@ -325,7 +379,8 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
         raise DegenerateLimit(f"scale factor {C!r} escapes [3/5, 1)")
 
     D = BoundaryForm.of_vector(bset, c, symmetric=True)
-    return EigenResult(float(rtilde4), float(C), D, iters, delta, residual)
+    return EigenResult(rtilde4, float(C), D, iters, delta, residual, jacobians,
+                       None if fallen else lu)
 
 
 @dataclass(frozen=True)
@@ -337,6 +392,7 @@ class Evaluation:
     power_iterations: int
     delta: float
     residual: float
+    jacobians: int = 0
 
 
 @dataclass
@@ -344,10 +400,11 @@ class Solution:
     """Solved renormalization data for one (lambda, s) pair.
 
     ``eigen_iterations`` counts the ``eigen_solve`` calls of the weight
-    solve (one per root-finder evaluation), not the power iterations inside
-    them; ``power_iterations`` is their total.  ``history`` holds one
-    record per evaluation, in call order, and ``bracket`` the final
-    sign-change interval of g; neither is serialized.
+    solve (one per root-finder evaluation), not the map applications inside
+    them; ``power_iterations`` is their total, ``jacobians`` that of the
+    Jacobians they built.  ``history`` holds one record per evaluation, in
+    call order, and ``bracket`` the final sign-change interval of g; none of
+    these is serialized.
     """
     lam: Fraction
     s: float
@@ -360,6 +417,7 @@ class Solution:
     experimental: bool = False
     eigen_iterations: int = 0
     power_iterations: int = 0
+    jacobians: int = 0
     history: list[Evaluation] = field(default_factory=list)
     bracket: tuple[float, float] = (math.nan, math.nan)
 
@@ -453,15 +511,17 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
     if not (0.0 < s < 1.0):
         raise DomainError(f"s must lie in (0, 1), got {s}")
     bset = boundary_set(ifs)
-    warm: Optional[BoundaryForm] = None
+    warm: Optional[EigenResult] = None  # the last fixed ray and chord factor start the next
     history: list[Evaluation] = []
 
     def value(x: float) -> tuple[float, float, EigenResult]:
         nonlocal warm
-        res = eigen_solve(ifs, x, tol=eigen_tol, max_iters=max_iters, initial=warm, bset=bset)
-        warm = res.D
+        res = eigen_solve(ifs, x, tol=eigen_tol, max_iters=max_iters, bset=bset,
+                          initial=warm and warm.D, chord=warm and warm.chord)
+        warm = res
         g = x * res.C - s
-        history.append(Evaluation(x, g, res.C, res.iterations, res.delta, res.residual))
+        history.append(Evaluation(x, g, res.C, res.iterations, res.delta, res.residual,
+                                  res.jacobians))
         return x, g, res
 
     b, c = bracketed_root(value, s, s / 0.58, bisect_tol)
@@ -477,6 +537,7 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
                     experimental=not ifs.is_dyadic(),
                     eigen_iterations=len(history),
                     power_iterations=sum(h.power_iterations for h in history),
+                    jacobians=sum(h.jacobians for h in history),
                     history=history, bracket=(min(b[0], c[0]), max(b[0], c[0])))
 
 
@@ -492,18 +553,15 @@ def uniqueness_scan(ifs: IFS, s: float, sol: Solution, r_values: Sequence[float]
     ctx = _glue_context(ifs, bset, include_added=True)
     out = []
     for rp in r_values:
-        if rp <= 0:
+        if not rp > 0:
             raise DomainError("corner weights must be positive")
-        c = sol.D.vector(ctx.pairs).copy()
-        factor = math.nan
+        c = sol.D.vector(ctx.pairs)
         tail: list[float] = []
         for _ in range(steps):
             raw = ctx.apply(c, (rp, rp, rp, s))
-            factor = ctx.energy_at_p1_indicator(raw) / ctx.energy_at_p1_indicator(c)
-            tail.append(factor)
+            tail.append(ctx.energy_at_p1_indicator(raw) / ctx.energy_at_p1_indicator(c))
             c = ctx.normalized(raw)
-        factor = float(np.mean(tail[-5:]))
-        out.append((float(rp), factor))
+        out.append((float(rp), float(np.mean(tail[-5:]))))
     return out
 
 

@@ -9,15 +9,16 @@ import pytest
 
 import agres
 from agres import renorm
-from agres.errors import (BracketFailure, Disconnected, DomainError, GuardExceeded,
-                          NoConvergence)
+from agres.converge import dyadic_schedule
+from agres.errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
+                          GuardExceeded, NoConvergence)
 from agres.geometry import boundary_set, seeded_copies
 from agres.network import FiniteForm, _components, effective_resistance, trace, triangle_form
-from agres.renorm import (BRACKET_EXPANSIONS, BoundaryForm, EigenResult,
-                          corner_only_boundary, eigen_solve,
+from agres.renorm import (BRACKET_EXPANSIONS, EIGEN_MAX_ITERS, EIGEN_TOL, BoundaryForm,
+                          EigenResult, GlueContext, corner_only_boundary, eigen_solve,
                           enumerate_preserved_relations, glue_level_one, renorm_map,
                           solve_r, symmetric_start, uniqueness_scan, _glue_context,
-                          _invariant_partitions)
+                          _invariant_partitions, _normalize_weights, _rel_delta)
 
 
 def glued_vector_by_copy(ctx, cvec, weights):
@@ -428,6 +429,153 @@ def test_solve_extreme_added_weights(ifs14):
         assert sol.residual <= 1e-8
 
 
+# -- the fixed ray against the plain power iteration ---------------------------------
+
+
+def power_eigen_solve(ifs, rtilde4, tol=EIGEN_TOL, max_iters=EIGEN_MAX_ITERS,
+                      initial=None, bset=None):
+    """The power iteration ``eigen_solve`` ran before its chord phase, kept verbatim."""
+    if rtilde4 is not None and not math.isinf(rtilde4) and rtilde4 <= 0:
+        raise DomainError("rtilde4 must be positive or inf")
+    bset = bset if bset is not None else boundary_set(ifs)
+    ws, include_added = _normalize_weights((1.0, 1.0, 1.0, rtilde4))
+    ctx = _glue_context(ifs, bset, include_added)
+
+    if initial is not None:
+        if initial.n != ctx.N:
+            raise DomainError("initial form lives on a different boundary set")
+        c = initial.vector(ctx.pairs)
+    else:
+        c = np.ones(len(ctx.pairs))
+    c = ctx.normalized(c)
+
+    delta = math.inf
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        new = ctx.normalized(ctx.apply(c, ws))
+        delta = _rel_delta(new, c)
+        c = new
+        if delta < tol:
+            break
+    else:
+        raise NoConvergence(f"no fixed profile after {max_iters} iterations (delta={delta:.3e})")
+
+    if not ctx.connected(c):
+        raise DegenerateLimit("limit form is disconnected")
+
+    raw = ctx.apply(c, ws)
+    C = ctx.energy_at_p1_indicator(raw) / ctx.energy_at_p1_indicator(c)
+    floor = 1e-15 * max(1.0, float(c.max()))
+    residual = float(np.max(np.abs(raw - C * c) / np.maximum(np.abs(C * c), floor)))
+    if not (0.6 - 1e-9 <= C < 1.0):
+        raise DegenerateLimit(f"scale factor {C!r} escapes [3/5, 1)")
+
+    D = BoundaryForm.of_vector(bset, c, symmetric=True)
+    return EigenResult(float(rtilde4), float(C), D, iters, delta, residual)
+
+
+GRID_CASES = [(lam, s) for lam in ("1/4", "1/8", "3/8", "5/16", "3/16") for s in (0.2, 0.5, 0.8)]
+# boundary sets of 6 to 27 points
+SOLVE_LAMBDAS = ("1/4", "1/7", "11/32", "45/128", "91/256", "181/512")
+SQRT8_LAMBDAS = tuple(str(lam) for _, lam in dyadic_schedule("1/sqrt8", range(4, 11)).entries)
+
+
+def ray_vector(res):
+    n = res.D.n
+    return res.D.vector(list(zip(*np.triu_indices(n, 1))))
+
+
+@pytest.mark.parametrize("lam,x", GRID_CASES + [(lam, x) for lam in SOLVE_LAMBDAS + SQRT8_LAMBDAS
+                                                 for x in (0.5, 0.5 / 0.58, math.inf)])
+def test_chord_matches_power_oracle(lam, x):
+    ifs = agres.make_ifs(lam)
+    res, oracle = eigen_solve(ifs, x), power_eigen_solve(ifs, x)
+    assert res.C == pytest.approx(oracle.C, rel=1e-9)
+    assert ray_vector(res) == pytest.approx(ray_vector(oracle), rel=1e-9, abs=1e-12)
+    assert res.delta < EIGEN_TOL and res.residual <= 1e-10
+
+
+@pytest.mark.parametrize("lam", ["1/7", "11/32", "181/512"])
+@pytest.mark.parametrize("x", [0.7, math.inf])
+def test_jacobian_matches_central_differences(lam, x):
+    ifs = agres.make_ifs(lam)
+    bset = boundary_set(ifs)
+    ctx = _glue_context(ifs, bset, not math.isinf(x))
+    weights = (1.0, 1.0, 1.0, x)
+    rep = ctx.orbit_pairs[0]
+    # a positive symmetric point off the fixed ray
+    z = ray_vector(eigen_solve(ifs, x))[rep]
+    z = (z + 0.1 * z.mean()) * np.random.default_rng(3).uniform(0.8, 1.2, len(rep))
+    J = ctx.jacobian(z[ctx.orbit_ids], weights)
+
+    def T(v):  # normalized(apply(.)) on one value per pair orbit
+        return ctx.normalized(ctx.apply(v[ctx.orbit_ids], weights))[rep]
+
+    fd = np.empty_like(J)
+    for k in range(len(z)):
+        step = np.zeros_like(z)
+        step[k] = 1e-6 * z[k]
+        fd[:, k] = (T(z + step) - T(z - step)) / (2 * step[k])
+    assert J.shape == (len(ctx.pairs) // 3,) * 2
+    assert np.abs(J - fd).max() <= 1e-5 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda n: 3.0 * np.eye(n),
+    lambda n: np.random.default_rng(8).normal(0.0, 2.0, (n, n)),
+    lambda n: np.full((n, n), math.nan),
+])
+@pytest.mark.parametrize("lam", ["1/7", "181/512"])
+def test_wrong_jacobian_falls_back_to_the_power_ray(monkeypatch, lam, wrong):
+    ifs = agres.make_ifs(lam)
+    monkeypatch.setattr(GlueContext, "jacobian", lambda self, c, w: wrong(len(self.pairs) // 3))
+    res, oracle = eigen_solve(ifs, 0.7), power_eigen_solve(ifs, 0.7)
+    assert res.jacobians >= 1 and res.chord is None  # a chord phase ran, then handed back
+    assert res.C == pytest.approx(oracle.C, rel=1e-9)
+    assert ray_vector(res) == pytest.approx(ray_vector(oracle), rel=1e-9, abs=1e-12)
+
+
+def test_chord_counts_map_applications(ifs14):
+    ifs = agres.make_ifs("181/512")
+    res = eigen_solve(ifs, 0.7)
+    assert res.jacobians >= 1 and res.chord is not None
+    assert res.iterations < power_eigen_solve(ifs, 0.7).iterations
+    with pytest.raises(NoConvergence):  # max_iters caps both phases
+        eigen_solve(ifs, 0.7, max_iters=res.iterations - 1)
+    sol = solve_r(ifs14, 0.5)
+    assert sol.jacobians == sum(h.jacobians for h in sol.history) >= 1
+    assert "jacobians" not in sol.to_json_obj()
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_nan_or_negative_infinite_weight_is_a_domain_error(ifs14, sol14, bad):
+    ctx = _glue_context(ifs14, boundary_set(ifs14), True)
+    with pytest.raises(DomainError):
+        eigen_solve(ifs14, bad)
+    with pytest.raises(DomainError):
+        renorm_map(ifs14, full_start(ifs14), (1.0, 1.0, 1.0, bad))
+    with pytest.raises(DomainError):
+        renorm_map(ifs14, full_start(ifs14), (1.0, bad, 1.0, 1.0))
+    with pytest.raises(DomainError):
+        ctx.glued_vector(np.ones(len(ctx.pairs)), (1.0, 1.0, 1.0, bad))
+    with pytest.raises(DomainError):
+        uniqueness_scan(ifs14, 0.5, sol14, [bad])
+
+
+def test_non_finite_change_stops_at_once(monkeypatch, ifs14):
+    calls = []
+    monkeypatch.setattr(renorm, "_rel_delta", lambda new, old: calls.append(1) or math.nan)
+    with pytest.raises(NoConvergence):
+        eigen_solve(ifs14, 1.0)
+    assert len(calls) == 1
+
+
+def test_none_is_the_open_circuit(ifs14):
+    res = eigen_solve(ifs14, None)
+    assert res.rtilde4 == math.inf
+    assert res.C == eigen_solve(ifs14, math.inf).C == pytest.approx(0.6, abs=1e-10)
+
+
 # -- the weight solve against a reference bisection ----------------------------------
 
 
@@ -439,7 +587,8 @@ def bisection_solve(ifs, s, eigen_tol=1e-12, bisect_tol=1e-10,
 
     def value(x):
         nonlocal warm
-        res = eigen_solve(ifs, x, tol=eigen_tol, max_iters=max_iters, initial=warm, bset=bset)
+        res = power_eigen_solve(ifs, x, tol=eigen_tol, max_iters=max_iters, initial=warm,
+                                bset=bset)
         warm = res.D
         return x * res.C - s, res
 
@@ -474,11 +623,6 @@ def bisection_solve(ifs, s, eigen_tol=1e-12, bisect_tol=1e-10,
     else:
         raise NoConvergence("bisection did not reach tolerance")
     return mid, res_mid.C
-
-
-GRID_CASES = [(lam, s) for lam in ("1/4", "1/8", "3/8", "5/16", "3/16") for s in (0.2, 0.5, 0.8)]
-# boundary sets of 6 to 27 points
-SOLVE_LAMBDAS = ("1/4", "1/7", "11/32", "45/128", "91/256", "181/512")
 
 
 @pytest.mark.parametrize("lam,s", GRID_CASES + [(lam, 0.5) for lam in SOLVE_LAMBDAS[1:]])
@@ -517,7 +661,7 @@ def synthetic_c(monkeypatch, ifs14):
     D = eigen_solve(ifs14, 1.0).D
 
     def install(C):
-        def fake(ifs, x, tol=None, max_iters=None, initial=None, bset=None):
+        def fake(ifs, x, tol=None, max_iters=None, initial=None, bset=None, chord=None):
             return EigenResult(x, C(x), D, 3, 0.0, 0.0)
         monkeypatch.setattr(renorm, "eigen_solve", fake)
     return install
