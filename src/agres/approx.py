@@ -79,11 +79,9 @@ def level_form(ifs: IFS, sol: Solution, m: int) -> LevelForm:
     cell, k = _ragged(sizes[types])
     rows = np.concatenate(tables)[(np.cumsum(sizes) - sizes)[types[cell]] + k]
     base = geom.kept_start[cell]
-    r, s = sol.r, sol.s
-    weight = np.array([r ** -(m - n4) * s ** -n4 for n4 in range(m + 1)])
     form = FiniteForm.from_arrays(range(geom.n_vertices), geom.kept_gids[base + rows["a"]],
                                   geom.kept_gids[base + rows["b"]],
-                                  weight[geom.letter_counts[cell, 3]] * rows["c"])
+                                  geom.cell_multipliers(sol.r, sol.s)[cell] * rows["c"])
     return LevelForm(m, form, geom, sol)
 
 
@@ -117,9 +115,9 @@ def measure_weights(ifs: IFS, scheme: Literal["hausdorff", "uniform", "custom"] 
         if custom is None or len(custom) != 4:
             raise BadWeights("custom scheme needs four weights")
         w = tuple(float(x) for x in custom)
-        if any(x <= 0 for x in w):
-            raise BadWeights("custom weights must be positive")
         total = sum(w)
+        if not (all(x > 0 for x in w) and total < math.inf):
+            raise BadWeights("custom weights must be positive with a finite sum")
         if abs(total - 1.0) > 1e-12:
             w = tuple(x / total for x in w)
         return MeasureSpec("custom", w)
@@ -278,6 +276,13 @@ class EdgeTraceTower:
         return _dipole_resistances(self.form, [(vid(t1), vid(t2)) for t1, t2 in pairs]).tolist()
 
 
+def _exponent_pair(ifs: IFS, sol: Solution) -> tuple[float, float]:
+    """The larger and the smaller of theta and eta_s = log s / log rho, rho the added
+    map's contraction ratio."""
+    eta_s = math.log(sol.s) / math.log(ifs.added_ratio)
+    return max(eta_s, sol.theta), min(eta_s, sol.theta)
+
+
 def scaling_exponent(ifs: IFS, sol: Solution,
                      levels: Sequence[int]) -> tuple[float, float, ResistanceEnvelope]:
     """Fit the resistance-distance exponent on the bottom edge across dyadic scales.
@@ -312,12 +317,8 @@ def scaling_exponent(ifs: IFS, sol: Solution,
     slope, _ = np.polyfit(logd, logr, 1)
     theta = sol.theta
     ratios = np.array(rs) / np.array(dists) ** theta
-    rho = ifs.added_ratio
-    eta_s = math.log(sol.s) / math.log(rho)
-    env = ResistanceEnvelope(theta=theta, eta_star=max(eta_s, theta),
-                             eta_sub=min(eta_s, theta),
-                             c1=float(ratios.min()), c2=float(ratios.max()),
-                             basis="theta")
+    env = ResistanceEnvelope(theta, *_exponent_pair(ifs, sol), c1=float(ratios.min()),
+                             c2=float(ratios.max()), basis="theta")
     return float(slope), theta, env
 
 
@@ -329,10 +330,7 @@ def envelope_check(ifs: IFS, sol: Solution, m: int = 4, n_pairs: int = 200) -> R
     n = lf.form.n
     R = resistance_matrix(lf.form)
     rng = np.random.default_rng(ENVELOPE_SEED)
-    theta = sol.theta
-    rho = ifs.added_ratio
-    eta_s = math.log(sol.s) / math.log(rho)
-    eta_star, eta_sub = max(eta_s, theta), min(eta_s, theta)
+    eta_star, eta_sub = _exponent_pair(ifs, sol)
     coords = np.array([p.float_xy() for p in lf.points])
     lo, hi = math.inf, 0.0
     for _ in range(n_pairs):
@@ -343,7 +341,7 @@ def envelope_check(ifs: IFS, sol: Solution, m: int = 4, n_pairs: int = 200) -> R
         d = float(np.hypot(*(coords[i] - coords[j])))
         lo = min(lo, R[i, j] / d ** eta_star)
         hi = max(hi, R[i, j] / d ** eta_sub)
-    return ResistanceEnvelope(theta, eta_star, eta_sub, float(lo), float(hi), basis="eta")
+    return ResistanceEnvelope(sol.theta, eta_star, eta_sub, float(lo), float(hi), basis="eta")
 
 
 def resolvent_kernel(ifs: IFS, sol: Solution, m: int, alpha: float,
@@ -429,8 +427,7 @@ def decimation_identity(ifs: IFS, sol: Solution, m: int,
     weights = (r, r, r, s)
     sub_lf = level_form(ifs, sol, m - 1)
     sub_geom = sub_lf.geometry
-    n4 = sub_geom.letter_counts[:, 3].tolist()
-    cell_w = np.array([r ** -(m - 1 - k) * s ** -k for k in n4])
+    cell_w = sub_geom.cell_multipliers(r, s)
     # F_i o F_w applied to the boundary set, for every depth-(m-1) word w
     cell_points = cell_images(ifs, 1, cell_images(ifs, m - 1, sol.D.bset.points))
     cell_gids = geom.table.lookup(cell_points)

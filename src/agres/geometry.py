@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
@@ -44,12 +44,6 @@ MEMBERSHIP_CAP = 64
 ORBIT_GUARD = 64
 
 Word = tuple[int, ...]
-
-
-def word_weight(word: Word, r: float, s: float) -> float:
-    """Product of per-letter factors, r for corner letters and s for the added letter."""
-    n4 = sum(1 for c in word if c == 4)
-    return r ** (len(word) - n4) * s ** n4
 
 
 class IFS:
@@ -168,11 +162,6 @@ class Label:
     edge: Optional[int] = None        # 0 bottom, 1 right, 2 left
     t: Optional[Fraction] = None      # parameter in (0, 1) along the directed edge
 
-    def describe(self) -> str:
-        if self.kind == "corner":
-            return f"corner {self.corner}"
-        return f"{EDGE_NAMES[self.edge]} edge t={self.t}"
-
 
 def edge_point(edge: int, t: Fraction) -> Point:
     """Point at parameter t on a directed boundary edge (bottom p2->p3, right p3->p1, left p1->p2)."""
@@ -219,43 +208,37 @@ def doubling_orbit(t0: Fraction, guard: int = ORBIT_GUARD) -> list[Fraction]:
     return orbit
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundarySet:
-    """The cell-contact set: the three corners plus three symmetric copies of a parameter set."""
-    points: list[Point]
-    labels: list[Label]
+    """The cell-contact set: the three corners, then the bottom, right and left edge
+    points of each contact parameter in turn, parameters ascending.  Built from any
+    iterable of parameters, which it sorts and deduplicates."""
+    params: tuple[Fraction, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", tuple(sorted(set(self.params))))
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return 3 + 3 * len(self.params)
 
-    def __post_init__(self):
-        self._index = {p: i for i, p in enumerate(self.points)}
+    @functools.cached_property
+    def points(self) -> list[Point]:
+        return list(CORNERS) + [edge_point(e, t) for t in self.params for e in range(3)]
+
+    @functools.cached_property
+    def labels(self) -> list[Label]:
+        return [Label("corner", corner=i) for i in (1, 2, 3)] + [
+            Label("edge", edge=e, t=t) for t in self.params for e in range(3)]
 
     @property
     def g_permutation(self) -> tuple[int, ...]:
-        """Index permutation induced by the 120-degree rotation."""
-        perm = []
-        for lab in self.labels:
-            if lab.kind == "corner":
-                img = Label("corner", corner=lab.corner % 3 + 1)
-            else:
-                img = Label("edge", edge=(lab.edge + 1) % 3, t=lab.t)
-            perm.append(self.labels.index(img))
-        return tuple(perm)
+        """Index permutation induced by the 120-degree rotation: each corner to the
+        next, each edge point to the next edge's point of the same parameter."""
+        return tuple(i - i % 3 + (i + 1) % 3 for i in range(self.size))
 
     def parameter_set(self) -> list[Fraction]:
-        return sorted({lab.t for lab in self.labels if lab.kind == "edge"})
-
-
-def _boundary_from_parameters(ts: Iterable[Fraction]) -> BoundarySet:
-    points = list(CORNERS)
-    labels = [Label("corner", corner=i) for i in (1, 2, 3)]
-    for t in sorted(set(ts)):
-        for e in range(3):
-            points.append(edge_point(e, t))
-            labels.append(Label("edge", edge=e, t=t))
-    return BoundarySet(points, labels)
+        return list(self.params)
 
 
 def boundary_set(ifs: IFS, mode: Literal["fast", "oracle"] = "fast",
@@ -274,11 +257,13 @@ def boundary_set(ifs: IFS, mode: Literal["fast", "oracle"] = "fast",
     """
     if mode == "fast":
         return ifs.cached(("boundary", guard),
-                          lambda: _boundary_from_parameters(doubling_orbit(2 * ifs.lam, guard)))
+                          lambda: BoundarySet(doubling_orbit(2 * ifs.lam, guard)))
     if mode != "oracle":
         raise DomainError(f"mode must be 'fast' or 'oracle', got {mode!r}")
     if depth is None:
         depth = len(doubling_orbit(2 * ifs.lam, guard)) + 2
+    if depth < 0:
+        raise DomainError(f"oracle depth must be nonnegative, got {depth}")
     return _boundary_set_oracle(ifs, depth)
 
 
@@ -317,7 +302,7 @@ def _boundary_set_oracle(ifs: IFS, depth: int) -> BoundarySet:
         lab = classify_boundary_point(p)  # raises if a contact leaves the edge skeleton
         if lab.kind == "edge":
             ts.add(lab.t)
-    return _boundary_from_parameters(ts)
+    return BoundarySet(ts)
 
 
 # -- approximating graphs --------------------------------------------------------
@@ -454,6 +439,11 @@ class LevelGeometry:
     def n_vertices(self) -> int:
         return len(self.table)
 
+    def cell_multipliers(self, r: float, s: float) -> np.ndarray:
+        """Every cell's conductance multiplier r^-(m-k) s^-k, k its count of added letters."""
+        per_count = np.array([r ** -(self.m - k) * s ** -k for k in range(self.m + 1)])
+        return per_count[self.letter_counts[:, 3]]
+
     @functools.cached_property
     def points(self) -> list[Point]:
         """Exact vertex coordinates, built on first use."""
@@ -588,6 +578,8 @@ def hausdorff_distance(ifs1: IFS, ifs2: IFS, depth: int = 8) -> tuple[float, flo
     it is within 2*2^-k of the true value.  The bound is 2*|lam1 - lam2|,
     sharp for this family.
     """
+    if depth < 0:
+        raise DomainError(f"depth must be nonnegative, got {depth}")
     if depth > GRAPH_LEVEL_CAP:
         raise CapExceeded(f"depth {depth} exceeds cap {GRAPH_LEVEL_CAP}")
     from scipy.spatial import cKDTree

@@ -456,8 +456,8 @@ def resolvent(form: FiniteForm, masses: Union[Mapping[VertexId, float], Sequence
         raise DomainError("alpha must be finite and positive")
     form.require_connected()
     m = form._as_array(masses)
-    if (m <= 0).any():
-        raise BadMeasure("vertex masses must be positive")
+    if not ((m > 0) & (m < np.inf)).all():
+        raise BadMeasure("vertex masses must be finite and positive")
     if abs(m.sum() - 1.0) > 1e-12:
         raise BadMeasure(f"vertex masses must sum to 1, got {m.sum()!r}")
     U = _Factor(form.laplacian_dense() + alpha * np.diag(m)).solve(np.eye(form.n))

@@ -22,8 +22,7 @@ from scipy.linalg import lapack
 from .errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
                      GuardExceeded, IdentificationMismatch, NoConvergence, SingularInterior)
 from .exact import Point
-from .geometry import (CORNERS, IFS, BoundarySet, Label, boundary_set, edge_point,
-                       numbered, seeded_copies)
+from .geometry import IFS, BoundarySet, boundary_set, numbered, seeded_copies
 from .network import (FiniteForm, _components, _Factor, _laplacian, _pair_conductances,
                       _schur)
 
@@ -54,7 +53,7 @@ def _orbit_average(cvec: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 def corner_only_boundary() -> BoundarySet:
     """Degenerate boundary set holding just the three corners."""
-    return BoundarySet(list(CORNERS), [Label("corner", corner=i) for i in (1, 2, 3)])
+    return BoundarySet()
 
 
 @dataclass
@@ -137,7 +136,8 @@ class GlueContext:
                 f"boundary points {missing} are not images of any subdivision copy")
 
         merges = len(self.copies) * n - self.n_glued
-        expected = self._expected_merges()
+        # the three corner-cell midpoints, and the added cell's three contacts if kept
+        expected = 3 + 3 * (include_added and 2 * ifs.lam in bset.params)
         if merges != expected:
             raise IdentificationMismatch(
                 f"expected {expected} single-point identifications, found {merges}")
@@ -156,15 +156,6 @@ class GlueContext:
     def points(self) -> list[Point]:
         """Exact coordinates of the glued vertices."""
         return self._table.lattice().points()
-
-    def _expected_merges(self) -> int:
-        count = 3  # the three corner-cell midpoints
-        if self.include_added:
-            t = 2 * self.ifs.lam
-            for e in range(3):
-                if edge_point(e, t) in self.bset._index:
-                    count += 1
-        return count
 
     # -- numeric application ------------------------------------------------------
 
@@ -239,7 +230,7 @@ class GlueContext:
 
 
 def _glue_context(ifs: IFS, bset: BoundarySet, include_added: bool) -> GlueContext:
-    return ifs.cached(("glue", tuple(bset.points), include_added),
+    return ifs.cached(("glue", bset, include_added),
                       lambda: GlueContext(ifs, bset, include_added))
 
 
@@ -373,8 +364,7 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
 
     raw = ctx.apply(c, ws)
     C = ctx.energy_at_p1_indicator(raw) / ctx.energy_at_p1_indicator(c)
-    floor = 1e-15 * max(1.0, float(c.max()))
-    residual = float(np.max(np.abs(raw - C * c) / np.maximum(np.abs(C * c), floor)))
+    residual = _rel_delta(raw, C * c)
     if not (0.6 - 1e-9 <= C < 1.0):
         raise DegenerateLimit(f"scale factor {C!r} escapes [3/5, 1)")
 
@@ -529,9 +519,7 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
     r, D = res.C, res.D
     ctx = _glue_context(ifs, bset, include_added=True)
     cvec = D.vector(ctx.pairs)
-    raw = ctx.apply(cvec, (r, r, r, s))
-    floor = 1e-15 * max(1.0, float(cvec.max()))
-    residual = float(np.max(np.abs(raw - cvec) / np.maximum(np.abs(cvec), floor)))
+    residual = _rel_delta(ctx.apply(cvec, (r, r, r, s)), cvec)
     theta = -math.log(r) / math.log(2.0)
     return Solution(ifs.lam, s, r, res.C, rtilde4, theta, residual, D,
                     experimental=not ifs.is_dyadic(),
@@ -541,27 +529,23 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
                     history=history, bracket=(min(b[0], c[0]), max(b[0], c[0])))
 
 
-def uniqueness_scan(ifs: IFS, s: float, sol: Solution, r_values: Sequence[float],
-                    steps: int = 200) -> list[tuple[float, float]]:
-    """Per-step energy scale factor of the normalized map at off-solution corner weights.
+def uniqueness_scan(ifs: IFS, s: float, sol: Solution,
+                    r_values: Sequence[float]) -> list[tuple[float, float]]:
+    """Energy scale factor of the subdivision map at corner weights (r', r', r', s).
 
-    At the solved r the factor tends to 1; away from it the factor stays
-    bounded away from 1 (energies contract for larger weights, expand for
-    smaller), which is the numerical face of uniqueness.
+    The trace is linear in the conductances, so that map is the unit-corner map
+    at added weight s/r' divided by r', and normalization ignores scale: the
+    factor is C(s/r') / r' on the fixed ray, solved from the solution's form.
+    At the solved r it is 1; away from it the factor stays bounded away from 1
+    (energies contract for larger weights, expand for smaller), which is the
+    numerical face of uniqueness.
     """
-    bset = sol.D.bset
-    ctx = _glue_context(ifs, bset, include_added=True)
     out = []
-    for rp in r_values:
-        if not rp > 0:
-            raise DomainError("corner weights must be positive")
-        c = sol.D.vector(ctx.pairs)
-        tail: list[float] = []
-        for _ in range(steps):
-            raw = ctx.apply(c, (rp, rp, rp, s))
-            tail.append(ctx.energy_at_p1_indicator(raw) / ctx.energy_at_p1_indicator(c))
-            c = ctx.normalized(raw)
-        out.append((float(rp), float(np.mean(tail[-5:]))))
+    for rp in map(float, r_values):
+        if not 0 < rp < math.inf:
+            raise DomainError("corner weights must be finite and positive")
+        res = eigen_solve(ifs, s / rp, initial=sol.D, bset=sol.D.bset)
+        out.append((rp, res.C / rp))
     return out
 
 

@@ -134,6 +134,15 @@ class TestMeasures:
         ms = measure_weights(ifs14, "custom", custom=[1, 1, 1, 1])
         assert ms.weights == (0.25,) * 4
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_custom_weights_must_be_finite(self, ifs14, bad):
+        with pytest.raises(BadWeights):
+            measure_weights(ifs14, "custom", custom=[0.25, 0.25, 0.25, bad])
+        with pytest.raises(BadWeights):
+            measure_weights(ifs14, "custom", custom=[bad, 1, 1, 1])
+        with pytest.raises(BadWeights):  # finite weights whose sum overflows
+            measure_weights(ifs14, "custom", custom=[1e308] * 4)
+
     def test_dimension_two_when_ratio_half(self):
         # hypothetical check of the dimension equation: with all four ratios
         # at 1/2 the equation 4*(1/2)^d = 1 forces d = 2

@@ -133,6 +133,10 @@ class TestHausdorffCheck:
         assert bound == pytest.approx(0.5)
         assert ok and est <= 0.5 + 2 ** -7
 
+    def test_negative_depth_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            hausdorff_check("1/8", "3/8", depth=-3)
+
     def test_random_dyadic_pairs(self):
         rng = np.random.default_rng(19)
         for _ in range(8):

@@ -14,8 +14,8 @@ import agres
 import exact_reference as ref
 from agres.errors import CapExceeded, DomainError
 from agres.exact import Point
-from agres.geometry import (CENTROID, CORNERS, _corner_cloud, boundary_set,
-                            classify_boundary_point, doubling_orbit, edge_point,
+from agres.geometry import (CENTROID, CORNERS, BoundarySet, Label, _corner_cloud,
+                            boundary_set, classify_boundary_point, doubling_orbit, edge_point,
                             point_in_attractor, point_in_triangle, point_on_triangle_boundary,
                             point_of_address)
 from exact_reference import cartesian
@@ -159,7 +159,47 @@ def test_membership_matches_reference_on_grid(lam, i, k):
     assert membership(point_in_attractor, agres.make_ifs(lam), lattice_point(p)) == expected
 
 
+def listed_boundary(ts):
+    """The points and labels lists ``BoundarySet`` stored before it kept only its
+    parameters, built as then, with the label-search rotation permutation."""
+    points = list(CORNERS)
+    labels = [Label("corner", corner=i) for i in (1, 2, 3)]
+    for t in sorted(set(ts)):
+        for e in range(3):
+            points.append(edge_point(e, t))
+            labels.append(Label("edge", edge=e, t=t))
+    perm = []
+    for lab in labels:
+        if lab.kind == "corner":
+            img = Label("corner", corner=lab.corner % 3 + 1)
+        else:
+            img = Label("edge", edge=(lab.edge + 1) % 3, t=lab.t)
+        perm.append(labels.index(img))
+    return points, labels, tuple(perm)
+
+
 class TestBoundarySet:
+    @pytest.mark.parametrize("lam,size", [("1/4", 6), ("1/7", 12), ("1/9", 21),
+                                          ("23/64", 18), ("181/512", 27), (None, 3)])
+    def test_parameters_give_the_listed_layout(self, lam, size):
+        bset = BoundarySet() if lam is None else boundary_set(agres.make_ifs(lam))
+        points, labels, perm = listed_boundary(bset.params)
+        assert bset.size == len(bset.points) == size
+        assert (bset.points, bset.labels, bset.g_permutation) == (points, labels, perm)
+
+    def test_parameters_are_sorted_and_deduplicated(self):
+        ts = (Fraction(4, 7), Fraction(1, 7), Fraction(2, 7))
+        bset = BoundarySet(ts)
+        assert bset.params == tuple(sorted(ts)) == tuple(bset.parameter_set())
+        assert BoundarySet(ts + ts[::-1]) == bset == BoundarySet(list(reversed(ts)))
+        assert hash(BoundarySet(ts[::-1])) == hash(bset)
+        assert {bset: 1}[BoundarySet(ts + ts)] == 1
+        assert bset != BoundarySet(ts[:2]) and BoundarySet() == BoundarySet([])
+
+    def test_oracle_depth_must_be_nonnegative(self, ifs14):
+        with pytest.raises(DomainError):
+            boundary_set(ifs14, "oracle", depth=-1)
+
     def test_doubling_orbits(self):
         assert doubling_orbit(Fraction(1, 2)) == [Fraction(1, 2)]
         assert doubling_orbit(Fraction(2, 7)) == [Fraction(2, 7), Fraction(4, 7), Fraction(1, 7)]
@@ -365,6 +405,10 @@ class TestGuards:
     def test_hausdorff_depth_cap(self, ifs14):
         with pytest.raises(CapExceeded):
             agres.hausdorff_distance(ifs14, ifs14, depth=11)
+
+    def test_hausdorff_depth_must_be_nonnegative(self, ifs14):
+        with pytest.raises(DomainError):
+            agres.hausdorff_distance(ifs14, agres.make_ifs("3/8"), depth=-3)
 
 
 class TestBoundaryOracleExtended:

@@ -248,6 +248,11 @@ class TestResolvent:
             resolvent(form, [0.5, 0.6], 1.0)
         with pytest.raises(BadMeasure):
             resolvent(form, [1.1, -0.1], 1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(BadMeasure):
+                resolvent(form, [bad, 0.5], 1.0)
+            with pytest.raises(BadMeasure):
+                resolvent(form, [0.5, bad], 1.0)
         for alpha in (0.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 resolvent(form, [0.5, 0.5], alpha)

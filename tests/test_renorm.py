@@ -1,6 +1,7 @@
 """The subdivision operator, its fixed ray, the weight solve, and preserved relations."""
 
 import functools
+import itertools
 import math
 import warnings
 
@@ -12,7 +13,7 @@ from agres import renorm
 from agres.converge import dyadic_schedule
 from agres.errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
                           GuardExceeded, NoConvergence)
-from agres.geometry import boundary_set, seeded_copies
+from agres.geometry import _level_geometry, boundary_set, seeded_copies
 from agres.network import FiniteForm, _components, effective_resistance, trace, triangle_form
 from agres.renorm import (BRACKET_EXPANSIONS, EIGEN_MAX_ITERS, EIGEN_TOL, BoundaryForm,
                           EigenResult, GlueContext, corner_only_boundary, eigen_solve,
@@ -408,10 +409,12 @@ def test_corner_only_form_with_added_copy_disconnects(ifs14):
         renorm_map(ifs14, D0, (1.0, 1.0, 1.0, 1.0))
 
 
-def test_word_weight():
-    from agres.geometry import word_weight
-    assert word_weight((), 0.7, 0.5) == 1.0
-    assert word_weight((1, 4, 2), 0.7, 0.5) == pytest.approx(0.7 ** 2 * 0.5)
+def test_cell_multipliers(ifs14):
+    geom = _level_geometry(ifs14, 3)
+    r, s = 0.7, 0.5
+    expected = [math.prod(1 / s if c == 4 else 1 / r for c in word)
+                for word in itertools.product((1, 2, 3, 4), repeat=3)]
+    assert geom.cell_multipliers(r, s).tolist() == pytest.approx(expected, rel=1e-14)
 
 
 def test_weight_solve_emits_no_condition_warning(ifs14):
@@ -696,3 +699,61 @@ def test_no_convergence_when_g_jumps_over_zero(synthetic_c, ifs14):
     synthetic_c(lambda x: 0.6 if x < 0.7 else 0.8)  # g jumps from -0.08 to +0.06 at 0.7
     with pytest.raises(NoConvergence):
         solve_r(ifs14, 0.5)
+
+
+# -- the uniqueness scan and the residuals against the formulas they replaced ---------
+
+
+def loop_uniqueness_scan(ifs, s, sol, r_values, steps=200):
+    """The fixed-ray loop ``uniqueness_scan`` ran before it read ``eigen_solve``, kept verbatim."""
+    bset = sol.D.bset
+    ctx = _glue_context(ifs, bset, include_added=True)
+    out = []
+    for rp in r_values:
+        if not rp > 0:
+            raise DomainError("corner weights must be positive")
+        c = sol.D.vector(ctx.pairs)
+        tail: list[float] = []
+        for _ in range(steps):
+            raw = ctx.apply(c, (rp, rp, rp, s))
+            tail.append(ctx.energy_at_p1_indicator(raw) / ctx.energy_at_p1_indicator(c))
+            c = ctx.normalized(raw)
+        out.append((float(rp), float(np.mean(tail[-5:]))))
+    return out
+
+
+@pytest.mark.parametrize("lam", ["1/4", "1/7", "3/16", "181/512"])
+def test_uniqueness_scan_matches_the_loop(lam):
+    ifs = agres.make_ifs(lam)
+    sol = solve_r(ifs, 0.5)
+    rvals = [sol.r + d for d in (-0.1, -0.05, -0.02, 0.0, 0.02, 0.05, 0.1)]
+    rows, oracle = uniqueness_scan(ifs, 0.5, sol, rvals), loop_uniqueness_scan(ifs, 0.5, sol, rvals)
+    assert [rp for rp, _ in rows] == rvals
+    assert [f for _, f in rows] == pytest.approx([f for _, f in oracle], rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf])
+def test_uniqueness_scan_needs_a_finite_positive_weight(ifs14, sol14, bad):
+    with pytest.raises(DomainError):
+        uniqueness_scan(ifs14, 0.5, sol14, [bad])
+
+
+def inline_residual(raw, C, c):
+    """The residual formula ``eigen_solve`` (and, with C = 1, ``solve_r``) wrote out,
+    kept verbatim."""
+    floor = 1e-15 * max(1.0, float(c.max()))
+    return float(np.max(np.abs(raw - C * c) / np.maximum(np.abs(C * c), floor)))
+
+
+@pytest.mark.parametrize("lam", SQRT8_LAMBDAS)
+def test_residuals_match_the_inline_formula(lam):
+    ifs = agres.make_ifs(lam)
+    sol = solve_r(ifs, 0.5)
+    ctx = _glue_context(ifs, sol.D.bset, True)
+    cvec = sol.D.vector(ctx.pairs)
+    raw = ctx.apply(cvec, (sol.r, sol.r, sol.r, sol.s))
+    assert _rel_delta(raw, cvec) == inline_residual(raw, 1, cvec) == sol.residual
+    res = eigen_solve(ifs, sol.rtilde4)
+    c = ray_vector(res)
+    raw = ctx.apply(c, (1.0, 1.0, 1.0, sol.rtilde4))
+    assert _rel_delta(raw, res.C * c) == inline_residual(raw, res.C, c) == res.residual
