@@ -36,8 +36,7 @@ for pair in ((0, 1), (1, 2), (0, 2)):
     print(f"  R{pair} = {effective_resistance(sol.D.form, *pair):.12f}")
 
 print("\nscanning off-solution corner weights (energy scale factor C(s/r')/r'):")
-for rp, factor in agres.uniqueness_scan(ifs, 0.5, sol,
-                                        [sol.r - 0.05, sol.r, sol.r + 0.05]):
+for rp, factor in agres.uniqueness_scan(sol, [sol.r - 0.05, sol.r, sol.r + 0.05]):
     print(f"  r'={rp:.6f}  factor={factor:.6f}"
           + ("   <- fixed point" if abs(factor - 1) < 1e-6 else ""))
 

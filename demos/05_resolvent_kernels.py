@@ -25,7 +25,8 @@ print(f"  count={len(masses)} total={masses.sum():.12f} "
       f"min={masses.min():.6f} max={masses.max():.6f}")
 
 print("\nkernel identities at level 3, alpha = 1:")
-kernel, lf, _ = resolvent_kernel(ifs, sol, 3, 1.0, ms)
+lf = level_form(sol, 3)
+kernel = resolvent_kernel(lf, 1.0, ms)
 print(f"  symmetry error  {kernel.symmetry_error():.2e}")
 print(f"  row-mass error  {kernel.row_mass_error():.2e}  (rows sum to 1/alpha)")
 
@@ -44,7 +45,8 @@ print(f"  max violation over 500 triples: {worst:.2e}")
 print("\nkernel entries at the corner pair stabilize across levels:")
 prev = None
 for m in (1, 2, 3, 4):
-    kernel, lf, _ = resolvent_kernel(ifs, sol, m, 1.0, ms)
+    lf = level_form(sol, m)
+    kernel = resolvent_kernel(lf, 1.0, ms)
     v1, v2 = lf.vid_of_address((), 1), lf.vid_of_address((), 2)
     val = kernel.matrix[v1, v2]
     delta = "" if prev is None else f"  (change {abs(val - prev):.2e})"

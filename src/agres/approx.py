@@ -6,6 +6,11 @@ weight.  Cells meet only at graph vertices, so the decomposition is exact
 and no global elimination is ever needed; resistances between boundary
 edge points at fine scales come from a nested trace tower that refines the
 bottom edge only.
+
+Each input is passed once: a ``Solution`` carries the IFS it was solved on,
+``level_form(sol, m)`` realizes it at level m, and the level diagnostics
+(resistances, the bottom-edge check, the envelope, the resolvent and the
+decimation identity) take that ``LevelForm`` alone.
 """
 
 from __future__ import annotations
@@ -22,18 +27,19 @@ from .errors import (BadWeights, CapExceeded, DomainError, IdentificationMismatc
 from .exact import Lattice, Point
 from .geometry import IFS, LevelGeometry, VertexTable, Word, _level_geometry, cell_images
 from .network import (FiniteForm, _dipole_resistances, effective_resistance,
-                      harmonic_extension, resolvent, trace)
+                      harmonic_extension, resistance_matrix, resolvent, trace)
 from .renorm import BoundaryForm, Solution, bracketed_root
 
 LEVEL_CAP = 8
 TOWER_CAP = 12
 EXPONENT_PAIRS = 8   # adjacent dyadic pairs sampled per scale by scaling_exponent
+ENVELOPE_PAIRS = 200  # vertex pairs sampled by envelope_check
 ENVELOPE_SEED = 7
 
 
 @dataclass
 class LevelForm:
-    """The solved form traced onto the level-m graph vertices."""
+    """The solved form traced onto the level-m graph vertices of the solution's IFS."""
     m: int
     form: FiniteForm
     geometry: LevelGeometry
@@ -61,17 +67,21 @@ def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(len(run)) - (np.cumsum(sizes) - sizes)[run]
 
 
-def level_form(ifs: IFS, sol: Solution, m: int) -> LevelForm:
-    """Trace of the solved self-similar form onto the level-m vertex set.
-
-    Exact decomposition: one copy of the boundary form per cell, traced to
-    the cell's kept vertices and weighted by the inverse word weight.
-    """
+def _check_level(m: int) -> None:
     if m < 0:
         raise DomainError("level must be nonnegative")
     if m > LEVEL_CAP:
         raise CapExceeded(f"level {m} exceeds cap {LEVEL_CAP}")
-    geom = _level_geometry(ifs, m)
+
+
+def level_form(sol: Solution, m: int) -> LevelForm:
+    """Trace of the solved self-similar form onto the level-m vertex set of its IFS.
+
+    Exact decomposition: one copy of the boundary form per cell, traced to
+    the cell's kept vertices and weighted by the inverse word weight.
+    """
+    _check_level(m)
+    geom = _level_geometry(sol.ifs, m)
     tables = [_cell_table(sol.D, kept) for kept in geom.types]
     # one contribution per (cell, row of the cell's table), cell after cell
     sizes = np.array([len(tab) for tab in tables])
@@ -138,6 +148,7 @@ def measure_weights(ifs: IFS, scheme: Literal["hausdorff", "uniform", "custom"] 
 
 def vertex_masses(ifs: IFS, mspec: MeasureSpec, m: int) -> np.ndarray:
     """Level-m vertex masses: each cell spreads its measure equally on its three corners."""
+    _check_level(m)
     geom = _level_geometry(ifs, m)
     counts = geom.letter_counts.astype(float)
     logw = counts @ np.log(np.array(mspec.weights))
@@ -154,16 +165,14 @@ def vertex_masses(ifs: IFS, mspec: MeasureSpec, m: int) -> np.ndarray:
 Address = tuple[Word, int]
 
 
-def resistance_metric(ifs: IFS, sol: Solution, m: int,
-                      pairs: Sequence[tuple[Address, Address]],
-                      level: Optional[LevelForm] = None) -> list[tuple[tuple[Address, Address], float]]:
-    """Effective resistances between addressed vertices in the level-m trace.
+def resistance_metric(lf: LevelForm, pairs: Sequence[tuple[Address, Address]]
+                      ) -> list[tuple[tuple[Address, Address], float]]:
+    """Effective resistances between addressed vertices in the level form.
 
     Traces preserve resistances, so values are level independent for
     shared vertices (up to the solver residual).  One factorization serves
     all pairs.
     """
-    lf = level if level is not None else level_form(ifs, sol, m)
     vids = [(lf.vid_of_address(tuple(a1[0]), a1[1]), lf.vid_of_address(tuple(a2[0]), a2[1]))
             for a1, a2 in pairs]
     values = _dipole_resistances(lf.form, vids) if vids else []
@@ -175,20 +184,18 @@ def bottom_edge_vids(geom: LevelGeometry) -> list[int]:
     return np.flatnonzero(geom.table.num[:, 1] == 0).tolist()
 
 
-def boundary_resistance_check(ifs: IFS, sol: Solution, m: int,
-                              level: Optional[LevelForm] = None) -> tuple[float, float, bool]:
+def boundary_resistance_check(lf: LevelForm) -> tuple[float, float, bool]:
     """Resistance from the top corner to the grounded bottom edge versus its lower bound.
 
     The bound (1/2) * s * r / (s + r) reflects that current must leave the
     top cell through its own copy and through the added cell.
     """
-    if m < 1:
+    if lf.m < 1:
         raise DomainError("level must be at least 1")
-    lf = level if level is not None else level_form(ifs, sol, m)
     bottom = bottom_edge_vids(lf.geometry)
     top = lf.vid_of_address((), 1)
     value = effective_resistance(lf.form, top, set(bottom))
-    r, s = sol.r, sol.s
+    r, s = lf.solution.r, lf.solution.s
     bound = 0.5 * s * r / (s + r)
     return value, bound, value >= bound - 1e-12
 
@@ -217,17 +224,15 @@ class EdgeTraceTower:
     of the boundary form into each remaining cell, then reduces.
     """
 
-    def __init__(self, ifs: IFS, sol: Solution):
-        self.ifs = ifs
+    def __init__(self, sol: Solution):
         self.sol = sol
-        self.bset = sol.D.bset
         self.K = 0
-        self._bset = Lattice.of_points(self.bset.points)
+        self._bset = Lattice.of_points(sol.D.bset.points)
         self.table = VertexTable(self._bset)
         self.form: FiniteForm = sol.D.form
 
     def refine(self) -> None:
-        ifs, sol = self.ifs, self.sol
+        sol = self.sol
         next_k = self.K + 1
         dyadics = np.zeros((2 ** next_k - 1, 2), dtype=np.int64)
         dyadics[:, 0] = np.arange(1, 2 ** next_k)
@@ -235,8 +240,8 @@ class EdgeTraceTower:
         n_keep = len(keep)
         # copy i: the boundary form in the top and added cells, the tower state in
         # the two bottom cells, numbered in this order after the kept points
-        bset_images = cell_images(ifs, 1, self._bset)
-        own_images = cell_images(ifs, 1, self.table.lattice())
+        bset_images = cell_images(sol.ifs, 1, self._bset)
+        own_images = cell_images(sol.ifs, 1, self.table.lattice())
         copies = [(bset_images, sol.D.form, sol.r), (own_images, self.form, sol.r),
                   (own_images, self.form, sol.r), (bset_images, sol.D.form, sol.s)]
         glued = VertexTable(Lattice.concat([keep.lattice()] + [
@@ -276,14 +281,14 @@ class EdgeTraceTower:
         return _dipole_resistances(self.form, [(vid(t1), vid(t2)) for t1, t2 in pairs]).tolist()
 
 
-def _exponent_pair(ifs: IFS, sol: Solution) -> tuple[float, float]:
+def _exponent_pair(sol: Solution) -> tuple[float, float]:
     """The larger and the smaller of theta and eta_s = log s / log rho, rho the added
     map's contraction ratio."""
-    eta_s = math.log(sol.s) / math.log(ifs.added_ratio)
+    eta_s = math.log(sol.s) / math.log(sol.ifs.added_ratio)
     return max(eta_s, sol.theta), min(eta_s, sol.theta)
 
 
-def scaling_exponent(ifs: IFS, sol: Solution,
+def scaling_exponent(sol: Solution,
                      levels: Sequence[int]) -> tuple[float, float, ResistanceEnvelope]:
     """Fit the resistance-distance exponent on the bottom edge across dyadic scales.
 
@@ -296,7 +301,7 @@ def scaling_exponent(ifs: IFS, sol: Solution,
         raise InsufficientScales("need at least 4 distinct dyadic scales")
     if levels[0] < 1:
         raise DomainError("levels must be >= 1")
-    tower = EdgeTraceTower(ifs, sol)
+    tower = EdgeTraceTower(sol)
     tower.refine_to(max(levels))
 
     all_pairs: list[tuple[Fraction, Fraction]] = []
@@ -317,23 +322,21 @@ def scaling_exponent(ifs: IFS, sol: Solution,
     slope, _ = np.polyfit(logd, logr, 1)
     theta = sol.theta
     ratios = np.array(rs) / np.array(dists) ** theta
-    env = ResistanceEnvelope(theta, *_exponent_pair(ifs, sol), c1=float(ratios.min()),
+    env = ResistanceEnvelope(theta, *_exponent_pair(sol), c1=float(ratios.min()),
                              c2=float(ratios.max()), basis="theta")
     return float(slope), theta, env
 
 
-def envelope_check(ifs: IFS, sol: Solution, m: int = 4, n_pairs: int = 200) -> ResistanceEnvelope:
+def envelope_check(lf: LevelForm) -> ResistanceEnvelope:
     """Whole-attractor envelope: sampled resistances against the two-exponent bounds."""
-    from .network import resistance_matrix
-
-    lf = level_form(ifs, sol, m)
+    sol = lf.solution
     n = lf.form.n
     R = resistance_matrix(lf.form)
     rng = np.random.default_rng(ENVELOPE_SEED)
-    eta_star, eta_sub = _exponent_pair(ifs, sol)
+    eta_star, eta_sub = _exponent_pair(sol)
     coords = np.array([p.float_xy() for p in lf.points])
     lo, hi = math.inf, 0.0
-    for _ in range(n_pairs):
+    for _ in range(ENVELOPE_PAIRS):
         i = int(rng.integers(0, n))
         j = int(rng.integers(0, n))
         if i == j:
@@ -344,14 +347,12 @@ def envelope_check(ifs: IFS, sol: Solution, m: int = 4, n_pairs: int = 200) -> R
     return ResistanceEnvelope(sol.theta, eta_star, eta_sub, float(lo), float(hi), basis="eta")
 
 
-def resolvent_kernel(ifs: IFS, sol: Solution, m: int, alpha: float,
-                     measure: Optional[MeasureSpec] = None,
-                     level: Optional[LevelForm] = None):
-    """Resolvent kernel of the level-m trace with the level's vertex masses."""
+def resolvent_kernel(lf: LevelForm, alpha: float, measure: Optional[MeasureSpec] = None):
+    """Resolvent kernel of the level form with the level's vertex masses (by default
+    those of the dimension-matched measure)."""
+    ifs = lf.solution.ifs
     mspec = measure if measure is not None else measure_weights(ifs)
-    lf = level if level is not None else level_form(ifs, sol, m)
-    masses = vertex_masses(ifs, mspec, m)
-    return resolvent(lf.form, masses, alpha), lf, mspec
+    return resolvent(lf.form, vertex_masses(ifs, mspec, lf.m), alpha)
 
 
 @dataclass
@@ -405,19 +406,19 @@ def _celled_energy(D: BoundaryForm, weights: np.ndarray, vals: np.ndarray) -> fl
     return total
 
 
-def decimation_identity(ifs: IFS, sol: Solution, m: int,
-                        f_corners: Sequence[float]) -> DecimationReport:
-    """Check E(h) = sum_i r_i^{-1} E(h o F_i) for the level-m harmonic extension of corner data.
+def decimation_identity(lf: LevelForm, f_corners: Sequence[float]) -> DecimationReport:
+    """Check E(h) = sum_i r_i^{-1} E(h o F_i) for the harmonic extension of corner data
+    in the level-m form ``lf``.
 
     The left side is the energy in the level-m form.  On the right, each
     cell's energy is evaluated at depth m-1 on the cell's own kept vertex
     set (every point whose image under the cell map is a level-m vertex);
     a plain evaluation against the bare level-(m-1) form is reported too.
     """
+    m, sol = lf.m, lf.solution
     if m < 1:
         raise DomainError("level must be >= 1")
-    lf = level_form(ifs, sol, m)
-    geom = lf.geometry
+    ifs, geom = sol.ifs, lf.geometry
     boundary = {geom.vid_of_address((), i + 1): float(f_corners[i]) for i in range(3)}
     h = harmonic_extension(lf.form, boundary)
     hvec = np.array([h[v] for v in range(geom.n_vertices)])
@@ -425,7 +426,7 @@ def decimation_identity(ifs: IFS, sol: Solution, m: int,
 
     r, s = sol.r, sol.s
     weights = (r, r, r, s)
-    sub_lf = level_form(ifs, sol, m - 1)
+    sub_lf = level_form(sol, m - 1)
     sub_geom = sub_lf.geometry
     cell_w = sub_geom.cell_multipliers(r, s)
     # F_i o F_w applied to the boundary set, for every depth-(m-1) word w

@@ -197,16 +197,15 @@ def _points_json(points, labels=None) -> list:
     return rows
 
 
-def _solve(cfg: RunConfig, lam, s: Optional[float] = None) -> tuple:
-    """The IFS of lam and its weight solve at s (default: the configured s)."""
-    ifs = geometry.make_ifs(lam)
-    return ifs, renorm.solve_r(ifs, cfg.s if s is None else s, eigen_tol=cfg.eigen_tol,
-                               bisect_tol=cfg.bisect_tol, max_iters=cfg.max_iters)
+def _solve(cfg: RunConfig, lam, s: Optional[float] = None) -> renorm.Solution:
+    """The weight solve on the IFS of lam at s (default: the configured s)."""
+    return renorm.solve_r(geometry.make_ifs(lam), cfg.s if s is None else s,
+                          eigen_tol=cfg.eigen_tol, bisect_tol=cfg.bisect_tol,
+                          max_iters=cfg.max_iters)
 
 
 def _cmd_solve(cfg: RunConfig, outdir: Path) -> None:
-    _, sol = _solve(cfg, cfg.lam)
-    _write_json(outdir, "solution.json", sol.to_json_obj())
+    _write_json(outdir, "solution.json", _solve(cfg, cfg.lam).to_json_obj())
 
 
 def _cmd_boundary(cfg: RunConfig, outdir: Path) -> None:
@@ -227,10 +226,8 @@ def _cmd_graph(cfg: RunConfig, outdir: Path) -> None:
 
 
 def _cmd_resistance(cfg: RunConfig, outdir: Path) -> None:
-    ifs, sol = _solve(cfg, cfg.lam)
-    pairs = _parse_pairs(cfg.pairs)
-    lf = approx.level_form(ifs, sol, cfg.level)
-    rows = approx.resistance_metric(ifs, sol, cfg.level, pairs, level=lf)
+    lf = approx.level_form(_solve(cfg, cfg.lam), cfg.level)
+    rows = approx.resistance_metric(lf, _parse_pairs(cfg.pairs))
     lines = ["word_1,corner_1,word_2,corner_2,x1,y1,x2,y2,"
              "x1_exact,y1_exact,x2_exact,y2_exact,resistance"]
     for pair, val in rows:
@@ -243,10 +240,11 @@ def _cmd_resistance(cfg: RunConfig, outdir: Path) -> None:
 
 
 def _cmd_resolvent(cfg: RunConfig, outdir: Path) -> None:
-    ifs, sol = _solve(cfg, cfg.lam)
+    sol = _solve(cfg, cfg.lam)
     alpha = cfg.alpha if cfg.alpha is not None else 1.0
-    mspec = approx.measure_weights(ifs, cfg.measure)
-    kernel, lf, _ = approx.resolvent_kernel(ifs, sol, cfg.level, alpha, mspec)
+    mspec = approx.measure_weights(sol.ifs, cfg.measure)
+    lf = approx.level_form(sol, cfg.level)
+    kernel = approx.resolvent_kernel(lf, alpha, mspec)
     with open(outdir / "resolvent.csv", "w") as fh:
         fh.write("x_id,y_id,x,y,x_exact,y_exact,u\n")
         for i, p in enumerate(lf.points):
@@ -281,13 +279,14 @@ def _cmd_relations(cfg: RunConfig, outdir: Path) -> None:
 
 
 def _cmd_estimates(cfg: RunConfig, outdir: Path) -> None:
-    ifs, sol = _solve(cfg, cfg.lam)
+    sol = _solve(cfg, cfg.lam)
+    levels = [approx.level_form(sol, m) for m in (4, 5, 6)]
     bottom = []
-    for m in (4, 5, 6):
-        value, bound, ok = approx.boundary_resistance_check(ifs, sol, m)
-        bottom.append({"level": m, "value": value, "bound": bound, "pass": ok})
-    tfit, theta, env = approx.scaling_exponent(ifs, sol, range(4, 10))
-    genv = approx.envelope_check(ifs, sol, m=4)
+    for lf in levels:
+        value, bound, ok = approx.boundary_resistance_check(lf)
+        bottom.append({"level": lf.m, "value": value, "bound": bound, "pass": ok})
+    tfit, theta, env = approx.scaling_exponent(sol, range(4, 10))
+    genv = approx.envelope_check(levels[0])
     obj = {
         "lambda": cfg.lam, "s": cfg.s, "r": sol.r, "theta": theta,
         "bottom_edge_resistance": bottom,
@@ -305,7 +304,7 @@ def _cmd_estimates(cfg: RunConfig, outdir: Path) -> None:
                 if not (Fraction(1, 8) <= lam <= Fraction(3, 8)) or lam.denominator != den:
                     continue
                 for s in (0.2, 0.5, 0.8, 0.95):
-                    _, rsol = _solve(cfg, lam, s)
+                    rsol = _solve(cfg, lam, s)
                     rows.append({"lambda": f"{lam.numerator}/{lam.denominator}",
                                  "s": s, "r": rsol.r})
                     worst = max(worst, rsol.r)

@@ -24,6 +24,7 @@ from .network import harmonic_extension
 from .renorm import BISECT_TOL, EIGEN_MAX_ITERS, EIGEN_TOL, solve_r
 
 DIFF_THRESHOLD = 1e-2
+WINDOW_ROWS = 3  # trailing rows whose successive differences must not increase
 TREND_SLACK = 1e-12
 
 Address = tuple[Word, int]
@@ -173,14 +174,14 @@ class ConvergenceReport:
         return {name: [abs(col[i + 1] - col[i]) for i in range(len(col) - 1)]
                 for name, col in self.quantity_columns().items()}
 
-    def compute_verdicts(self, window_rows: int = 3) -> dict:
+    def compute_verdicts(self) -> dict:
         """Trend over the trailing window of rows: the successive differences
-        computed from the last ``window_rows`` entries must be nonincreasing,
+        computed from the last ``WINDOW_ROWS`` entries must be nonincreasing,
         and the final difference must clear the threshold."""
         out = {}
-        nd = max(0, window_rows - 1)
+        nd = WINDOW_ROWS - 1
         for name, d in self.diffs().items():
-            tail = d[-nd:] if nd else []
+            tail = d[-nd:]
             trend = all(tail[i] >= tail[i + 1] - TREND_SLACK for i in range(len(tail) - 1))
             out[name] = {
                 "trend_nonincreasing": bool(trend) if len(d) >= nd else None,
@@ -231,18 +232,15 @@ class ConvergenceReport:
 def _report_row(n: int, lam: Fraction, s: float, pairs: list[TrackedPair],
                 alpha: Optional[float], m: int, measure_scheme: str,
                 eigen_tol: float, bisect_tol: float, max_iters: int) -> ReportRow:
-    ifs = make_ifs(lam)
-    sol = solve_r(ifs, s, eigen_tol=eigen_tol, bisect_tol=bisect_tol, max_iters=max_iters)
-    lf = level_form(ifs, sol, m)
-    res = [value for _, value in resistance_metric(ifs, sol, m, pairs, level=lf)]
+    sol = solve_r(make_ifs(lam), s, eigen_tol=eigen_tol, bisect_tol=bisect_tol,
+                  max_iters=max_iters)
+    lf = level_form(sol, m)
+    res = [value for _, value in resistance_metric(lf, pairs)]
     us: list[float] = []
     if alpha is not None:
-        mspec = measure_weights(ifs, measure_scheme)
-        kernel, _, _ = resolvent_kernel(ifs, sol, m, alpha, mspec, level=lf)
-        for (a1, a2) in pairs:
-            v1 = lf.vid_of_address(a1[0], a1[1])
-            v2 = lf.vid_of_address(a2[0], a2[1])
-            us.append(float(kernel.matrix[v1, v2]))
+        kernel = resolvent_kernel(lf, alpha, measure_weights(sol.ifs, measure_scheme))
+        us = [float(kernel.matrix[lf.vid_of_address(*a1), lf.vid_of_address(*a2)])
+              for a1, a2 in pairs]
     return ReportRow(n, lam, sol.r, res, us)
 
 
@@ -316,8 +314,7 @@ class GammaTable:
 
 
 def gamma_diagnostic(target, s: float, n_range: Sequence[int],
-                     f_corners: Sequence[float], m: int = 3,
-                     eigen_tol: float = EIGEN_TOL, bisect_tol: float = BISECT_TOL) -> GammaTable:
+                     f_corners: Sequence[float], m: int = 3) -> GammaTable:
     """Energies of harmonic extensions of fixed corner data along a schedule,
     with the finest solution transplanted back as a competitor at every entry."""
     if len(f_corners) != 3:
@@ -325,9 +322,7 @@ def gamma_diagnostic(target, s: float, n_range: Sequence[int],
     sched = dyadic_schedule(target, n_range)
     solved = []
     for n, lam in sched.entries:
-        ifs = make_ifs(lam)
-        sol = solve_r(ifs, s, eigen_tol=eigen_tol, bisect_tol=bisect_tol)
-        lf = level_form(ifs, sol, m)
+        lf = level_form(solve_r(make_ifs(lam), s), m)
         boundary = {lf.vid_of_address((), i + 1): float(f_corners[i]) for i in range(3)}
         h = harmonic_extension(lf.form, boundary)
         hvec = np.array([h[v] for v in range(lf.form.n)])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -387,7 +386,7 @@ class Evaluation:
 
 @dataclass
 class Solution:
-    """Solved renormalization data for one (lambda, s) pair.
+    """Solved renormalization data for one (lambda, s) pair, with the IFS it was solved on.
 
     ``eigen_iterations`` counts the ``eigen_solve`` calls of the weight
     solve (one per root-finder evaluation), not the map applications inside
@@ -396,7 +395,7 @@ class Solution:
     call order, and ``bracket`` the final sign-change interval of g; none of
     these is serialized.
     """
-    lam: Fraction
+    ifs: IFS
     s: float
     r: float
     C: float
@@ -412,8 +411,9 @@ class Solution:
     bracket: tuple[float, float] = (math.nan, math.nan)
 
     def to_json_obj(self) -> dict:
+        lam = self.ifs.lam
         return {
-            "lambda": f"{self.lam.numerator}/{self.lam.denominator}",
+            "lambda": f"{lam.numerator}/{lam.denominator}",
             "s": self.s,
             "r": self.r,
             "C": self.C,
@@ -521,7 +521,7 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
     cvec = D.vector(ctx.pairs)
     residual = _rel_delta(ctx.apply(cvec, (r, r, r, s)), cvec)
     theta = -math.log(r) / math.log(2.0)
-    return Solution(ifs.lam, s, r, res.C, rtilde4, theta, residual, D,
+    return Solution(ifs, s, r, res.C, rtilde4, theta, residual, D,
                     experimental=not ifs.is_dyadic(),
                     eigen_iterations=len(history),
                     power_iterations=sum(h.power_iterations for h in history),
@@ -529,9 +529,9 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
                     history=history, bracket=(min(b[0], c[0]), max(b[0], c[0])))
 
 
-def uniqueness_scan(ifs: IFS, s: float, sol: Solution,
-                    r_values: Sequence[float]) -> list[tuple[float, float]]:
-    """Energy scale factor of the subdivision map at corner weights (r', r', r', s).
+def uniqueness_scan(sol: Solution, r_values: Sequence[float]) -> list[tuple[float, float]]:
+    """Energy scale factor of the subdivision map at corner weights (r', r', r', s),
+    with s and the IFS those of the solution.
 
     The trace is linear in the conductances, so that map is the unit-corner map
     at added weight s/r' divided by r', and normalization ignores scale: the
@@ -544,7 +544,7 @@ def uniqueness_scan(ifs: IFS, s: float, sol: Solution,
     for rp in map(float, r_values):
         if not 0 < rp < math.inf:
             raise DomainError("corner weights must be finite and positive")
-        res = eigen_solve(ifs, s / rp, initial=sol.D, bset=sol.D.bset)
+        res = eigen_solve(sol.ifs, sol.s / rp, initial=sol.D, bset=sol.D.bset)
         out.append((rp, res.C / rp))
     return out
 

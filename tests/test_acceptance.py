@@ -14,7 +14,7 @@ import numpy as np
 
 import agres
 import exact_reference as ref
-from agres.approx import (boundary_resistance_check, decimation_identity,
+from agres.approx import (boundary_resistance_check, decimation_identity, level_form,
                           scaling_exponent)
 from agres.geometry import CORNERS, boundary_set, cell_images
 from agres.network import (FiniteForm, effective_resistance, resistance_matrix,
@@ -93,7 +93,7 @@ def test_criterion_04_uniqueness():
     ifs, sol = _grid_solutions()[("1/4", 0.5)]
     offsets = (0.02, 0.05, 0.1)
     rvals = [sol.r - d for d in offsets] + [sol.r] + [sol.r + d for d in offsets]
-    rows = uniqueness_scan(ifs, 0.5, sol, rvals)
+    rows = uniqueness_scan(sol, rvals)
     gaps_away = [abs(f - 1.0) for rp, f in rows if abs(rp - sol.r) > 1e-12]
     gap_at_r = [abs(f - 1.0) for rp, f in rows if abs(rp - sol.r) <= 1e-12]
     scan_ok = min(gaps_away) >= 1e-4 and gap_at_r[0] <= 1e-8
@@ -238,12 +238,12 @@ def test_criterion_10_estimates():
     worst_margin = math.inf
     for (lam, s), (ifs, sol) in sols.items():
         for m in (4, 5, 6):
-            value, bound, passed = boundary_resistance_check(ifs, sol, m)
+            value, bound, passed = boundary_resistance_check(level_form(sol, m))
             lower_ok = lower_ok and passed
             worst_margin = min(worst_margin, value - bound)
 
-    ifs, sol = sols[("1/4", 0.5)]
-    tfit, theta, env = scaling_exponent(ifs, sol, range(4, 10))
+    sol = sols[("1/4", 0.5)][1]
+    tfit, theta, env = scaling_exponent(sol, range(4, 10))
     fit_ok = abs(tfit - theta) <= 0.15 and env.spread <= 50
 
     worst_r = 0.0
@@ -268,7 +268,7 @@ def test_criterion_11_decimation_invariance():
     data = (1.0, -0.5, 2.0)
     for (lam, s), (ifs, sol) in _grid_solutions().items():
         for m in (1, 2, 3, 4):
-            rep = decimation_identity(ifs, sol, m, data)
+            rep = decimation_identity(level_form(sol, m), data)
             worst = max(worst, rep.relative_gap)
             if not rep.used_cell_sets:
                 worst = max(worst, rep.plain_gap)
@@ -284,7 +284,7 @@ def test_criterion_12_convergence_experiment():
         [(((), 1), ((), 2)), (((4,), 1), ((4,), 2))],
         alpha=1.0, m=3)
     dt = time.time() - t0
-    verdicts = rep.compute_verdicts(window_rows=3)
+    verdicts = rep.compute_verdicts()
     trend_ok = all(v["trend_nonincreasing"] for v in verdicts.values())
     gap_ok = all(v["final_gap"] <= 1e-2 for v in verdicts.values())
     norm_ok = all(abs(row.resistances[0] - 2 / 3) <= 1e-8 for row in rep.rows)

@@ -13,8 +13,8 @@ from agres.approx import (EdgeTraceTower, boundary_resistance_check, decimation_
                           envelope_check, level_form, measure_weights, resistance_metric,
                           resolvent_kernel, scaling_exponent, vertex_masses,
                           _celled_energy, _cell_table, _level_geometry)
-from agres.errors import (BadWeights, CapExceeded, IdentificationMismatch, InsufficientScales,
-                          UnknownVertex)
+from agres.errors import (BadWeights, CapExceeded, DomainError, IdentificationMismatch,
+                          InsufficientScales, UnknownVertex)
 from agres.exact import Lattice, Point
 from agres.geometry import VertexTable, cell_images
 from agres.network import FiniteForm, effective_resistance, harmonic_extension, trace
@@ -30,21 +30,21 @@ def bottom_point(t) -> Point:
 
 
 class TestLevelForm:
-    def test_level_zero_is_unit_triangle(self, ifs14, sol14):
-        lf = level_form(ifs14, sol14, 0)
+    def test_level_zero_is_unit_triangle(self, sol14):
+        lf = level_form(sol14, 0)
         for pair in ((0, 1), (1, 2), (0, 2)):
             assert lf.form.conductance(*pair) == pytest.approx(1.0, abs=1e-9)
 
-    def test_vertex_counts(self, ifs14, sol14):
-        assert level_form(ifs14, sol14, 1).form.n == 9
-        assert level_form(ifs14, sol14, 2).form.n == 30
-        assert level_form(ifs14, sol14, 3).form.n == 114
+    def test_vertex_counts(self, sol14):
+        assert level_form(sol14, 1).form.n == 9
+        assert level_form(sol14, 2).form.n == 30
+        assert level_form(sol14, 3).form.n == 114
 
-    def test_trace_consistency(self, ifs14, sol14):
+    def test_trace_consistency(self, sol14):
         # reducing level m+1 onto the level-m vertices reproduces level m
         for m in (1, 2):
-            fine = level_form(ifs14, sol14, m + 1)
-            coarse = level_form(ifs14, sol14, m)
+            fine = level_form(sol14, m + 1)
+            coarse = level_form(sol14, m)
             keep = [fine.geometry.vid_of_point(p) for p in coarse.geometry.points]
             reduced = trace(fine.form, keep)
             remap = {keep[i]: i for i in range(len(keep))}
@@ -55,16 +55,16 @@ class TestLevelForm:
                 inv = {v: k for k, v in remap.items()}
                 assert reduced.conductance(inv[x], inv[y]) == pytest.approx(c, abs=1e-9)
 
-    def test_corner_resistance_level_independent(self, ifs14, sol14):
+    def test_corner_resistance_level_independent(self, sol14):
         for m in range(0, 5):
-            lf = level_form(ifs14, sol14, m)
+            lf = level_form(sol14, m)
             v1 = lf.vid_of_address((), 1)
             v2 = lf.vid_of_address((), 2)
             assert effective_resistance(lf.form, v1, v2) == pytest.approx(
                 2 / 3, abs=1e-8)
 
-    def test_g_symmetry_of_level_form(self, ifs14, sol14):
-        lf = level_form(ifs14, sol14, 2)
+    def test_g_symmetry_of_level_form(self, sol14):
+        lf = level_form(sol14, 2)
         geom = lf.geometry
         mapped = {}
         for i, p in enumerate(geom.points):
@@ -74,7 +74,7 @@ class TestLevelForm:
                 c, rel=1e-9)
 
     def test_conductances_supported_on_common_cell_pairs(self, ifs14, sol14):
-        lf = level_form(ifs14, sol14, 2)
+        lf = level_form(sol14, 2)
         g = agres.approximation_graph(ifs14, 2)
         gidx = {p: i for i, p in enumerate(g.points)}
         translate = {i: gidx[p] for i, p in enumerate(lf.geometry.points)}
@@ -82,12 +82,23 @@ class TestLevelForm:
             a, b = translate[x], translate[y]
             assert (min(a, b), max(a, b)) in g.edges
 
-    def test_cap(self, ifs14, sol14):
+    def test_cap(self, sol14):
         with pytest.raises(CapExceeded):
-            level_form(ifs14, sol14, 9)
+            level_form(sol14, 9)
 
-    def test_addressing(self, ifs14, sol14):
-        lf = level_form(ifs14, sol14, 2)
+    @pytest.mark.parametrize("lam", ["3/16", "5/16"])
+    def test_realized_on_the_solutions_ifs(self, lam):
+        # both boundary sets have 12 points, so a form realized on the other
+        # parameter's geometry would go unnoticed
+        sol = agres.solve_r(agres.make_ifs(lam), 0.5)
+        assert sol.D.n == 12
+        lf = level_form(sol, 2)
+        assert lf.geometry is _level_geometry(sol.ifs, 2)
+        v1, v2 = lf.vid_of_address((), 1), lf.vid_of_address((), 2)
+        assert effective_resistance(lf.form, v1, v2) == pytest.approx(2 / 3, rel=1e-9)
+
+    def test_addressing(self, sol14):
+        lf = level_form(sol14, 2)
         vid = lf.vid_of_address((4,), 1)
         p = lf.points[vid]
         assert ref.cartesian(p) == ref.apply(ref.maps("1/4")[3], ref.P1)
@@ -169,6 +180,22 @@ class TestMeasures:
             assert masses.sum() == pytest.approx(1.0, abs=1e-12)
             assert masses.min() > 0
 
+    @pytest.mark.parametrize("m", [-1, -2])
+    def test_vertex_masses_reject_a_negative_level(self, ifs14, m):
+        with pytest.raises(DomainError):
+            vertex_masses(ifs14, measure_weights(ifs14), m)
+        assert ("levelgeom", m) not in ifs14._caches
+
+    def test_vertex_masses_cap_stops_before_any_geometry(self, ifs14, monkeypatch):
+        ms = measure_weights(ifs14)
+
+        def no_geometry(ifs, m):
+            raise AssertionError(f"level {m} geometry built")
+
+        monkeypatch.setattr(approx, "_level_geometry", no_geometry)
+        with pytest.raises(CapExceeded):
+            vertex_masses(ifs14, ms, approx.LEVEL_CAP + 1)
+
     def test_vertex_masses_g_symmetric(self, ifs14):
         ms = measure_weights(ifs14)
         geom = _level_geometry(ifs14, 2)
@@ -179,39 +206,43 @@ class TestMeasures:
 
 
 class TestResistanceMetric:
-    def test_corner_pair(self, ifs14, sol14):
-        rows = resistance_metric(ifs14, sol14, 2, [(((), 1), ((), 2))])
+    def test_corner_pair(self, sol14):
+        rows = resistance_metric(level_form(sol14, 2), [(((), 1), ((), 2))])
         assert rows[0][1] == pytest.approx(2 / 3, abs=1e-9)
 
-    def test_symmetry_and_zero_diagonal(self, ifs14, sol14):
+    def test_symmetry_and_zero_diagonal(self, sol14):
         a, b = ((4,), 1), ((4,), 2)
-        rows = resistance_metric(ifs14, sol14, 2, [(a, b), (b, a), (a, a)])
+        rows = resistance_metric(level_form(sol14, 2), [(a, b), (b, a), (a, a)])
         assert rows[0][1] == pytest.approx(rows[1][1], abs=1e-12)
         assert rows[2][1] == 0.0
 
-    def test_level_consistency(self, ifs14, sol14):
+    def test_word_longer_than_the_level_is_unknown(self, sol14):
+        with pytest.raises(UnknownVertex):
+            resistance_metric(level_form(sol14, 1), [(((1, 1), 1), ((1, 1), 2))])
+
+    def test_level_consistency(self, sol14):
         pairs = [(((4,), 1), ((4,), 2)), (((1,), 2), ((2,), 1)), (((), 1), ((4,), 3))]
-        r3 = resistance_metric(ifs14, sol14, 3, pairs)
-        r4 = resistance_metric(ifs14, sol14, 4, pairs)
+        r3 = resistance_metric(level_form(sol14, 3), pairs)
+        r4 = resistance_metric(level_form(sol14, 4), pairs)
         for (row3, row4) in zip(r3, r4):
             assert row3[1] == pytest.approx(row4[1], abs=1e-8)
 
 
 class TestBoundaryResistance:
-    def test_bound_holds(self, ifs14, sol14):
-        value, bound, ok = boundary_resistance_check(ifs14, sol14, 4)
+    def test_bound_holds(self, sol14):
+        value, bound, ok = boundary_resistance_check(level_form(sol14, 4))
         assert ok and value >= bound
 
-    def test_monotone_in_level(self, ifs14, sol14):
-        values = [boundary_resistance_check(ifs14, sol14, m)[0] for m in (2, 3, 4)]
+    def test_monotone_in_level(self, sol14):
+        values = [boundary_resistance_check(level_form(sol14, m))[0] for m in (2, 3, 4)]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
 
-    def test_grounding_superset_decreases_value(self, ifs14, sol14):
+    def test_grounding_superset_decreases_value(self, sol14):
         # the whole bottom edge is grounded, so the value cannot exceed the
         # resistance to the two bottom corners alone
-        value, _, _ = boundary_resistance_check(ifs14, sol14, 3)
-        lf = level_form(ifs14, sol14, 3)
+        lf = level_form(sol14, 3)
+        value, _, _ = boundary_resistance_check(lf)
         v1 = lf.vid_of_address((), 1)
         v2 = lf.vid_of_address((), 2)
         v3 = lf.vid_of_address((), 3)
@@ -220,8 +251,8 @@ class TestBoundaryResistance:
 
 
 class TestScalingExponent:
-    def test_fit_close_to_model(self, ifs14, sol14):
-        tfit, theta, env = scaling_exponent(ifs14, sol14, range(4, 10))
+    def test_fit_close_to_model(self, sol14):
+        tfit, theta, env = scaling_exponent(sol14, range(4, 10))
         assert abs(tfit - theta) <= 0.15
         assert env.spread <= 50
         assert env.basis == "theta"
@@ -229,17 +260,17 @@ class TestScalingExponent:
     def test_hypothetical_half_weight_gives_exponent_one(self):
         assert -math.log(0.5) / math.log(2) == pytest.approx(1.0)
 
-    def test_requires_four_scales(self, ifs14, sol14):
+    def test_requires_four_scales(self, sol14):
         with pytest.raises(InsufficientScales):
-            scaling_exponent(ifs14, sol14, [3, 4, 5])
+            scaling_exponent(sol14, [3, 4, 5])
 
-    def test_tower_matches_level_form_resistances(self, ifs14, sol14):
+    def test_tower_matches_level_form_resistances(self, sol14):
         # the nested trace and the level decomposition must agree
-        tower = EdgeTraceTower(ifs14, sol14)
+        tower = EdgeTraceTower(sol14)
         tower.refine_to(3)
         pairs = [(Fraction(1, 8), Fraction(2, 8)), (Fraction(3, 8), Fraction(5, 8))]
         tower_vals = tower.bottom_resistances(pairs)
-        lf = level_form(ifs14, sol14, 3)
+        lf = level_form(sol14, 3)
         for (t1, t2), tv in zip(pairs, tower_vals):
             v1 = lf.geometry.vid_of_point(bottom_point(t1))
             v2 = lf.geometry.vid_of_point(bottom_point(t2))
@@ -247,30 +278,32 @@ class TestScalingExponent:
 
 
 class TestEnvelope:
-    def test_global_envelope_brackets_samples(self, ifs14, sol14):
-        env = envelope_check(ifs14, sol14, m=3, n_pairs=150)
+    def test_global_envelope_brackets_samples(self, sol14):
+        env = envelope_check(level_form(sol14, 3))
         assert env.basis == "eta"
         assert env.eta_star >= env.eta_sub
         assert 0 < env.c1 <= env.c2 < math.inf
 
 
 class TestResolventKernel:
-    def test_identities(self, ifs14, sol14):
-        kernel, lf, mspec = resolvent_kernel(ifs14, sol14, 2, 1.0)
+    def test_identities(self, sol14):
+        kernel = resolvent_kernel(level_form(sol14, 2), 1.0)
         assert kernel.symmetry_error() <= 1e-12
         assert kernel.row_mass_error() <= 1e-10
 
     @pytest.mark.parametrize("m,alpha", [(2, 1.0), (3, 0.5)])
     def test_matches_dense_inverse(self, ifs14, sol14, m, alpha):
-        kernel, lf, mspec = resolvent_kernel(ifs14, sol14, m, alpha)
-        masses = vertex_masses(ifs14, mspec, m)
+        lf = level_form(sol14, m)
+        kernel = resolvent_kernel(lf, alpha)
+        masses = vertex_masses(ifs14, measure_weights(ifs14), m)
         inverse = np.linalg.inv(lf.form.laplacian_dense() + alpha * np.diag(masses))
         np.testing.assert_allclose(kernel.matrix, inverse, rtol=1e-10, atol=0)
 
-    def test_cross_level_entries_stabilize(self, ifs14, sol14):
+    def test_cross_level_entries_stabilize(self, sol14):
         vals = []
         for m in (1, 2, 3):
-            kernel, lf, _ = resolvent_kernel(ifs14, sol14, m, 1.0)
+            lf = level_form(sol14, m)
+            kernel = resolvent_kernel(lf, 1.0)
             v1 = lf.vid_of_address((), 1)
             v2 = lf.vid_of_address((), 2)
             vals.append(kernel.matrix[v1, v2])
@@ -281,22 +314,22 @@ class TestResolventKernel:
 
 class TestDecimation:
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_identity_cell_aware(self, ifs14, sol14, m):
-        rep = decimation_identity(ifs14, sol14, m, (1.0, -0.5, 2.0))
+    def test_identity_cell_aware(self, sol14, m):
+        rep = decimation_identity(level_form(sol14, m), (1.0, -0.5, 2.0))
         assert rep.relative_gap <= 1e-8
 
-    def test_plain_form_valid_above_contact_depth(self, ifs14, sol14):
+    def test_plain_form_valid_above_contact_depth(self, sol14):
         # contact depth of 1/4 is 1, so plain level-(m-1) evaluation is exact
         # from m = 2 on but undercounts at m = 1
-        rep2 = decimation_identity(ifs14, sol14, 2, (1.0, 0.0, 0.0))
+        rep2 = decimation_identity(level_form(sol14, 2), (1.0, 0.0, 0.0))
         assert rep2.plain_gap <= 1e-8 and not rep2.used_cell_sets
-        rep1 = decimation_identity(ifs14, sol14, 1, (1.0, 0.0, 0.0))
+        rep1 = decimation_identity(level_form(sol14, 1), (1.0, 0.0, 0.0))
         assert rep1.relative_gap <= 1e-10
         assert rep1.used_cell_sets and rep1.plain_gap > 1e-3
 
-    def test_harmonic_energy_equals_corner_energy(self, ifs14, sol14):
+    def test_harmonic_energy_equals_corner_energy(self, sol14):
         # the minimal extension of corner data has the boundary-trace energy
-        lf = level_form(ifs14, sol14, 3)
+        lf = level_form(sol14, 3)
         f = (1.0, 0.0, 0.0)
         boundary = {lf.vid_of_address((), i + 1): f[i] for i in range(3)}
         h = harmonic_extension(lf.form, boundary)
@@ -306,11 +339,11 @@ class TestDecimation:
 def test_tower_matches_level_form_at_bigger_boundary():
     ifs = agres.make_ifs("5/16")
     sol = agres.solve_r(ifs, 0.5)
-    tower = EdgeTraceTower(ifs, sol)
+    tower = EdgeTraceTower(sol)
     tower.refine_to(3)
     pairs = [(Fraction(0), Fraction(1, 8)), (Fraction(3, 8), Fraction(1, 2))]
     tower_vals = tower.bottom_resistances(pairs)
-    lf = level_form(ifs, sol, 3)
+    lf = level_form(sol, 3)
     for (t1, t2), tv in zip(pairs, tower_vals):
         v1 = lf.geometry.vid_of_point(bottom_point(t1))
         v2 = lf.geometry.vid_of_point(bottom_point(t2))
@@ -337,7 +370,7 @@ def dict_level_conductances(ifs, sol, m):
 
 def dict_refine(tower):
     """One tower refinement with the glued conductances summed in a dict."""
-    ifs, sol = tower.ifs, tower.sol
+    ifs, sol = tower.sol.ifs, tower.sol
     next_k = tower.K + 1
     dyadics = np.zeros((2 ** next_k - 1, 2), dtype=np.int64)
     dyadics[:, 0] = np.arange(1, 2 ** next_k)
@@ -364,17 +397,17 @@ def test_array_assembly_is_bit_identical_to_dict_accumulation(lam):
     ifs = agres.make_ifs(lam)
     sol = agres.solve_r(ifs, 0.5)
     for m in range(5):
-        got = level_form(ifs, sol, m).form.conductances
+        got = level_form(sol, m).form.conductances
         assert list(got.items()) == list(dict_level_conductances(ifs, sol, m).items())
-    tower = EdgeTraceTower(ifs, sol)
+    tower = EdgeTraceTower(sol)
     for _ in range(4):
         expected = dict_refine(tower)
         tower.refine()
         assert list(tower.form.conductances.items()) == list(expected.conductances.items())
 
 
-def test_tower_rejects_a_collapsed_pair(ifs14, sol14, monkeypatch):
-    tower = EdgeTraceTower(ifs14, sol14)
+def test_tower_rejects_a_collapsed_pair(sol14, monkeypatch):
+    tower = EdgeTraceTower(sol14)
     images = approx.cell_images
 
     def collapsed(ifs, m, pts):  # every copy of the boundary set lands on one point

@@ -230,6 +230,19 @@ class TestCommands:
         assert fit["spread"] <= 50
         assert obj["global_envelope"]["c1"] <= obj["global_envelope"]["c2"]
 
+    def test_estimates_builds_each_level_once(self, tmp_path, monkeypatch):
+        built = []
+        level_form = agres.approx.level_form
+
+        def counted(sol, m):
+            built.append(m)
+            return level_form(sol, m)
+
+        monkeypatch.setattr(agres.approx, "level_form", counted)
+        code, _ = run_cli(["estimates", "--lambda", "1/4", "--s", "0.5"], tmp_path)
+        assert code == 0
+        assert sorted(built) == [4, 5, 6]
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         code, _ = run_cli(["solve", "--lambda", "1/4", "--s", "0.5",
                            "--max-iters", "1"], tmp_path)

@@ -191,11 +191,11 @@ class TestVertexTable:
                 geom.vid_of_point(off)
 
 
-def test_resistance_metric_matches_pairwise_solves(ifs14, sol14):
+def test_resistance_metric_matches_pairwise_solves(sol14):
     pairs = [(((4,), 1), ((4,), 2)), (((1,), 2), ((2,), 1)), (((), 1), ((4,), 3)),
              (((), 2), ((), 1)), (((3, 3), 3), ((2, 1), 1))]
-    lf = level_form(ifs14, sol14, 3)
-    for (a1, a2), value in resistance_metric(ifs14, sol14, 3, pairs, level=lf):
+    lf = level_form(sol14, 3)
+    for (a1, a2), value in resistance_metric(lf, pairs):
         v1, v2 = lf.vid_of_address(*a1), lf.vid_of_address(*a2)
         expected = 0.0 if v1 == v2 else effective_resistance(lf.form, v1, v2)
         assert value == pytest.approx(expected, rel=1e-10)

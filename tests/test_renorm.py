@@ -331,9 +331,8 @@ class TestSolveR:
 
 
 class TestUniquenessScan:
-    def test_factor_profile(self, ifs14, sol14):
-        rows = uniqueness_scan(ifs14, 0.5, sol14,
-                               [sol14.r - 0.05, sol14.r, sol14.r + 0.05])
+    def test_factor_profile(self, sol14):
+        rows = uniqueness_scan(sol14, [sol14.r - 0.05, sol14.r, sol14.r + 0.05])
         below, at, above = rows
         assert above[1] < 1 - 1e-4
         assert below[1] > 1 + 1e-4
@@ -562,7 +561,7 @@ def test_nan_or_negative_infinite_weight_is_a_domain_error(ifs14, sol14, bad):
     with pytest.raises(DomainError):
         ctx.glued_vector(np.ones(len(ctx.pairs)), (1.0, 1.0, 1.0, bad))
     with pytest.raises(DomainError):
-        uniqueness_scan(ifs14, 0.5, sol14, [bad])
+        uniqueness_scan(sol14, [bad])
 
 
 def test_non_finite_change_stops_at_once(monkeypatch, ifs14):
@@ -727,15 +726,24 @@ def test_uniqueness_scan_matches_the_loop(lam):
     ifs = agres.make_ifs(lam)
     sol = solve_r(ifs, 0.5)
     rvals = [sol.r + d for d in (-0.1, -0.05, -0.02, 0.0, 0.02, 0.05, 0.1)]
-    rows, oracle = uniqueness_scan(ifs, 0.5, sol, rvals), loop_uniqueness_scan(ifs, 0.5, sol, rvals)
+    rows, oracle = uniqueness_scan(sol, rvals), loop_uniqueness_scan(ifs, 0.5, sol, rvals)
     assert [rp for rp, _ in rows] == rvals
     assert [f for _, f in rows] == pytest.approx([f for _, f in oracle], rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [0.3, 0.5])
+def test_uniqueness_scan_reads_one_at_the_solved_weight(ifs14, s):
+    # the scan takes s from the solution, so it cannot pair a form with another s
+    sol = solve_r(ifs14, s)
+    [(rp, factor)] = uniqueness_scan(sol, [sol.r])
+    assert rp == sol.r
+    assert factor == pytest.approx(1.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf])
-def test_uniqueness_scan_needs_a_finite_positive_weight(ifs14, sol14, bad):
+def test_uniqueness_scan_needs_a_finite_positive_weight(sol14, bad):
     with pytest.raises(DomainError):
-        uniqueness_scan(ifs14, 0.5, sol14, [bad])
+        uniqueness_scan(sol14, [bad])
 
 
 def inline_residual(raw, C, c):
