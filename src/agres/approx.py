@@ -418,6 +418,8 @@ def decimation_identity(lf: LevelForm, f_corners: Sequence[float]) -> Decimation
     m, sol = lf.m, lf.solution
     if m < 1:
         raise DomainError("level must be >= 1")
+    if len(f_corners) != 3:
+        raise DomainError("corner data must have three values")
     ifs, geom = sol.ifs, lf.geometry
     boundary = {geom.vid_of_address((), i + 1): float(f_corners[i]) for i in range(3)}
     h = harmonic_extension(lf.form, boundary)

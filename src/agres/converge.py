@@ -317,8 +317,8 @@ def gamma_diagnostic(target, s: float, n_range: Sequence[int],
                      f_corners: Sequence[float], m: int = 3) -> GammaTable:
     """Energies of harmonic extensions of fixed corner data along a schedule,
     with the finest solution transplanted back as a competitor at every entry."""
-    if len(f_corners) != 3:
-        raise DomainError("corner data must have three values")
+    if len(f_corners) != 3 or not np.isfinite(np.asarray(f_corners, float)).all():
+        raise DomainError("corner data must be three finite values")
     sched = dyadic_schedule(target, n_range)
     solved = []
     for n, lam in sched.entries:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import CapExceeded, DepthExceeded, DomainError, OrbitOverflow, UnknownVertex
 from .exact import (Lattice, OmegaMaps, Point, RationalLike, as_fraction, point_decimal_str,
                     point_exact_str)
-from .network import _components, numbered
+from .network import _components, _scipy, numbered
 
 # corners of the reference triangle: top (omega), lower left (0), lower right (1)
 P1 = Point(Fraction(0), Fraction(1))
@@ -582,7 +582,7 @@ def hausdorff_distance(ifs1: IFS, ifs2: IFS, depth: int = 8) -> tuple[float, flo
         raise DomainError(f"depth must be nonnegative, got {depth}")
     if depth > GRAPH_LEVEL_CAP:
         raise CapExceeded(f"depth {depth} exceeds cap {GRAPH_LEVEL_CAP}")
-    from scipy.spatial import cKDTree
+    cKDTree = _scipy("spatial").cKDTree
 
     c1 = _corner_cloud(ifs1, depth)
     c2 = _corner_cloud(ifs2, depth)

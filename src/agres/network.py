@@ -9,11 +9,15 @@ operations here are the classical electrical-network toolkit: Schur
 complement traces, harmonic extension, effective resistances (two point
 and point-to-set), energy comparison factors, and resolvent kernels with
 respect to a probability measure on the vertices.
+
+scipy is imported through ``_scipy`` only, on first use: ``scipy.linalg`` by a dense
+factorization, ``scipy.sparse`` by an interior block above ``DENSE_LIMIT``.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import warnings
 from dataclasses import dataclass
@@ -21,9 +25,6 @@ from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .errors import (BadMeasure, BadTarget, ConditionWarning, Disconnected,
                      DomainError, MismatchedVertexSets, NegativeConductance,
@@ -33,6 +34,12 @@ VertexId = Hashable
 DUST = 1e-13           # magnitude below which a negative Schur by-product is numerical dust
 DENSE_LIMIT = 1600     # interior larger than this switches to sparse elimination
 PIVOT_RATIO_WARN = 1e12
+
+
+@functools.cache
+def _scipy(name: str):
+    """The module ``scipy.<name>``, imported once, on its first use."""
+    return importlib.import_module(f"scipy.{name}")
 
 
 def _pair(x: VertexId, y: VertexId) -> tuple[VertexId, VertexId]:
@@ -76,15 +83,14 @@ def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
 
 
 def _laplacian(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-               sparse: bool = False) -> Union[np.ndarray, sp.csc_matrix]:
+               sparse: bool = False) -> Union[np.ndarray, "scipy.sparse.csc_matrix"]:
     """Weighted Laplacian of n vertices with conductance c[k] on the pair (a[k], b[k]).
 
     The pairs must be distinct and carry no self-loops.
     """
     if sparse:
-        rows = np.concatenate([a, b, a, b])
-        cols = np.concatenate([b, a, a, b])
-        return sp.csc_matrix((np.concatenate([-c, -c, c, c]), (rows, cols)), shape=(n, n))
+        ij = np.concatenate([a, b, a, b]), np.concatenate([b, a, a, b])
+        return _scipy("sparse").csc_matrix((np.concatenate([-c, -c, c, c]), ij), shape=(n, n))
     L = np.zeros((n, n))
     L[a, b] = -c
     L[b, a] = -c
@@ -93,7 +99,7 @@ def _laplacian(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 
 def _dense(M) -> np.ndarray:
-    return M.toarray() if sp.issparse(M) else M
+    return M if isinstance(M, np.ndarray) else M.toarray()
 
 
 class _Factor:
@@ -103,13 +109,13 @@ class _Factor:
 
     def __init__(self, A):
         self.pivot_ratio: Optional[float] = None
-        if sp.issparse(A):
+        if not isinstance(A, np.ndarray):
             try:
-                self._lu = spla.splu(A.tocsc())
+                self._lu = _scipy("sparse.linalg").splu(A.tocsc())
             except RuntimeError as exc:
                 raise SingularInterior(f"interior block factorization failed: {exc}") from exc
         else:
-            cho, info = lapack.dpotrf(A, lower=False, clean=False)
+            cho, info = _scipy("linalg.lapack").dpotrf(A, lower=False, clean=False)
             if info != 0:
                 raise SingularInterior(f"interior block factorization failed (info={info})")
             d = np.diag(cho)
@@ -119,7 +125,7 @@ class _Factor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.pivot_ratio is None:
             return self._lu.solve(rhs)
-        return lapack.dpotrs(self._cho, rhs)[0]
+        return _scipy("linalg.lapack").dpotrs(self._cho, rhs)[0]
 
 
 def _schur(L, nk: int) -> tuple[np.ndarray, _Factor, np.ndarray]:
@@ -336,8 +342,10 @@ def harmonic_extension(form: FiniteForm, boundary: Mapping[VertexId, float]) -> 
     missing = [v for v in boundary if v not in form._pos]
     if missing:
         raise DomainError(f"boundary contains unknown vertices: {missing[:3]}")
-    form.require_connected()
     out = {v: float(boundary[v]) for v in boundary}
+    if not np.isfinite(list(out.values())).all():
+        raise DomainError("boundary values must be finite")
+    form.require_connected()
     nb = len(out)
     if nb == form.n:
         return out

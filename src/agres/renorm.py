@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
                      GuardExceeded, IdentificationMismatch, NoConvergence, SingularInterior)
 from .exact import Point
 from .geometry import IFS, BoundarySet, boundary_set, numbered, seeded_copies
 from .network import (FiniteForm, _components, _Factor, _laplacian, _pair_conductances,
-                      _schur)
+                      _schur, _scipy)
 
 EIGEN_TOL = 1e-12
 EIGEN_MAX_ITERS = 10_000
@@ -347,12 +346,12 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
             lu, rebuilt = None, True
         chording = not fallen and delta < CHORD_START
         if chording and lu is None:
-            lu = lapack.dgetrf(ctx.jacobian(c, ws) - np.eye(len(rep)))[:2]
+            lu = _scipy("linalg.lapack").dgetrf(ctx.jacobian(c, ws) - np.eye(len(rep)))[:2]
             jacobians += 1
         if chording:
             t, z = new[rep], c[rep]
             live = t > 0  # pairs the map leaves at zero stay there
-            z = np.where(live, z - lapack.dgetrs(*lu, t - z)[0], 0.0)
+            z = np.where(live, z - _scipy("linalg.lapack").dgetrs(*lu, t - z)[0], 0.0)
             fallen = not (z[live] > 0).all()
         c = z[ctx.orbit_ids] if chording and not fallen else new
     else:

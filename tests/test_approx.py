@@ -445,3 +445,35 @@ def test_celled_energy_matches_row_loop(lam):
         vals = hnan[gids[i]]
         assert _celled_energy(sol.D, weights, vals) == pytest.approx(
             loop_celled_energy(sol.D, weights, vals), rel=1e-12)
+
+
+class TestCornerData:
+    """Corner data must be three finite values; it is checked before any solve."""
+
+    @pytest.mark.parametrize("f", [(1.0, 0.0, 0.0, 5.0), (1.0, 0.0)])
+    def test_decimation_needs_three_values(self, sol14, f):
+        with pytest.raises(DomainError, match="three values"):
+            decimation_identity(level_form(sol14, 1), f)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_harmonic_extension_rejects_non_finite_values(self, sol14, monkeypatch, bad):
+        lf = level_form(sol14, 1)
+
+        def no_factor(*args, **kwargs):
+            raise AssertionError("a factorization started before validation")
+
+        monkeypatch.setattr("agres.network._Factor", no_factor)
+        with pytest.raises(DomainError, match="finite"):
+            harmonic_extension(lf.form, {0: bad, 1: 0.0, 2: 0.0})
+        with pytest.raises(DomainError, match="finite"):
+            decimation_identity(lf, (1.0, bad, 0.0))
+
+    @pytest.mark.parametrize("f", [(0.0, 0.0, math.nan), (0.0, 0.0, math.inf),
+                                   (0.0, -math.inf, 0.0), (1.0, 0.0, 0.0, 5.0), (1.0, 0.0)])
+    def test_gamma_diagnostic_checks_before_solving(self, monkeypatch, f):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started before validation")
+
+        monkeypatch.setattr("agres.converge.solve_r", no_solve)
+        with pytest.raises(DomainError, match="three finite values"):
+            agres.gamma_diagnostic("1/4", 0.5, [3], f, m=1)

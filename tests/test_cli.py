@@ -278,3 +278,60 @@ class TestCommands:
         obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert obj["error"]["type"] == "ValidationError"
         assert flag[2:].replace("-", "_") in obj["error"]["message"]
+
+
+class TestScipyLoading:
+    """scipy is loaded only where a matrix is factored, checked in fresh interpreters."""
+
+    @staticmethod
+    def loaded(code: str, tmp_path) -> dict:
+        """Run ``code`` in a fresh interpreter, with ``out`` bound to tmp_path, and
+        return which of four scipy modules it left loaded."""
+        env = {**os.environ, "PYTHONPATH": str(Path(agres.__file__).parents[1])}
+        script = ("import json, sys\n"
+                  f"out = {str(tmp_path)!r}\n" + code +
+                  "\nprint(json.dumps({m: m in sys.modules for m in ("
+                  "'scipy', 'scipy.linalg', 'scipy.sparse', 'scipy.spatial')}))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_contact_commands_load_no_scipy(self, tmp_path):
+        flags = self.loaded(
+            "import agres, agres.cli\n"
+            "from agres import cli\n"
+            "for args in (['boundary', '--lambda', '1/7', '--mode', 'oracle'],\n"
+            "             ['graph', '--lambda', '1/7', '--level', '3'],\n"
+            "             ['relations', '--lambda', '1/7']):\n"
+            "    assert cli.main(args + ['--out', out + '/' + args[0]]) == 0\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+            tmp_path)
+        assert not any(flags.values())
+        assert {p.name for p in tmp_path.iterdir()} == {"boundary", "graph", "relations"}
+
+    def test_dense_solve_loads_linalg_only(self, tmp_path):
+        flags = self.loaded(
+            "from agres import cli\n"
+            "assert cli.main(['solve', '--lambda', '1/7', '--s', '0.5', '--out', out]) == 0",
+            tmp_path)
+        assert flags["scipy.linalg"] and not flags["scipy.sparse"]
+        assert (tmp_path / "solution.json").exists()
+
+    def test_sparse_branch_loads_sparse_on_first_use(self, tmp_path):
+        flags = self.loaded(
+            "import numpy as np\n"
+            "from agres import network\n"
+            "rng = np.random.default_rng(5)\n"
+            "pairs = [(i, i + 1) for i in range(11)] + [(0, 6), (2, 9), (4, 11), (1, 7)]\n"
+            "form = network.FiniteForm(range(12), {p: float(rng.uniform(0.5, 2)) for p in pairs})\n"
+            "targets = (5, 11, {7, 8, 9})\n"
+            "dense = [network.effective_resistance(form, 1, t) for t in targets]\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+            "network.DENSE_LIMIT = 0\n"
+            "sparse = [network.effective_resistance(form, 1, t) for t in targets]\n"
+            "assert np.allclose(sparse, dense, rtol=1e-12, atol=0), (sparse, dense)\n"
+            "tri = network.triangle_form(1.0)\n"
+            "assert abs(network.effective_resistance(tri, 0, 1) - 2 / 3) < 1e-15",
+            tmp_path)
+        assert flags["scipy.sparse"] and flags["scipy.linalg"] and not flags["scipy.spatial"]
