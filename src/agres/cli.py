@@ -239,19 +239,34 @@ def _cmd_resistance(cfg: RunConfig, outdir: Path) -> None:
     _write(outdir, "resistance.csv", "\n".join(lines) + "\n")
 
 
+def _write_kernel_csv(path: Path, points, matrix) -> None:
+    """Write resolvent.csv: a header, then the line 'x_id,y_id,x,y,x_exact,y_exact,u'
+    of every ordered pair of points, row by row.
+
+    Each row x is one write, joined from the parts "{x},", "{y},", x's coordinate
+    columns and "{u:.17g}\\n" of its lines; one '%' format makes the row's u texts.
+    """
+    n = len(points)
+    parts = [None] * (4 * n)
+    parts[1::4] = [f"{j}," for j in range(n)]
+    with open(path, "w") as fh:
+        fh.write("x_id,y_id,x,y,x_exact,y_exact,u\n")
+        for i, p in enumerate(points):
+            dx, dy = point_decimal_str(p)
+            ex, ey = point_exact_str(p)
+            parts[0::4] = [f"{i},"] * n
+            parts[2::4] = [f'{dx},{dy},"{ex}","{ey}",'] * n
+            parts[3::4] = ("%.17g\n" * n % tuple(matrix[i].tolist())).splitlines(keepends=True)
+            fh.write("".join(parts))
+
+
 def _cmd_resolvent(cfg: RunConfig, outdir: Path) -> None:
     sol = _solve(cfg, cfg.lam)
     alpha = cfg.alpha if cfg.alpha is not None else 1.0
     mspec = approx.measure_weights(sol.ifs, cfg.measure)
     lf = approx.level_form(sol, cfg.level)
     kernel = approx.resolvent_kernel(lf, alpha, mspec)
-    with open(outdir / "resolvent.csv", "w") as fh:
-        fh.write("x_id,y_id,x,y,x_exact,y_exact,u\n")
-        for i, p in enumerate(lf.points):
-            dx, dy = point_decimal_str(p)
-            ex, ey = point_exact_str(p)
-            fh.writelines(f'{i},{j},{dx},{dy},"{ex}","{ey}",{u:.17g}\n'
-                          for j, u in enumerate(kernel.matrix[i].tolist()))
+    _write_kernel_csv(outdir / "resolvent.csv", lf.points, kernel.matrix)
     _write_json(outdir, "resolvent.json", {
         "lambda": cfg.lam, "s": cfg.s, "alpha": alpha, "level": cfg.level,
         "measure": mspec.to_json_obj(),

@@ -34,6 +34,7 @@ VertexId = Hashable
 DUST = 1e-13           # magnitude below which a negative Schur by-product is numerical dust
 DENSE_LIMIT = 1600     # interior larger than this switches to sparse elimination
 PIVOT_RATIO_WARN = 1e12
+ROW_MASS_TOL = 1e-8    # largest relative row-mass error alpha * |U m - 1/alpha| of a resolvent
 
 
 @functools.cache
@@ -438,7 +439,12 @@ def form_comparison(form1: FiniteForm, form2: FiniteForm) -> tuple[float, float]
 
 @dataclass
 class ResolventKernel:
-    """Symmetric kernel of (L + alpha * M)^-1 with masses M summing to one."""
+    """Symmetric kernel of (L + alpha * M)^-1 with masses M summing to one.
+
+    ``matrix`` is bitwise symmetric: ``resolvent`` stores 0.5 * (U + U.T), so
+    ``matrix[x, y] == matrix[y, x]`` exactly: the (x, y) and (y, x) lines of
+    ``agres resolvent``'s CSV carry the same text.
+    """
     alpha: float
     vertices: list
     masses: np.ndarray
@@ -458,7 +464,9 @@ def resolvent(form: FiniteForm, masses: Union[Mapping[VertexId, float], Sequence
     """Resolvent kernel for the form and a probability measure on the vertices.
 
     Column x solves (L + alpha * diag(m)) u = e_x, so the kernel reproduces
-    point evaluations in the alpha-shifted energy inner product.
+    point evaluations in the alpha-shifted energy inner product.  A kernel
+    whose row masses miss 1/alpha by more than ROW_MASS_TOL relative (alpha so
+    small that L + alpha * M is numerically singular) raises SingularInterior.
     """
     if not (np.isfinite(alpha) and alpha > 0):
         raise DomainError("alpha must be finite and positive")
@@ -473,7 +481,12 @@ def resolvent(form: FiniteForm, masses: Union[Mapping[VertexId, float], Sequence
     if asym > 1e-10 * max(1.0, np.abs(U).max()):
         warnings.warn(f"resolvent asymmetry {asym:.3e}", ConditionWarning, stacklevel=2)
     U = 0.5 * (U + U.T)
-    return ResolventKernel(float(alpha), list(form.vertices), m, U)
+    kernel = ResolventKernel(float(alpha), list(form.vertices), m, U)
+    miss = alpha * kernel.row_mass_error()
+    if not miss <= ROW_MASS_TOL:
+        raise SingularInterior(f"resolvent row masses miss 1/alpha by {miss:.3e} relative "
+                               f"(alpha={alpha!r})")
+    return kernel
 
 
 def triangle_form(c: float = 1.0, ids: Sequence[VertexId] = (0, 1, 2)) -> FiniteForm:

@@ -1,15 +1,20 @@
 """Command-line contract: exit codes, artifacts, determinism, validation."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import agres
-from agres.cli import RunConfig, main, validate, _parse_pairs, _parse_range
+from agres import approx
+from agres.cli import (RunConfig, main, validate, _parse_pairs, _parse_range, _solve,
+                       _write_kernel_csv)
+from agres.exact import point_decimal_str, point_exact_str
 
 
 def run_cli(args, tmp_path, sub="out"):
@@ -111,7 +116,7 @@ class TestCommands:
                              "--level", "1", "--alpha", "2.0"], tmp_path)
         assert code == 0
         obj = json.loads((out / "resolvent.json").read_text())
-        assert obj["row_mass_error"] <= 1e-10
+        assert obj["row_mass_error"] <= 1e-10 and obj["symmetry_error"] == 0.0
         assert obj["measure"]["scheme"] == "hausdorff"
         lines = (out / "resolvent.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 9 * 9
@@ -278,6 +283,62 @@ class TestCommands:
         obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert obj["error"]["type"] == "ValidationError"
         assert flag[2:].replace("-", "_") in obj["error"]["message"]
+
+
+def oracle_resolvent_csv(points, matrix) -> bytes:
+    """resolvent.csv as the plain one-entry-at-a-time writer formats it: the slow
+    oracle of the command's row writer."""
+    fh = io.StringIO()
+    fh.write("x_id,y_id,x,y,x_exact,y_exact,u\n")
+    for i, p in enumerate(points):
+        dx, dy = point_decimal_str(p)
+        ex, ey = point_exact_str(p)
+        fh.writelines(f'{i},{j},{dx},{dy},"{ex}","{ey}",{u:.17g}\n'
+                      for j, u in enumerate(matrix[i].tolist()))
+    return fh.getvalue().encode()
+
+
+class TestResolventWriter:
+    """resolvent.csv is byte-equal to the oracle writer; the kernel it writes is
+    bitwise symmetric, and a resolvent that misses its row masses is refused."""
+
+    @pytest.mark.parametrize("lam, level, extra", [
+        ("1/8", 4, []),
+        ("3/8", 4, []),
+        ("1/4", 2, ["--measure", "uniform", "--alpha", "2"]),
+        ("1/4", 0, []),
+    ])
+    def test_csv_bytes_equal_the_oracle(self, tmp_path, lam, level, extra):
+        args = ["resolvent", "--lambda", lam, "--s", "0.5", "--level", str(level)] + extra
+        code, out = run_cli(args, tmp_path)
+        assert code == 0
+        cfg = json.loads((out / "manifest.json").read_text())["config"]
+        alpha = cfg["alpha"] if cfg["alpha"] is not None else 1.0
+        sol = _solve(RunConfig(command="resolvent", lam=lam, s=0.5), lam)
+        lf = approx.level_form(sol, level)
+        kernel = approx.resolvent_kernel(lf, alpha, approx.measure_weights(sol.ifs, cfg["measure"]))
+        assert np.array_equal(kernel.matrix, kernel.matrix.T)
+        assert (out / "resolvent.csv").read_bytes() == oracle_resolvent_csv(lf.points, kernel.matrix)
+
+    def test_csv_bytes_equal_the_oracle_on_extreme_values(self, tmp_path):
+        sol = _solve(RunConfig(command="resolvent", lam="1/4", s=0.5), "1/4")
+        points = approx.level_form(sol, 1).points
+        n = len(points)
+        rng = np.random.default_rng(3)
+        matrix = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
+        matrix.flat[:8] = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1 / 3, 1e16,
+                           float("inf"), float("nan")]
+        _write_kernel_csv(tmp_path / "k.csv", points, matrix)
+        assert (tmp_path / "k.csv").read_bytes() == oracle_resolvent_csv(points, matrix)
+
+    @pytest.mark.parametrize("alpha", ["1e-20", "1e-300"])
+    def test_singular_shift_exits_3(self, tmp_path, capsys, alpha):
+        code, out = run_cli(["resolvent", "--lambda", "1/4", "--s", "0.5", "--level", "1",
+                             "--alpha", alpha], tmp_path)
+        assert code == 3
+        obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert obj["error"]["type"] == "SingularInterior"
+        assert not (out / "resolvent.csv").exists()
 
 
 class TestScipyLoading:

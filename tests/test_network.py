@@ -229,7 +229,7 @@ class TestResolvent:
             masses /= masses.sum()
             alpha = float(rng.uniform(0.1, 5.0))
             kernel = resolvent(form, masses, alpha)
-            assert kernel.symmetry_error() <= 1e-12
+            assert np.array_equal(kernel.matrix, kernel.matrix.T)
             assert kernel.row_mass_error() <= 1e-10
 
     def test_holder_bound(self):
@@ -256,6 +256,13 @@ class TestResolvent:
         for alpha in (0.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 resolvent(form, [0.5, 0.5], alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-20, 1e-300])
+    def test_numerically_singular_shift_raises(self, alpha):
+        # The factorization passes by rounding; the row masses then miss 1/alpha.
+        form = random_connected_form(np.random.default_rng(40), 5)
+        with pytest.raises(SingularInterior):
+            resolvent(form, np.full(5, 1 / 5), alpha)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=5, max_size=5))
