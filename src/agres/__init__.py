@@ -19,10 +19,9 @@ from .geometry import (IFS, BoundarySet, GraphApprox, Label, approximation_graph
 from .network import (FiniteForm, ResolventKernel, effective_resistance,
                       form_comparison, harmonic_extension, resistance_matrix,
                       resolvent, trace, triangle_form)
-from .renorm import (BoundaryForm, EigenResult, GlueContext, Relation, Solution,
-                     corner_only_boundary, eigen_solve, enumerate_preserved_relations,
-                     glue_level_one, renorm_map, solve_r, symmetric_start,
-                     uniqueness_scan)
+from .renorm import (BoundaryForm, EigenResult, GlueContext, Relation, Solution, eigen_solve,
+                     enumerate_preserved_relations, glue_level_one, renorm_map, solve_r,
+                     symmetric_start, uniqueness_scan)
 from .approx import (DecimationReport, EdgeTraceTower, LevelForm, MeasureSpec,
                      ResistanceEnvelope, boundary_resistance_check, decimation_identity,
                      envelope_check, level_form, measure_weights, resistance_metric,

@@ -313,16 +313,14 @@ def _cmd_estimates(cfg: RunConfig, outdir: Path) -> None:
     if cfg.grid:
         rows = []
         worst = 0.0
-        for den in (8, 16, 32):
-            for num in range(1, den):
-                lam = Fraction(num, den)
-                if not (Fraction(1, 8) <= lam <= Fraction(3, 8)) or lam.denominator != den:
-                    continue
-                for s in (0.2, 0.5, 0.8, 0.95):
-                    rsol = _solve(cfg, lam, s)
-                    rows.append({"lambda": f"{lam.numerator}/{lam.denominator}",
-                                 "s": s, "r": rsol.r})
-                    worst = max(worst, rsol.r)
+        # each lambda in [1/8, 3/8] with denominator dividing 32, once, in first-seen order
+        for lam in dict.fromkeys(Fraction(num, den) for den in (8, 16, 32)
+                                 for num in range(den // 8, 3 * den // 8 + 1)):
+            for s in (0.2, 0.5, 0.8, 0.95):
+                rsol = _solve(cfg, lam, s)
+                rows.append({"lambda": f"{lam.numerator}/{lam.denominator}",
+                             "s": s, "r": rsol.r})
+                worst = max(worst, rsol.r)
         obj["uniform_bound_scan"] = {"max_r": worst, "rows": rows}
     _write_json(outdir, "estimates.json", obj)
 

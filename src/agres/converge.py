@@ -229,21 +229,6 @@ class ConvergenceReport:
         }
 
 
-def _report_row(n: int, lam: Fraction, s: float, pairs: list[TrackedPair],
-                alpha: Optional[float], m: int, measure_scheme: str,
-                eigen_tol: float, bisect_tol: float, max_iters: int) -> ReportRow:
-    sol = solve_r(make_ifs(lam), s, eigen_tol=eigen_tol, bisect_tol=bisect_tol,
-                  max_iters=max_iters)
-    lf = level_form(sol, m)
-    res = [value for _, value in resistance_metric(lf, pairs)]
-    us: list[float] = []
-    if alpha is not None:
-        kernel = resolvent_kernel(lf, alpha, measure_weights(sol.ifs, measure_scheme))
-        us = [float(kernel.matrix[lf.vid_of_address(*a1), lf.vid_of_address(*a2)])
-              for a1, a2 in pairs]
-    return ReportRow(n, lam, sol.r, res, us)
-
-
 def convergence_report(target, s: float, n_range: Sequence[int],
                        tracked: Sequence[TrackedPair],
                        alpha: Optional[float] = None, m: int = 3,
@@ -254,7 +239,8 @@ def convergence_report(target, s: float, n_range: Sequence[int],
 
     Tracked points are (word, corner) addresses, so they exist canonically
     at every schedule entry; coordinate-specified points are rejected by
-    construction of the interface.
+    construction of the interface.  Each distinct lambda_n is solved once;
+    entries that repeat it get a copy of its row under their own n.
     """
     sched = dyadic_schedule(target, n_range)
     pairs = [(_parse_address(a), _parse_address(b)) for a, b in tracked]
@@ -263,9 +249,21 @@ def convergence_report(target, s: float, n_range: Sequence[int],
             if len(addr[0]) > m:
                 raise TrackingError(
                     f"address word {addr[0]} longer than level {m}")
-    rows = [_report_row(n, lam, s, pairs, alpha, m, measure_scheme, eigen_tol, bisect_tol,
-                        max_iters)
-            for n, lam in sched.entries]
+    rows, solved = [], {}
+    for n, lam in sched.entries:
+        if lam not in solved:
+            sol = solve_r(make_ifs(lam), s, eigen_tol=eigen_tol, bisect_tol=bisect_tol,
+                          max_iters=max_iters)
+            lf = level_form(sol, m)
+            res = [value for _, value in resistance_metric(lf, pairs)]
+            us = []
+            if alpha is not None:
+                kernel = resolvent_kernel(lf, alpha, measure_weights(sol.ifs, measure_scheme))
+                us = [float(kernel.matrix[lf.vid_of_address(*a1), lf.vid_of_address(*a2)])
+                      for a1, a2 in pairs]
+            solved[lam] = (sol.r, res, us)
+        r, res, us = solved[lam]
+        rows.append(ReportRow(n, lam, r, list(res), list(us)))
     report = ConvergenceReport(sched.target, float(s), m, alpha, pairs, rows)
     report.compute_verdicts()
     return report

@@ -27,7 +27,8 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, DepthExceeded, DomainError, OrbitOverflow, UnknownVertex
+from .errors import (CapExceeded, DepthExceeded, DomainError, NumericalError, OrbitOverflow,
+                     UnknownVertex)
 from .exact import (Lattice, OmegaMaps, Point, RationalLike, as_fraction, point_decimal_str,
                     point_exact_str)
 from .network import _components, _scipy, numbered
@@ -601,11 +602,11 @@ def track_point(word: Word, corner: int, lam1: RationalLike,
     q = point_of_address(ifs2, word, corner)
     du, dv = p.u - q.u, p.v - q.v
     dist_sq = du * du + du * dv + dv * dv  # |z|^2 for z = du + dv*omega
-    dist = math.sqrt(float(dist_sq))
     gap = 2 * abs(ifs1.lam - ifs2.lam)
-    assert dist_sq <= gap * gap, "tracked-point bound violated"  # exact form of the bound
-    assert dist <= float(gap) + 1e-12
-    return p, q, dist
+    if dist_sq > gap * gap:  # exact form of the bound
+        raise NumericalError(f"tracked point moved {math.sqrt(dist_sq):.17g}, "
+                             f"beyond the bound {float(gap):.17g}")
+    return p, q, math.sqrt(dist_sq)
 
 
 def point_of_address(ifs: IFS, word: Word, corner: int) -> Point:

@@ -11,6 +11,7 @@ finder in ``solve_r`` exploits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -49,56 +50,57 @@ def _orbit_average(cvec: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return (np.bincount(ids, cvec) / np.bincount(ids))[ids]
 
 
-def corner_only_boundary() -> BoundarySet:
-    """Degenerate boundary set holding just the three corners."""
-    return BoundarySet()
-
-
-@dataclass
+@dataclass(eq=False)
 class BoundaryForm:
     """A resistance form on a boundary set, with a rotation-symmetry certificate.
 
-    The form lives on the vertices 0..n-1, the indices of the boundary points.
+    The form lives on the vertices 0..n-1, the indices of the boundary points,
+    and is held as its pair vector: ``c[k]`` is the conductance of the k-th
+    pair i < j in row-major order, and pairs with ``c[k] <= 0`` carry no edge.
+    ``c`` is a read-only float copy, negative entries held as zero; ``form`` is
+    built from it on first read.
     """
     bset: BoundarySet
-    form: FiniteForm
+    c: np.ndarray
     symmetric: bool = False
+
+    def __post_init__(self):
+        self.c = np.maximum(self.c, 0.0)
+        self.c.flags.writeable = False
+        if self.c.shape != (self.n * (self.n - 1) // 2,):
+            raise DomainError(f"a form on {self.n} points needs {self.n * (self.n - 1) // 2} "
+                              f"pair values, got shape {self.c.shape}")
 
     @property
     def n(self) -> int:
         return self.bset.size
 
-    @classmethod
-    def of_vector(cls, bset: BoundarySet, c: np.ndarray, symmetric: bool = False) -> "BoundaryForm":
-        """The form with conductance c[k] on the k-th pair i < j in row-major order;
-        pairs with c[k] <= 0 carry no edge."""
-        i, j = np.triu_indices(bset.size, 1)
-        live = c > 0
-        return cls(bset, FiniteForm.from_arrays(range(bset.size), i[live], j[live], c[live]),
-                   symmetric)
+    @functools.cached_property
+    def form(self) -> FiniteForm:
+        i, j = np.triu_indices(self.n, 1)
+        live = self.c > 0
+        return FiniteForm.from_arrays(range(self.n), i[live], j[live], self.c[live])
 
     def vector(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
         """Conductances of the given vertex pairs, zero where there is no edge."""
-        dense, f = np.zeros((self.n, self.n)), self.form
-        dense[f._a, f._b] = dense[f._b, f._a] = f._c
+        dense, (i, j) = np.zeros((self.n, self.n)), np.triu_indices(self.n, 1)
+        dense[i, j] = dense[j, i] = self.c
         return dense[tuple(np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)]
 
     def symmetrized(self) -> "BoundaryForm":
-        i, j = np.triu_indices(self.n, 1)
-        avg = _orbit_average(self.vector(np.column_stack([i, j])),
-                             _pair_orbit_ids(self.bset.g_permutation))
-        return BoundaryForm.of_vector(self.bset, avg, symmetric=True)
+        ids = _pair_orbit_ids(self.bset.g_permutation)
+        return BoundaryForm(self.bset, _orbit_average(self.c, ids), symmetric=True)
 
     def scaled(self, a: float) -> "BoundaryForm":
-        return BoundaryForm(self.bset, self.form.scaled(a), self.symmetric)
+        return BoundaryForm(self.bset, a * self.c, self.symmetric)
 
 
 def symmetric_start(bset: BoundarySet, rng: Optional[np.random.Generator] = None) -> BoundaryForm:
     """A connected rotation-symmetric initial form: unit (or randomized) complete graph."""
     n_pairs = bset.size * (bset.size - 1) // 2
     if rng is None:
-        return BoundaryForm.of_vector(bset, np.ones(n_pairs), symmetric=True)
-    return BoundaryForm.of_vector(bset, rng.uniform(0.2, 5.0, n_pairs)).symmetrized()
+        return BoundaryForm(bset, np.ones(n_pairs), symmetric=True)
+    return BoundaryForm(bset, rng.uniform(0.2, 5.0, n_pairs)).symmetrized()
 
 
 class GlueContext:
@@ -255,7 +257,7 @@ def glue_level_one(ifs: IFS, D: BoundaryForm, weights) -> FiniteForm:
     """
     ws, include_added = _normalize_weights(weights)
     ctx = _glue_context(ifs, D.bset, include_added)
-    gvec = ctx.glued_vector(D.vector(ctx.pairs), ws)
+    gvec = ctx.glued_vector(D.c, ws)
     live = gvec > 0
     return FiniteForm.from_arrays(range(ctx.n_glued), ctx.gpair_a[live], ctx.gpair_b[live],
                                   gvec[live])
@@ -265,10 +267,10 @@ def renorm_map(ifs: IFS, D: BoundaryForm, weights) -> BoundaryForm:
     """One subdivide-glue-trace step applied to a boundary form."""
     ws, include_added = _normalize_weights(weights)
     ctx = _glue_context(ifs, D.bset, include_added)
-    out = ctx.apply(D.vector(ctx.pairs), ws)
+    out = ctx.apply(D.c, ws)
     if D.symmetric:
         out = ctx.symmetrize_vector(out)
-    new = BoundaryForm.of_vector(D.bset, out, symmetric=D.symmetric)
+    new = BoundaryForm(D.bset, out, symmetric=D.symmetric)
     if not new.form.is_connected():
         raise Disconnected("renormalized form is disconnected")
     return new
@@ -298,7 +300,6 @@ def _rel_delta(new: np.ndarray, old: np.ndarray) -> float:
 def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
                 max_iters: int = EIGEN_MAX_ITERS,
                 initial: Optional[BoundaryForm] = None,
-                bset: Optional[BoundarySet] = None,
                 chord: Optional[tuple] = None) -> EigenResult:
     """Fixed conductance profile of the subdivision map at unit corner weights.
 
@@ -317,17 +318,13 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
     rtilde4 = math.inf if rtilde4 is None else float(rtilde4)
     if not rtilde4 > 0:
         raise DomainError("rtilde4 must be positive or inf")
-    bset = bset if bset is not None else boundary_set(ifs)
+    bset = boundary_set(ifs)
     ws, include_added = _normalize_weights((1.0, 1.0, 1.0, rtilde4))
     ctx = _glue_context(ifs, bset, include_added)
 
-    if initial is not None:
-        if initial.n != ctx.N:
-            raise DomainError("initial form lives on a different boundary set")
-        c = initial.vector(ctx.pairs)
-    else:
-        c = np.ones(len(ctx.pairs))
-    c = ctx.normalized(c)
+    if initial is not None and initial.n != ctx.N:
+        raise DomainError("initial form lives on a different boundary set")
+    c = ctx.normalized(np.ones(len(ctx.pairs)) if initial is None else initial.c)
 
     rep = ctx.orbit_pairs[0]
     lu = chord if chord is not None and len(chord[1]) == len(rep) else None
@@ -366,7 +363,7 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
     if not (0.6 - 1e-9 <= C < 1.0):
         raise DegenerateLimit(f"scale factor {C!r} escapes [3/5, 1)")
 
-    D = BoundaryForm.of_vector(bset, c, symmetric=True)
+    D = BoundaryForm(bset, c, symmetric=True)
     return EigenResult(rtilde4, float(C), D, iters, delta, residual, jacobians,
                        None if fallen else lu)
 
@@ -499,13 +496,12 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
     s = float(s)
     if not (0.0 < s < 1.0):
         raise DomainError(f"s must lie in (0, 1), got {s}")
-    bset = boundary_set(ifs)
     warm: Optional[EigenResult] = None  # the last fixed ray and chord factor start the next
     history: list[Evaluation] = []
 
     def value(x: float) -> tuple[float, float, EigenResult]:
         nonlocal warm
-        res = eigen_solve(ifs, x, tol=eigen_tol, max_iters=max_iters, bset=bset,
+        res = eigen_solve(ifs, x, tol=eigen_tol, max_iters=max_iters,
                           initial=warm and warm.D, chord=warm and warm.chord)
         warm = res
         g = x * res.C - s
@@ -516,9 +512,8 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
     b, c = bracketed_root(value, s, s / 0.58, bisect_tol)
     rtilde4, _, res = b
     r, D = res.C, res.D
-    ctx = _glue_context(ifs, bset, include_added=True)
-    cvec = D.vector(ctx.pairs)
-    residual = _rel_delta(ctx.apply(cvec, (r, r, r, s)), cvec)
+    ctx = _glue_context(ifs, boundary_set(ifs), include_added=True)
+    residual = _rel_delta(ctx.apply(D.c, (r, r, r, s)), D.c)
     theta = -math.log(r) / math.log(2.0)
     return Solution(ifs, s, r, res.C, rtilde4, theta, residual, D,
                     experimental=not ifs.is_dyadic(),
@@ -543,7 +538,7 @@ def uniqueness_scan(sol: Solution, r_values: Sequence[float]) -> list[tuple[floa
     for rp in map(float, r_values):
         if not 0 < rp < math.inf:
             raise DomainError("corner weights must be finite and positive")
-        res = eigen_solve(sol.ifs, sol.s / rp, initial=sol.D, bset=sol.D.bset)
+        res = eigen_solve(sol.ifs, sol.s / rp, initial=sol.D)
         out.append((rp, res.C / rp))
     return out
 

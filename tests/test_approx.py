@@ -145,6 +145,10 @@ class TestMeasures:
         ms = measure_weights(ifs14, "custom", custom=[1, 1, 1, 1])
         assert ms.weights == (0.25,) * 4
 
+    def test_unknown_scheme(self, ifs14):
+        with pytest.raises(BadWeights, match="unknown measure scheme 'bogus'"):
+            measure_weights(ifs14, "bogus")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_custom_weights_must_be_finite(self, ifs14, bad):
         with pytest.raises(BadWeights):

@@ -14,6 +14,7 @@ import agres
 from agres import approx
 from agres.cli import (RunConfig, main, validate, _parse_pairs, _parse_range, _solve,
                        _write_kernel_csv)
+from agres.errors import ValidationError
 from agres.exact import point_decimal_str, point_exact_str
 
 
@@ -49,6 +50,20 @@ class TestValidate:
         assert pairs == [(((4,), 1), ((4,), 2)), (((), 1), ((), 2))]
         assert _parse_range("4..7") == [4, 5, 6, 7]
         assert _parse_range("3,5,9") == [3, 5, 9]
+
+    @pytest.mark.parametrize("text,message", [
+        ("(4,1)", "must be '\\(w,i\\):\\(w,i\\)'"),
+        ("4,1:(4,2)", "must be parenthesized"),
+        ("(4,x):(4,2)", "bad address"),
+        (" ; ", "no pairs given"),
+    ])
+    def test_malformed_pairs(self, text, message, tmp_path, capsys):
+        with pytest.raises(ValidationError, match=message):
+            _parse_pairs(text)
+        code, _ = run_cli(["resistance", "--lambda", "1/4", "--s", "0.5", "--pairs", text],
+                          tmp_path)
+        assert code == 2
+        assert "pairs:" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -177,6 +192,18 @@ class TestCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["lam"] == "1/4"
 
+    @pytest.mark.parametrize("line,message", [("lambda 1/4", "is not 'key = value'"),
+                                              ("level = two", "invalid literal")])
+    def test_malformed_config_line(self, line, message, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"s = 0.5\n{line}\n")
+        code = main(["graph", "--lambda", "1/4", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["type"] == "ValidationError" and message in err["message"]
+        assert repr(line) in err["message"]
+
     def test_flag_at_its_default_beats_config_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("lambda = 1/4\nlevel = 2\ns = 0.5\n")
@@ -234,6 +261,16 @@ class TestCommands:
         assert abs(fit["theta_fit"] - fit["theta"]) <= 0.15
         assert fit["spread"] <= 50
         assert obj["global_envelope"]["c1"] <= obj["global_envelope"]["c2"]
+
+    def test_estimates_grid_scans_each_lambda_once(self, tmp_path):
+        code, out = run_cli(["estimates", "--lambda", "1/4", "--s", "0.5", "--grid"], tmp_path)
+        assert code == 0
+        scan = json.loads((out / "estimates.json").read_text())["uniform_bound_scan"]
+        lams = list(dict.fromkeys(row["lambda"] for row in scan["rows"]))
+        assert lams == ["1/8", "1/4", "3/8", "3/16", "5/16", "5/32", "7/32", "9/32", "11/32"]
+        assert [(row["lambda"], row["s"]) for row in scan["rows"]] == \
+            [(lam, s) for lam in lams for s in (0.2, 0.5, 0.8, 0.95)]
+        assert scan["max_r"] == max(row["r"] for row in scan["rows"]) < 1.0
 
     def test_estimates_builds_each_level_once(self, tmp_path, monkeypatch):
         built = []

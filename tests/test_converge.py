@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,9 +12,11 @@ import numpy as np
 import pytest
 
 import agres
+from agres import converge
 from agres.converge import (Target, convergence_report, dyadic_round, dyadic_schedule,
                             gamma_diagnostic, hausdorff_check)
 from agres.errors import DomainError, TrackingError
+from agres.renorm import solve_r
 
 
 class TestTarget:
@@ -26,6 +29,12 @@ class TestTarget:
             Target.parse("1/sqrt-2")
         with pytest.raises(DomainError):
             Target.parse(0.25)
+
+    @pytest.mark.parametrize("text,message", [("1/sqrtx", "malformed inverse square root"),
+                                              ("abc", "cannot parse target")])
+    def test_unparsable_targets(self, text, message):
+        with pytest.raises(DomainError, match=message):
+            Target.parse(text)
 
     def test_exact_comparison(self):
         t = Target.parse("1/sqrt8")
@@ -121,6 +130,23 @@ class TestConvergenceReport:
         obj = rep.to_json_obj()
         assert len(obj["rows"]) == 3
         assert set(obj["verdicts"]) == {"r", "R_0", "u_0"}
+
+    def test_each_distinct_lambda_is_solved_once(self, monkeypatch):
+        solved = []
+
+        def counted(ifs, s, **kwargs):
+            solved.append(ifs.lam)
+            return solve_r(ifs, s, **kwargs)
+
+        monkeypatch.setattr(converge, "solve_r", counted)
+        rep = convergence_report("1/sqrt8", 0.5, range(4, 11),
+                                 [(((4,), 1), ((4,), 2))], alpha=1.0, m=2)
+        assert len(rep.rows) == 7
+        assert len(solved) == len(set(solved)) == 6
+        row9, row10 = rep.rows[-2:]
+        assert (row9.n, row10.n) == (9, 10) and row9.lam == row10.lam == Fraction(181, 512)
+        assert replace(row10, n=9) == row9
+        assert row10.resistances is not row9.resistances
 
 
 class TestHausdorffCheck:

@@ -12,7 +12,8 @@ from scipy.spatial import cKDTree
 
 import agres
 import exact_reference as ref
-from agres.errors import CapExceeded, DomainError
+from agres import geometry
+from agres.errors import CapExceeded, DomainError, NumericalError
 from agres.exact import Point
 from agres.geometry import (CENTROID, CORNERS, BoundarySet, Label, _corner_cloud,
                             boundary_set, classify_boundary_point, doubling_orbit, edge_point,
@@ -366,6 +367,13 @@ class TestTrackPoint:
         p, q, d = agres.track_point((4,), 1, "1/4", "3/8")
         assert d == pytest.approx(1 / 8, abs=1e-15)
 
+    def test_a_point_beyond_the_bound_is_a_numerical_error(self, monkeypatch):
+        # corners 1 and 2 lie 1 apart, beyond the bound 2 |1/4 - 3/8| = 1/4
+        monkeypatch.setattr(geometry, "point_of_address",
+                            lambda ifs, word, corner: CORNERS[ifs.lam == Fraction(1, 4)])
+        with pytest.raises(NumericalError, match="beyond the bound"):
+            agres.track_point((), 1, "1/4", "3/8")
+
     def test_bound_for_sampled_words(self):
         rng = random.Random(11)
         lams = [Fraction(1, 4), Fraction(5, 16), Fraction(3, 8), Fraction(7, 32)]
@@ -374,7 +382,7 @@ class TestTrackPoint:
             word = tuple(rng.choice((1, 2, 3, 4)) for _ in range(length))
             i = rng.choice((1, 2, 3))
             l1, l2 = rng.sample(lams, 2)
-            # the bound is asserted exactly inside track_point
+            # the bound is checked exactly inside track_point
             p, q, d = agres.track_point(word, i, l1, l2)
             p_ref, q_ref = (ref.apply(ref.word_map(lam, word), ref.CORNERS[i - 1])
                             for lam in (l1, l2))

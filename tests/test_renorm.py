@@ -13,10 +13,10 @@ from agres import renorm
 from agres.converge import dyadic_schedule
 from agres.errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
                           GuardExceeded, NoConvergence)
-from agres.geometry import _level_geometry, boundary_set, seeded_copies
-from agres.network import FiniteForm, _components, effective_resistance, trace, triangle_form
+from agres.geometry import BoundarySet, _level_geometry, boundary_set, seeded_copies
+from agres.network import FiniteForm, _components, effective_resistance, trace
 from agres.renorm import (BRACKET_EXPANSIONS, EIGEN_MAX_ITERS, EIGEN_TOL, BoundaryForm,
-                          EigenResult, GlueContext, corner_only_boundary, eigen_solve,
+                          EigenResult, GlueContext, eigen_solve,
                           enumerate_preserved_relations, glue_level_one, renorm_map,
                           solve_r, symmetric_start, uniqueness_scan, _glue_context,
                           _invariant_partitions, _normalize_weights, _rel_delta)
@@ -177,7 +177,7 @@ class TestRenormMap:
         n = bset.size
         rng = np.random.default_rng(5)
         cond = {(i, j): float(rng.uniform(0.2, 5.0)) for i in range(n) for j in range(i + 1, n)}
-        D = BoundaryForm(bset, FiniteForm(list(range(n)), cond))
+        D = BoundaryForm(bset, list(cond.values()))
         weights = (0.8, 0.7, 0.9, 0.5)
         mapped = renorm_map(ifs, D, weights).form
         traced = trace(glue_level_one(ifs, D, weights), range(n))
@@ -186,7 +186,7 @@ class TestRenormMap:
             assert mapped.conductances[key] == pytest.approx(c, rel=1e-10)
 
     def test_classic_gasket_reduction(self, ifs14):
-        D0 = BoundaryForm(corner_only_boundary(), triangle_form(1.0), symmetric=True)
+        D0 = BoundaryForm(BoundarySet(), np.ones(3), symmetric=True)
         out = renorm_map(ifs14, D0, (1.0, 1.0, 1.0))
         for pair in ((0, 1), (1, 2), (0, 2)):
             assert out.form.conductance(*pair) == pytest.approx(0.6, abs=1e-13)
@@ -230,7 +230,7 @@ class TestRenormMap:
                      tuple(sorted((perm[perm[i]], perm[perm[j]])))}
             expected[k] = np.mean([cvec[ctx.pairs.index(p)] for p in orbit])
         assert ctx.symmetrize_vector(cvec) == pytest.approx(expected, rel=1e-14)
-        sym = BoundaryForm(ctx.bset, FiniteForm(list(range(ctx.N)), dict(zip(ctx.pairs, cvec))))
+        sym = BoundaryForm(ctx.bset, cvec)
         assert sym.symmetrized().vector(ctx.pairs) == pytest.approx(expected, rel=1e-14)
 
 
@@ -255,9 +255,7 @@ class TestEigenSolve:
         ctx = _glue_context(ifs14, res.D.bset, True)
         c = res.D.vector(ctx.pairs)
         raw = ctx.apply(c, (1.0, 1.0, 1.0, 1.0))
-        L_raw = BoundaryForm(res.D.bset, FiniteForm(list(range(ctx.N)),
-                             {ctx.pairs[k]: raw[k] for k in range(len(ctx.pairs))
-                              if raw[k] > 0}))
+        L_raw = BoundaryForm(res.D.bset, raw)
         rng = np.random.default_rng(4)
         ratios = []
         for _ in range(1000):
@@ -403,7 +401,7 @@ class TestPreservedRelations:
 def test_corner_only_form_with_added_copy_disconnects(ifs14):
     # the added copy touches the others only at edge points, which a
     # corner-only form does not carry, so its copy floats free
-    D0 = BoundaryForm(corner_only_boundary(), triangle_form(1.0), symmetric=True)
+    D0 = BoundaryForm(BoundarySet(), np.ones(3), symmetric=True)
     with pytest.raises(Disconnected):
         renorm_map(ifs14, D0, (1.0, 1.0, 1.0, 1.0))
 
@@ -472,7 +470,7 @@ def power_eigen_solve(ifs, rtilde4, tol=EIGEN_TOL, max_iters=EIGEN_MAX_ITERS,
     if not (0.6 - 1e-9 <= C < 1.0):
         raise DegenerateLimit(f"scale factor {C!r} escapes [3/5, 1)")
 
-    D = BoundaryForm.of_vector(bset, c, symmetric=True)
+    D = BoundaryForm(bset, c, symmetric=True)
     return EigenResult(float(rtilde4), float(C), D, iters, delta, residual)
 
 
@@ -572,6 +570,38 @@ def test_non_finite_change_stops_at_once(monkeypatch, ifs14):
     assert len(calls) == 1
 
 
+def test_boundary_form_holds_a_read_only_copy_of_its_vector():
+    c = np.array([1.0, 2.0, -1.0])
+    D = BoundaryForm(BoundarySet(), c)
+    c[0] = 5.0
+    assert D.c.tolist() == [1.0, 2.0, 0.0]
+    with pytest.raises(ValueError):
+        D.c[0] = 3.0
+    assert D.form is D.form
+    assert dict(D.form.conductances) == {(0, 1): 1.0, (0, 2): 2.0}
+    assert D.vector([(1, 0), (2, 0), (1, 2)]).tolist() == [1.0, 2.0, 0.0]
+    with pytest.raises(DomainError, match="needs 3 pair values"):
+        BoundaryForm(BoundarySet(), np.ones(5))
+
+
+def test_weight_solve_builds_no_finite_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FiniteForm was built")
+
+    ifs = agres.make_ifs("11/32")
+    monkeypatch.setattr(FiniteForm, "from_arrays", refuse)
+    res = eigen_solve(ifs, 1.0)
+    sol = solve_r(ifs, 0.5)
+    uniqueness_scan(sol, [sol.r])
+    monkeypatch.undo()
+    assert effective_resistance(res.D.form, 0, 1) == pytest.approx(2 / 3, abs=1e-10)
+
+
+def test_initial_form_on_another_boundary_set_is_a_domain_error(ifs14, sol14):
+    with pytest.raises(DomainError, match="different boundary set"):
+        eigen_solve(agres.make_ifs("1/7"), 1.0, initial=sol14.D)
+
+
 def test_none_is_the_open_circuit(ifs14):
     res = eigen_solve(ifs14, None)
     assert res.rtilde4 == math.inf
@@ -663,7 +693,7 @@ def synthetic_c(monkeypatch, ifs14):
     D = eigen_solve(ifs14, 1.0).D
 
     def install(C):
-        def fake(ifs, x, tol=None, max_iters=None, initial=None, bset=None, chord=None):
+        def fake(ifs, x, tol=None, max_iters=None, initial=None, chord=None):
             return EigenResult(x, C(x), D, 3, 0.0, 0.0)
         monkeypatch.setattr(renorm, "eigen_solve", fake)
     return install
