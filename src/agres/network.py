@@ -11,14 +11,19 @@ and point-to-set), energy comparison factors, and resolvent kernels with
 respect to a probability measure on the vertices.
 
 scipy is imported through ``_scipy`` only, on first use: ``scipy.linalg`` by a dense
-factorization, ``scipy.sparse`` by an interior block above ``DENSE_LIMIT``.
+factorization, ``scipy.sparse`` by an interior block above ``DENSE_LIMIT``.  Once
+``scipy.linalg`` is loaded, the OpenBLAS behind its LAPACK runs on one thread (see
+``_one_blas_thread``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib
 import json
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -39,8 +44,39 @@ ROW_MASS_TOL = 1e-8    # largest relative row-mass error alpha * |U m - 1/alpha|
 
 @functools.cache
 def _scipy(name: str):
-    """The module ``scipy.<name>``, imported once, on its first use."""
-    return importlib.import_module(f"scipy.{name}")
+    """The module ``scipy.<name>``, imported once, on its first use.  Any import
+    that finds ``scipy.linalg`` loaded also caps the BLAS pool behind it."""
+    module = importlib.import_module(f"scipy.{name}")
+    if "scipy.linalg" in sys.modules:
+        _one_blas_thread()
+    return module
+
+
+@functools.cache
+def _one_blas_thread() -> None:
+    """Run scipy's OpenBLAS on one thread, unless an OpenBLAS variable in the
+    environment sets its thread count.  The dense blocks factored here are small
+    (about 80 x 80 in a weight solve); a second thread only spins on them."""
+    if not any(os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                           "OMP_NUM_THREADS")):
+        threads = _openblas_threads()
+        if threads is not None:
+            threads[1](1)
+
+
+def _openblas_threads():
+    """The get and set thread-count functions of the OpenBLAS that scipy's LAPACK is
+    linked against, or None where there is none to find: an MKL or Accelerate build,
+    or a platform without ``dlopen``."""
+    from scipy.linalg import _flapack
+    try:  # a handle's symbol lookup also searches the libraries it links
+        lib = ctypes.CDLL(_flapack.__file__, mode=os.RTLD_NOLOAD)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        if hasattr(lib, f"{prefix}_set_num_threads"):
+            return lib[f"{prefix}_get_num_threads"], lib[f"{prefix}_set_num_threads"]
+    return None
 
 
 def _pair(x: VertexId, y: VertexId) -> tuple[VertexId, VertexId]:

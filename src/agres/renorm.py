@@ -208,7 +208,8 @@ class GlueContext:
         """Potential of a unit current from corner 2 (vertex 1) to corner 1 (vertex 0),
         grounded there; its value at vertex 1 is the resistance between the two."""
         L = _laplacian(self.N, self.pair_i, self.pair_j, cvec)
-        e = np.eye(self.N - 1)[0]  # vertex 1 sits at position 0 once vertex 0 is grounded
+        e = np.zeros(self.N - 1)
+        e[0] = 1.0  # vertex 1 sits at position 0 once vertex 0 is grounded
         return np.concatenate([[0.0], _Factor(L[1:, 1:]).solve(e)])
 
     def energy_at_p1_indicator(self, cvec: np.ndarray) -> float:

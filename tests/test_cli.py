@@ -433,3 +433,26 @@ class TestScipyLoading:
             "assert abs(network.effective_resistance(tri, 0, 1) - 2 / 3) < 1e-15",
             tmp_path)
         assert flags["scipy.sparse"] and flags["scipy.linalg"] and not flags["scipy.spatial"]
+
+
+@pytest.mark.parametrize("variable, threads", [(None, 1), ("2", 2)])
+def test_solve_runs_scipy_blas_on_one_thread(tmp_path, variable, threads):
+    """After a solve, scipy's OpenBLAS pool reports one thread; an explicit
+    OPENBLAS_NUM_THREADS is left in charge.  Checked in fresh interpreters."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(agres.__file__).parents[1])
+    if variable is not None:
+        env["OPENBLAS_NUM_THREADS"] = variable
+    script = ("import sys\n"
+              "from agres import cli, network\n"
+              "assert cli.main(['solve', '--lambda', '1/7', '--s', '0.5', '--out', sys.argv[1]]) == 0\n"
+              "pool = network._openblas_threads()\n"
+              "print(None if pool is None else pool[0]())\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    reported = proc.stdout.strip().splitlines()[-1]
+    if reported == "None":
+        pytest.skip("scipy's LAPACK is not linked against a findable OpenBLAS")
+    assert int(reported) == threads

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -265,6 +266,37 @@ def test_checker_holds_diffs_to_their_inputs():
     flipped = report(b, abs(b - a))
     flipped["verdicts"]["R_0"]["final_gap_ok"] = False
     assert json_mismatches(report(b, abs(b - a)), flipped)
+
+
+def test_threaded_blas_run_agrees(tmp_path):
+    """A run on the default one-thread BLAS pool agrees with a run whose
+    OPENBLAS_NUM_THREADS=2 keeps the threaded pool (the oracle), each in a fresh
+    interpreter: ``r`` at 27 boundary points to rel 1e-12, a level-3 schedule
+    report within the golden tolerances."""
+    script = ("import sys\n"
+              "from agres import cli, make_ifs, solve_r\n"
+              "assert cli.main(['converge', '--target', '1/sqrt8', '--s', '0.5', '--n', '4..10',\n"
+              "                 '--level', '3', '--out', sys.argv[1]]) == 0\n"
+              "print(repr(solve_r(make_ifs('181/512'), 0.5).r))\n")
+    runs = {}
+    for threads in ("2", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-c", script, str(out)], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = out, float(proc.stdout.strip().splitlines()[-1])
+    (oracle, r_oracle), (capped, r_capped) = runs["2"], runs[None]
+    assert math.isclose(r_capped, r_oracle, rel_tol=1e-12, abs_tol=0)
+    names = sorted(p.name for p in oracle.iterdir())
+    assert names == sorted(p.name for p in capped.iterdir())
+    problems = [f"{name}: {msg}" for name in names for msg in artifact_mismatches(
+        name, (oracle / name).read_text(), (capped / name).read_text())]
+    assert not problems, "\n".join(problems[:20])
 
 
 def record() -> None:

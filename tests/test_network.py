@@ -1,5 +1,6 @@
 """Finite-network algebra: traces, harmonic extensions, resistances, resolvents."""
 
+import ctypes
 import itertools
 import warnings
 
@@ -462,3 +463,42 @@ def test_string_id_serialization_is_unchanged():
         '{"edges": [{"c": 0.5, "x": "a", "y": "b"}, {"c": 1.0, "x": "a", "y": "o"}, '
         '{"c": 2.75, "x": "b", "y": "o"}, {"c": 0.3333333333333333, "x": "c", "y": "o"}], '
         '"vertices": ["o", "b", "a", "c", "d"]}')
+
+
+class TestOneBlasThread:
+    """The cap on scipy's OpenBLAS pool, with the library and the environment faked."""
+
+    @staticmethod
+    def pool(monkeypatch):
+        calls = []
+        monkeypatch.setattr(network, "_openblas_threads", lambda: (lambda: 2, calls.append))
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        return calls
+
+    def test_sets_one_thread(self, monkeypatch):
+        calls = self.pool(monkeypatch)
+        network._one_blas_thread.__wrapped__()
+        assert calls == [1]
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                      "OMP_NUM_THREADS"])
+    def test_an_openblas_variable_is_honoured(self, monkeypatch, name):
+        calls = self.pool(monkeypatch)
+        monkeypatch.setenv(name, "2")
+        network._one_blas_thread.__wrapped__()
+        assert calls == []
+
+    def test_no_pool_is_left_alone(self, monkeypatch):
+        self.pool(monkeypatch)
+        monkeypatch.setattr(network, "_openblas_threads", lambda: None)
+        network._one_blas_thread.__wrapped__()
+
+    @pytest.mark.parametrize("library", [None, object()])
+    def test_unfindable_library_gives_no_pool(self, monkeypatch, library):
+        def load(*args, **kwargs):
+            if library is None:
+                raise OSError("not loaded")
+            return library
+        monkeypatch.setattr(ctypes, "CDLL", load)
+        assert network._openblas_threads() is None
