@@ -19,6 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import approx, converge, geometry, renorm
 from .errors import AgresError, NumericalError, ValidationError
 from .exact import as_fraction, point_decimal_str, point_exact_str
@@ -243,21 +245,35 @@ def _write_kernel_csv(path: Path, points, matrix) -> None:
     """Write resolvent.csv: a header, then the line 'x_id,y_id,x,y,x_exact,y_exact,u'
     of every ordered pair of points, row by row.
 
-    Each row x is one write, joined from the parts "{x},", "{y},", x's coordinate
-    columns and "{u:.17g}\\n" of its lines; one '%' format makes the row's u texts.
+    ``matrix`` must be bitwise symmetric (``ResolventKernel.matrix`` is), because
+    each unordered pair {x, y} is formatted once: row x formats its u texts for
+    y >= x with one '%' format and appends those for y > x to column y's carry,
+    which row y takes as its texts for x < y and then drops.  The carry peaks
+    at n^2/4 texts, at the middle row.  Each row is one write, joined from the
+    parts "{x},", "{y},", x's coordinate columns and "{u:.17g}\\n" of its lines.
+    A matrix that is not bitwise symmetric (a sign of zero or a NaN payload
+    counts) raises NumericalError before the file is opened.
     """
+    bits = matrix.view(np.int64)
+    if not np.array_equal(bits, bits.T):
+        raise NumericalError("resolvent kernel is not bitwise symmetric")
     n = len(points)
     parts = [None] * (4 * n)
-    parts[1::4] = [f"{j}," for j in range(n)]
-    with open(path, "w") as fh:
-        fh.write("x_id,y_id,x,y,x_exact,y_exact,u\n")
+    parts[1::4] = [b"%d," % j for j in range(n)]
+    carry = [bytearray() for _ in range(n)]
+    with open(path, "wb") as fh:
+        fh.write(b"x_id,y_id,x,y,x_exact,y_exact,u\n")
         for i, p in enumerate(points):
             dx, dy = point_decimal_str(p)
             ex, ey = point_exact_str(p)
-            parts[0::4] = [f"{i},"] * n
-            parts[2::4] = [f'{dx},{dy},"{ex}","{ey}",'] * n
-            parts[3::4] = ("%.17g\n" * n % tuple(matrix[i].tolist())).splitlines(keepends=True)
-            fh.write("".join(parts))
+            upper = (b"%.17g\n" * (n - i) % tuple(matrix[i, i:].tolist())).splitlines(keepends=True)
+            for column, text in zip(carry[i + 1:], upper[1:]):
+                column += text
+            parts[0::4] = [b"%d," % i] * n
+            parts[2::4] = [f'{dx},{dy},"{ex}","{ey}",'.encode()] * n
+            parts[3::4] = carry[i].splitlines(keepends=True) + upper
+            carry[i] = None
+            fh.write(b"".join(parts))
 
 
 def _cmd_resolvent(cfg: RunConfig, outdir: Path) -> None:

@@ -12,8 +12,8 @@ respect to a probability measure on the vertices.
 
 scipy is imported through ``_scipy`` only, on first use: ``scipy.linalg`` by a dense
 factorization, ``scipy.sparse`` by an interior block above ``DENSE_LIMIT``.  Once
-``scipy.linalg`` is loaded, the OpenBLAS behind its LAPACK runs on one thread (see
-``_one_blas_thread``).
+``scipy.linalg`` is loaded, the OpenBLAS pools behind its LAPACK and behind numpy
+run on one thread (see ``_one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import importlib
+import itertools
 import json
 import os
 import sys
@@ -45,7 +46,7 @@ ROW_MASS_TOL = 1e-8    # largest relative row-mass error alpha * |U m - 1/alpha|
 @functools.cache
 def _scipy(name: str):
     """The module ``scipy.<name>``, imported once, on its first use.  Any import
-    that finds ``scipy.linalg`` loaded also caps the BLAS pool behind it."""
+    that finds ``scipy.linalg`` loaded also caps the BLAS pools."""
     module = importlib.import_module(f"scipy.{name}")
     if "scipy.linalg" in sys.modules:
         _one_blas_thread()
@@ -54,29 +55,38 @@ def _scipy(name: str):
 
 @functools.cache
 def _one_blas_thread() -> None:
-    """Run scipy's OpenBLAS on one thread, unless an OpenBLAS variable in the
-    environment sets its thread count.  The dense blocks factored here are small
-    (about 80 x 80 in a weight solve); a second thread only spins on them."""
+    """Run scipy's and numpy's OpenBLAS pools on one thread, unless an OpenBLAS
+    variable in the environment sets their thread count.  The dense blocks factored
+    and multiplied here are small (about 80 x 80 in a weight solve); a second
+    thread only spins on them."""
     if not any(os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                                            "OMP_NUM_THREADS")):
-        threads = _openblas_threads()
-        if threads is not None:
-            threads[1](1)
+        for _, set_threads in _openblas_threads():
+            set_threads(1)
 
 
-def _openblas_threads():
-    """The get and set thread-count functions of the OpenBLAS that scipy's LAPACK is
-    linked against, or None where there is none to find: an MKL or Accelerate build,
-    or a platform without ``dlopen``."""
+def _openblas_threads() -> list:
+    """The get and set thread-count functions of each OpenBLAS pool found behind
+    scipy's LAPACK and numpy's linear algebra (their wheels bundle one each, with
+    the symbol suffix "64_" in numpy's).  A pool is missing where there is none to
+    find: an MKL or Accelerate build, or a platform without ``dlopen``."""
+    from numpy.linalg import _umath_linalg
     from scipy.linalg import _flapack
-    try:  # a handle's symbol lookup also searches the libraries it links
-        lib = ctypes.CDLL(_flapack.__file__, mode=os.RTLD_NOLOAD)
-    except (AttributeError, OSError):
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        if hasattr(lib, f"{prefix}_set_num_threads"):
-            return lib[f"{prefix}_get_num_threads"], lib[f"{prefix}_set_num_threads"]
-    return None
+    pools = []
+    for module in (_flapack, _umath_linalg):
+        try:  # a handle's symbol lookup also searches the libraries it links
+            lib = ctypes.CDLL(module.__file__, mode=os.RTLD_NOLOAD)
+        except (AttributeError, OSError):
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("", "64_")):
+            if hasattr(lib, f"{prefix}_set_num_threads{suffix}"):
+                get_threads = lib[f"{prefix}_get_num_threads{suffix}"]
+                set_threads = lib[f"{prefix}_set_num_threads{suffix}"]
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                pools.append((get_threads, set_threads))
+                break
+    return pools
 
 
 def _pair(x: VertexId, y: VertexId) -> tuple[VertexId, VertexId]:
@@ -478,8 +488,9 @@ class ResolventKernel:
     """Symmetric kernel of (L + alpha * M)^-1 with masses M summing to one.
 
     ``matrix`` is bitwise symmetric: ``resolvent`` stores 0.5 * (U + U.T), so
-    ``matrix[x, y] == matrix[y, x]`` exactly: the (x, y) and (y, x) lines of
-    ``agres resolvent``'s CSV carry the same text.
+    ``matrix[x, y] == matrix[y, x]`` exactly.  ``agres resolvent``'s CSV writer
+    relies on it: it formats each unordered pair {x, y} once, for both the (x, y)
+    and the (y, x) line, and refuses a matrix that is not bitwise symmetric.
     """
     alpha: float
     vertices: list

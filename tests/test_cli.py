@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -365,8 +366,50 @@ class TestResolventWriter:
         matrix = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
         matrix.flat[:8] = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1 / 3, 1e16,
                            float("inf"), float("nan")]
+        upper = np.triu_indices(n, 1)
+        matrix.T[upper] = matrix[upper]
         _write_kernel_csv(tmp_path / "k.csv", points, matrix)
         assert (tmp_path / "k.csv").read_bytes() == oracle_resolvent_csv(points, matrix)
+
+    @pytest.mark.parametrize("bits", [
+        (0x3FF0000000000000, 0x3FF0000000000001),   # 1.0 and the next float up
+        (0x0000000000000000, 0x8000000000000000),   # +0.0 and -0.0
+        (0x7FF8000000000000, 0x7FF8000000000001),   # two NaN payloads
+    ])
+    def test_asymmetric_kernel_exits_3_and_writes_no_csv(self, tmp_path, capsys,
+                                                          monkeypatch, bits):
+        resolvent_kernel = approx.resolvent_kernel
+
+        def skewed(*args):
+            kernel = resolvent_kernel(*args)
+            kernel.matrix.view(np.uint64)[[0, 1], [1, 0]] = bits
+            return kernel
+        monkeypatch.setattr(approx, "resolvent_kernel", skewed)
+        code, out = run_cli(["resolvent", "--lambda", "1/4", "--s", "0.5", "--level", "1"],
+                            tmp_path)
+        assert code == 3
+        obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert obj["error"] == {"type": "NumericalError",
+                                "message": "resolvent kernel is not bitwise symmetric"}
+        assert not (out / "resolvent.csv").exists()
+
+    def test_carry_holds_at_most_a_quarter_of_the_texts(self, tmp_path):
+        """The writer frees each carried text once written: its traced peak stays
+        under n^2/4 texts of 32 bytes (a text is at most 25 bytes; the rest is the
+        carry's growth slack and the row in hand).  Keeping every upper row to the
+        end would hold n^2/2 texts, about 2.6 MB here."""
+        sol = _solve(RunConfig(command="resolvent", lam="1/8", s=0.5), "1/8")
+        lf = approx.level_form(sol, 4)
+        kernel = approx.resolvent_kernel(lf, 1.0, approx.measure_weights(sol.ifs, "hausdorff"))
+        n = len(lf.points)
+        assert n == 498
+        tracemalloc.start()
+        try:
+            _write_kernel_csv(tmp_path / "k.csv", lf.points, kernel.matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 4 * 32, peak
 
     @pytest.mark.parametrize("alpha", ["1e-20", "1e-300"])
     def test_singular_shift_exits_3(self, tmp_path, capsys, alpha):
@@ -437,22 +480,26 @@ class TestScipyLoading:
 
 @pytest.mark.parametrize("variable, threads", [(None, 1), ("2", 2)])
 def test_solve_runs_scipy_blas_on_one_thread(tmp_path, variable, threads):
-    """After a solve, scipy's OpenBLAS pool reports one thread; an explicit
-    OPENBLAS_NUM_THREADS is left in charge.  Checked in fresh interpreters."""
+    """After a solve, scipy's and numpy's OpenBLAS pools report one thread; an
+    explicit OPENBLAS_NUM_THREADS is left in charge.  Checked in fresh interpreters,
+    where each of numpy and scipy whose build names OpenBLAS must yield a pool."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = str(Path(agres.__file__).parents[1])
     if variable is not None:
         env["OPENBLAS_NUM_THREADS"] = variable
-    script = ("import sys\n"
+    script = ("import json, sys\n"
+              "import numpy, scipy\n"
               "from agres import cli, network\n"
               "assert cli.main(['solve', '--lambda', '1/7', '--s', '0.5', '--out', sys.argv[1]]) == 0\n"
-              "pool = network._openblas_threads()\n"
-              "print(None if pool is None else pool[0]())\n")
+              "builds = [m.show_config(mode='dicts')['Build Dependencies']['blas']['name']\n"
+              "          for m in (numpy, scipy)]\n"
+              "print(json.dumps({'openblas': sum('openblas' in b for b in builds),\n"
+              "                  'threads': [get() for get, _ in network._openblas_threads()]}))\n")
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    reported = proc.stdout.strip().splitlines()[-1]
-    if reported == "None":
-        pytest.skip("scipy's LAPACK is not linked against a findable OpenBLAS")
-    assert int(reported) == threads
+    reported = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not reported["threads"]:
+        pytest.skip("neither numpy nor scipy is linked against a findable OpenBLAS")
+    assert reported["threads"] == [threads] * reported["openblas"]

@@ -2,6 +2,8 @@
 
 import ctypes
 import itertools
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -466,32 +468,34 @@ def test_string_id_serialization_is_unchanged():
 
 
 class TestOneBlasThread:
-    """The cap on scipy's OpenBLAS pool, with the library and the environment faked."""
+    """The cap on scipy's and numpy's OpenBLAS pools, with the libraries and the
+    environment faked."""
 
     @staticmethod
-    def pool(monkeypatch):
-        calls = []
-        monkeypatch.setattr(network, "_openblas_threads", lambda: (lambda: 2, calls.append))
+    def pools(monkeypatch):
+        calls = {"scipy": [], "numpy": []}
+        monkeypatch.setattr(network, "_openblas_threads",
+                            lambda: [(lambda: 2, calls[name].append) for name in calls])
         for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         return calls
 
     def test_sets_one_thread(self, monkeypatch):
-        calls = self.pool(monkeypatch)
+        calls = self.pools(monkeypatch)
         network._one_blas_thread.__wrapped__()
-        assert calls == [1]
+        assert calls == {"scipy": [1], "numpy": [1]}
 
     @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                                       "OMP_NUM_THREADS"])
     def test_an_openblas_variable_is_honoured(self, monkeypatch, name):
-        calls = self.pool(monkeypatch)
+        calls = self.pools(monkeypatch)
         monkeypatch.setenv(name, "2")
         network._one_blas_thread.__wrapped__()
-        assert calls == []
+        assert calls == {"scipy": [], "numpy": []}
 
     def test_no_pool_is_left_alone(self, monkeypatch):
-        self.pool(monkeypatch)
-        monkeypatch.setattr(network, "_openblas_threads", lambda: None)
+        self.pools(monkeypatch)
+        monkeypatch.setattr(network, "_openblas_threads", lambda: [])
         network._one_blas_thread.__wrapped__()
 
     @pytest.mark.parametrize("library", [None, object()])
@@ -501,4 +505,28 @@ class TestOneBlasThread:
                 raise OSError("not loaded")
             return library
         monkeypatch.setattr(ctypes, "CDLL", load)
-        assert network._openblas_threads() is None
+        assert network._openblas_threads() == []
+
+    @pytest.mark.parametrize("symbol", ["scipy_openblas_set_num_threads64_",
+                                        "openblas_set_num_threads64_",
+                                        "scipy_openblas_set_num_threads",
+                                        "openblas_set_num_threads"])
+    def test_each_symbol_spelling_is_found(self, monkeypatch, symbol):
+        class Library:
+            def __init__(self, path, mode):
+                self.path = path
+
+            def __getattr__(self, name):
+                if name not in (symbol, symbol.replace("_set_", "_get_")):
+                    raise AttributeError(name)
+                return types.SimpleNamespace(name=name, path=self.path)
+
+            __getitem__ = __getattr__
+
+        monkeypatch.setattr(ctypes, "CDLL", Library)
+        pools = network._openblas_threads()
+        assert [(get.name, set_.name) for get, set_ in pools] == \
+            [(symbol.replace("_set_", "_get_"), symbol)] * 2
+        assert {set_.path for _, set_ in pools} == {
+            sys.modules["scipy.linalg._flapack"].__file__,
+            sys.modules["numpy.linalg._umath_linalg"].__file__}
