@@ -114,10 +114,10 @@ def measure_weights(ifs: IFS, scheme: Literal["hausdorff", "uniform", "custom"] 
                     custom: Optional[Sequence[float]] = None) -> MeasureSpec:
     """Cell measure weights: dimension-matched, uniform, or caller supplied.
 
-    The dimension-matched scheme solves 3*(1/2)^d + rho^d = 1 with the weight
-    solve's root finder, ``renorm.bracketed_root`` (rho is the added map's
-    contraction ratio), and assigns each cell the d-th power of its ratio,
-    which is the natural normalized volume.
+    The dimension-matched scheme solves 3*(1/2)^d + rho^d = 1 for d in [1, 4] with
+    the weight solve's root finder, ``renorm.bracketed_root`` (rho, the added map's
+    ratio, lies in [1/4, 1/2) as rho^2 = 3 lambda^2 - 3 lambda/2 + 1/4), and gives
+    each cell the d-th power of its ratio, which is the natural normalized volume.
     """
     if scheme == "uniform":
         return MeasureSpec("uniform", (0.25, 0.25, 0.25, 0.25))
@@ -138,9 +138,7 @@ def measure_weights(ifs: IFS, scheme: Literal["hausdorff", "uniform", "custom"] 
     def value(d: float) -> tuple[float, float, None]:
         return d, 1.0 - 3.0 * 0.5 ** d - rho ** d, None
 
-    (d, g, _), _ = bracketed_root(value, 1.0, 4.0, 1e-14)
-    if abs(g) > 1e-12:
-        raise BadWeights(f"dimension equation residual {g:.3e}")
+    (d, _, _), _ = bracketed_root(value, 1.0, 4.0, 1e-14)
     w = (0.5 ** d, 0.5 ** d, 0.5 ** d, rho ** d)
     total = sum(w)
     return MeasureSpec("hausdorff", tuple(x / total for x in w), dimension=d)

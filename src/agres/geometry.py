@@ -204,8 +204,6 @@ def doubling_orbit(t0: Fraction, guard: int = ORBIT_GUARD) -> list[Fraction]:
         if t == Fraction(1, 2):
             break  # next images are the edge endpoints, absorbed into corners
         t = 2 * t if t < Fraction(1, 2) else 2 * t - 1
-        if t == 0 or t == 1:
-            break
     return orbit
 
 
@@ -453,16 +451,6 @@ class LevelGeometry:
     def point(self, vid: int) -> Point:
         return self.table.lattice().point(vid)
 
-    def leaf_index(self, word: Word) -> int:
-        if len(word) != self.m:
-            raise UnknownVertex(f"word {word} has length {len(word)}, level is {self.m}")
-        idx = 0
-        for c in word:
-            if c not in (1, 2, 3, 4):
-                raise UnknownVertex(f"bad letter in word {word}")
-            idx = idx * 4 + (c - 1)
-        return idx
-
     def vid_of_address(self, word: Word, corner: int) -> int:
         """Vertex id of F_w(p_corner); the word is padded with the corner's own letter."""
         if corner not in (1, 2, 3):
@@ -470,7 +458,12 @@ class LevelGeometry:
         if len(word) > self.m:
             raise UnknownVertex(f"word longer than level {self.m}")
         padded = tuple(word) + (corner,) * (self.m - len(word))
-        return int(self.leaf_corners[self.leaf_index(padded), corner - 1])
+        leaf = 0
+        for c in padded:
+            if c not in (1, 2, 3, 4):
+                raise UnknownVertex(f"bad letter in word {padded}")
+            leaf = leaf * 4 + (c - 1)
+        return int(self.leaf_corners[leaf, corner - 1])
 
     def vid_of_point(self, p: Point) -> int:
         g = self.table.index_of(*p)

@@ -487,15 +487,17 @@ def form_comparison(form1: FiniteForm, form2: FiniteForm) -> tuple[float, float]
 class ResolventKernel:
     """Symmetric kernel of (L + alpha * M)^-1 with masses M summing to one.
 
-    ``matrix`` is bitwise symmetric: ``resolvent`` stores 0.5 * (U + U.T), so
+    ``resolvent`` solves U and stores 0.5 * (U + U.T) as ``matrix``, so
     ``matrix[x, y] == matrix[y, x]`` exactly.  ``agres resolvent``'s CSV writer
     relies on it: it formats each unordered pair {x, y} once, for both the (x, y)
     and the (y, x) line, and refuses a matrix that is not bitwise symmetric.
+    ``asymmetry``, which ``symmetry_error`` reports, is max |U - U.T| / max(1, max |U|).
     """
     alpha: float
     vertices: list
     masses: np.ndarray
     matrix: np.ndarray
+    asymmetry: float
 
     def row_mass_error(self) -> float:
         """Max deviation of sum_y u(x,y) m_y from 1/alpha."""
@@ -503,7 +505,7 @@ class ResolventKernel:
         return float(np.abs(rows - 1.0 / self.alpha).max())
 
     def symmetry_error(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.T).max())
+        return self.asymmetry
 
 
 def resolvent(form: FiniteForm, masses: Union[Mapping[VertexId, float], Sequence[float]],
@@ -524,11 +526,11 @@ def resolvent(form: FiniteForm, masses: Union[Mapping[VertexId, float], Sequence
     if abs(m.sum() - 1.0) > 1e-12:
         raise BadMeasure(f"vertex masses must sum to 1, got {m.sum()!r}")
     U = _Factor(form.laplacian_dense() + alpha * np.diag(m)).solve(np.eye(form.n))
-    asym = np.abs(U - U.T).max()
-    if asym > 1e-10 * max(1.0, np.abs(U).max()):
+    asym, scale = np.abs(U - U.T).max(), max(1.0, np.abs(U).max())
+    if asym > 1e-10 * scale:
         warnings.warn(f"resolvent asymmetry {asym:.3e}", ConditionWarning, stacklevel=2)
-    U = 0.5 * (U + U.T)
-    kernel = ResolventKernel(float(alpha), list(form.vertices), m, U)
+    kernel = ResolventKernel(float(alpha), list(form.vertices), m, 0.5 * (U + U.T),
+                             float(asym / scale))
     miss = alpha * kernel.row_mass_error()
     if not miss <= ROW_MASS_TOL:
         raise SingularInterior(f"resolvent row masses miss 1/alpha by {miss:.3e} relative "

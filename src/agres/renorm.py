@@ -28,9 +28,8 @@ from .network import (FiniteForm, _components, _Factor, _laplacian, _pair_conduc
 EIGEN_TOL = 1e-12
 EIGEN_MAX_ITERS = 10_000
 CHORD_START = 1e-2  # profile change below which eigen_solve switches to chord steps
-CHORD_RATE = 0.2    # a chord step contracting the change less than this rebuilds J once
+CHORD_RATE = 0.2    # a chord step contracting the change less than this rebuilds J
 BISECT_TOL = 1e-10
-BRACKET_EXPANSIONS = 60
 RELATION_GUARD = 12
 
 
@@ -310,7 +309,7 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
     Power steps D <- T(D) run until the change is below CHORD_START, then
     chord steps z <- z - (J - I)^-1 (T(z) - z) on one value per pair orbit,
     with the Jacobian J factored once (or passed in as ``chord``) and rebuilt
-    once if a step contracts the change by less than CHORD_RATE.  A chord step
+    whenever a step contracts the change by less than CHORD_RATE.  A chord step
     that leaves the positive cone or does not reduce the change hands back to
     power steps.  The scale factor C is the energy ratio of one application at
     the limit; it lies in [3/5, 1).  ``rtilde4 = inf`` or None omits the added
@@ -329,7 +328,7 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
 
     rep = ctx.orbit_pairs[0]
     lu = chord if chord is not None and len(chord[1]) == len(rep) else None
-    chording = fallen = rebuilt = False
+    chording = fallen = False
     delta, iters, jacobians = math.inf, 0, 0
     for iters in range(1, max_iters + 1):
         new = ctx.normalized(ctx.apply(c, ws))
@@ -340,8 +339,8 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
             c = new
             break
         fallen = fallen or (chording and not delta < prev)  # a chord step that did not help
-        if chording and not fallen and delta > CHORD_RATE * prev and not rebuilt:
-            lu, rebuilt = None, True
+        if chording and not fallen and delta > CHORD_RATE * prev:
+            lu = None
         chording = not fallen and delta < CHORD_START
         if chording and lu is None:
             lu = _scipy("linalg.lapack").dgetrf(ctx.jacobian(c, ws) - np.eye(len(rep)))[:2]
@@ -427,23 +426,15 @@ def bracketed_root(value: Callable[[float], tuple[float, float, Any]], lo: float
     """Root of a nondecreasing g by Brent's method (inverse quadratic interpolation or
     secant, safeguarded by bisection; Brent 1973, ch. 4), until |g| <= ``tol``.
 
-    ``value(x)`` returns a triple (x, g(x), payload).  The start bracket is widened,
-    halving ``lo`` and doubling ``hi``, until g(lo) <= 0 <= g(hi).  Returns the
-    triple of the root and that of the far end of the final bracket.
+    ``value(x)`` returns a triple (x, g(x), payload).  The caller proves g(lo) <= 0 <= g(hi);
+    a start bracket without that sign change raises BracketFailure at once.
+    Returns the triple of the root and that of the far end of the final bracket.
     """
     lo_v = value(lo)
-    for _ in range(BRACKET_EXPANSIONS):
-        if lo_v[1] <= 0:
-            break
-        lo_v = value(0.5 * lo_v[0])
-    else:
+    if lo_v[1] > 0:
         raise BracketFailure("could not bracket from below")
     hi_v = value(hi)
-    for _ in range(BRACKET_EXPANSIONS):
-        if hi_v[1] >= 0:
-            break
-        hi_v = value(2.0 * hi_v[0])
-    else:
+    if hi_v[1] < 0:
         raise BracketFailure("could not bracket from above")
 
     # b is the best point, c the far end of the bracket, a the previous b;
@@ -488,8 +479,8 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
 
     Finds the root of g(x) = x * C(x) - s, which is nondecreasing in x, with
     ``bracketed_root`` until |g| <= ``bisect_tol``.  The bracket
-    [s, s/0.58] contains the root because 3/5 <= C < 1 (0.58 leaves room
-    below 3/5), and is widened if it does not.  The returned r equals
+    [s, s/0.58] holds the root: ``eigen_solve`` returns only
+    3/5 - 1e-9 <= C < 1, so g(s) < 0 < g(s/0.58).  The returned r equals
     C at the solving abscissa, the fixed form D is normalized to corner
     resistance 2/3, and the residual measures how far D is from being fixed
     under weights (r, r, r, s).

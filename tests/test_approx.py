@@ -1,5 +1,6 @@
 """Level realizations, measures, resistance estimates and the trace tower."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -104,6 +105,21 @@ class TestLevelForm:
         assert ref.cartesian(p) == ref.apply(ref.maps("1/4")[3], ref.P1)
         with pytest.raises(UnknownVertex):
             lf.vid_of_address((1, 2, 3), 1)  # word longer than level
+
+    def test_address_is_the_padded_words_leaf(self, sol14):
+        geom = level_form(sol14, 2).geometry
+        for word in itertools.chain.from_iterable(
+                itertools.product((1, 2, 3, 4), repeat=k) for k in range(3)):
+            for corner in (1, 2, 3):
+                padded = word + (corner,) * (2 - len(word))
+                leaf = 4 * (padded[0] - 1) + padded[1] - 1
+                assert geom.vid_of_address(word, corner) == geom.leaf_corners[leaf, corner - 1]
+        for word, corner, message in [((1,), 4, "corner index must be 1, 2 or 3"),
+                                      ((5,), 1, "bad letter in word (5, 1)"),
+                                      ((1, 0), 2, "bad letter in word (1, 0)")]:
+            with pytest.raises(UnknownVertex) as info:
+                geom.vid_of_address(word, corner)
+            assert str(info.value) == message
 
 
 def reference_dimension(rho: float) -> float:

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import agres
 from agres import network
 from agres.errors import (BadMeasure, BadTarget, ConditionWarning, Disconnected,
-                          DomainError, MismatchedVertexSets, SingularInterior)
+                          DomainError, MismatchedVertexSets, NegativeConductance,
+                          SingularInterior)
 from agres.network import (FiniteForm, _components, _Factor, effective_resistance,
                            form_comparison, harmonic_extension, resistance_matrix,
                            resolvent, trace, triangle_form)
@@ -210,6 +211,38 @@ class TestFormComparison:
             form_comparison(triangle_form(1.0), triangle_form(1.0, ids=(5, 6, 7)))
 
 
+TRI = triangle_form(1.0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: trace(TRI, []), DomainError, "keep set must be nonempty"),
+    (lambda: trace(TRI, [0, 9]), DomainError, "keep set contains unknown vertices: [9]"),
+    (lambda: harmonic_extension(TRI, {}), DomainError, "boundary data must be nonempty"),
+    (lambda: harmonic_extension(TRI, {0: 1.0, 9: 0.0}), DomainError,
+     "boundary contains unknown vertices: [9]"),
+    (lambda: effective_resistance(TRI, 9, 0), DomainError, "unknown vertex 9"),
+    (lambda: effective_resistance(TRI, 0, [1, 9]), DomainError,
+     "unknown target vertices: [9]"),
+    (lambda: network._dipole_resistances(TRI, [(0, 9)]), DomainError, "unknown vertex 9"),
+    (lambda: form_comparison(FiniteForm([0], {}), FiniteForm([0], {})), DomainError,
+     "need at least two vertices"),
+    (lambda: TRI.energy([1.0, 2.0]), DomainError, "function has shape (2,), expected (3,)"),
+    (lambda: network._pair_conductances(np.array([[1.0, 0.5], [0.5, 1.0]]),
+                                        np.array([0]), np.array([1])),
+     NegativeConductance, "reduction produced conductance -5.000e-01 on pair (0, 1)"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_degenerate_inputs_that_are_not_errors():
+    assert harmonic_extension(TRI, {0: 1, 1: 2.5, 2: 0}) == {0: 1.0, 1: 2.5, 2: 0.0}
+    single = resistance_matrix(FiniteForm(["x"], {}))
+    assert single.shape == (1, 1) and single[0, 0] == 0.0
+
+
 class TestResolvent:
     def test_single_vertex(self):
         form = FiniteForm([0], {})
@@ -259,6 +292,21 @@ class TestResolvent:
         for alpha in (0.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 resolvent(form, [0.5, 0.5], alpha)
+
+    def test_symmetry_error_is_the_asymmetry_before_averaging(self, monkeypatch):
+        class SkewedFactor(_Factor):
+            def solve(self, rhs):
+                U = super().solve(rhs)
+                U[0, 1] += 1e-9 * max(1.0, np.abs(U).max())
+                return U
+
+        form = random_connected_form(np.random.default_rng(43), 6)
+        assert resolvent(form, np.full(6, 1 / 6), 1.0).symmetry_error() <= 1e-15
+        monkeypatch.setattr(network, "_Factor", SkewedFactor)
+        with pytest.warns(ConditionWarning, match="resolvent asymmetry"):
+            kernel = resolvent(form, np.full(6, 1 / 6), 1.0)
+        assert kernel.symmetry_error() == pytest.approx(1e-9, rel=1e-6)
+        assert np.array_equal(kernel.matrix, kernel.matrix.T)
 
     @pytest.mark.parametrize("alpha", [1e-20, 1e-300])
     def test_numerically_singular_shift_raises(self, alpha):

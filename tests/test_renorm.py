@@ -15,7 +15,7 @@ from agres.errors import (BracketFailure, DegenerateLimit, Disconnected, DomainE
                           GuardExceeded, NoConvergence)
 from agres.geometry import BoundarySet, _level_geometry, boundary_set, seeded_copies
 from agres.network import FiniteForm, _components, effective_resistance, trace
-from agres.renorm import (BRACKET_EXPANSIONS, EIGEN_MAX_ITERS, EIGEN_TOL, BoundaryForm,
+from agres.renorm import (EIGEN_MAX_ITERS, EIGEN_TOL, BoundaryForm,
                           EigenResult, GlueContext, eigen_solve,
                           enumerate_preserved_relations, glue_level_one, renorm_map,
                           solve_r, symmetric_start, uniqueness_scan, _glue_context,
@@ -611,6 +611,9 @@ def test_none_is_the_open_circuit(ifs14):
 # -- the weight solve against a reference bisection ----------------------------------
 
 
+BRACKET_EXPANSIONS = 60
+
+
 def bisection_solve(ifs, s, eigen_tol=1e-12, bisect_tol=1e-10,
                     max_iters=renorm.EIGEN_MAX_ITERS):
     """The bisection ``solve_r`` ran before the Brent root finder: (rtilde4, r)."""
@@ -699,22 +702,17 @@ def synthetic_c(monkeypatch, ifs14):
     return install
 
 
-def test_bracket_widens_downward(synthetic_c, ifs14):
-    synthetic_c(lambda x: 3.0 + x / (1.0 + x))  # root near 0.1, below s
-    sol = solve_r(ifs14, 0.4)
-    xs = [h.x for h in sol.history]
-    assert xs[:3] == [0.4, 0.2, 0.1]
-    assert abs(sol.rtilde4 * sol.C - 0.4) <= 1e-10
-    assert sol.power_iterations == 3 * sol.eigen_iterations
-
-
-def test_bracket_widens_upward(synthetic_c, ifs14):
-    synthetic_c(lambda x: 0.01 + 0.01 * x / (1.0 + x))  # root near 20
-    sol = solve_r(ifs14, 0.3)
-    xs = [h.x for h in sol.history]
-    assert xs[:3] == [0.3, 0.3 / 0.58, 0.6 / 0.58]
-    assert abs(sol.rtilde4 * sol.C - 0.3) <= 1e-10
-    assert sol.bracket[0] <= sol.rtilde4 <= sol.bracket[1]
+@pytest.mark.parametrize("C,message,evaluations", [
+    (lambda x: 3.0 + x / (1.0 + x), "below", 1),          # root near 0.1, below s = 0.4
+    (lambda x: 0.01 + 0.01 * x / (1.0 + x), "above", 2),  # root near 20, above s / 0.58
+], ids=["below", "above"])
+def test_root_outside_the_start_bracket_fails_at_once(synthetic_c, ifs14, C, message,
+                                                       evaluations):
+    xs = []
+    synthetic_c(lambda x: xs.append(x) or C(x))
+    with pytest.raises(BracketFailure, match=message):
+        solve_r(ifs14, 0.4)
+    assert xs == [0.4, 0.4 / 0.58][:evaluations]
 
 
 @pytest.mark.parametrize("C,message", [(lambda x: 1e30, "below"), (lambda x: 0.0, "above")])
