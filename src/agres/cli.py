@@ -377,12 +377,15 @@ _DISPATCH = {
 
 
 _CONFIG_ALIASES = {"lambda": "lam", "lambda2": "lam2", "n": "n_range"}
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _typed(field_type: str, val: str):
     """Convert a config-file string to the type of its RunConfig field."""
     if "bool" in field_type:
-        return val.lower() in ("1", "true", "yes")
+        if val.lower() not in _CONFIG_BOOLS:
+            raise ValueError(f"{val!r} is not a bool: use 1/true/yes or 0/false/no")
+        return _CONFIG_BOOLS[val.lower()]
     if "int" in field_type:
         return int(val)
     if "float" in field_type:
@@ -391,7 +394,7 @@ def _typed(field_type: str, val: str):
 
 
 def _read_config_file(path: str) -> dict:
-    """Flat key = value lines mirroring the flags; '#' starts a comment."""
+    """Flat key = value lines mirroring the flags; '#' starts a comment; unknown keys fail."""
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -399,14 +402,15 @@ def _read_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ValidationError(f"config line {raw!r} is not 'key = value'")
-        key, val = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
+        name, val = (part.strip() for part in line.split("=", 1))
+        key = name.replace("-", "_")
         key = _CONFIG_ALIASES.get(key, key)
-        field = RunConfig.__dataclass_fields__.get(key)
-        if field is None or key == "command":
+        if key == "command":
             continue
+        if key not in RunConfig.__dataclass_fields__:
+            raise ValidationError(f"config line {raw!r}: unknown key {name!r}")
         try:
-            out[key] = _typed(field.type, val)
+            out[key] = _typed(RunConfig.__dataclass_fields__[key].type, val)
         except ValueError as exc:
             raise ValidationError(f"config line {raw!r}: {exc}") from exc
     return out

@@ -493,7 +493,8 @@ class GraphApprox:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        return bool(self.points) and not any(_components(len(self.points), self.edges))
+        edges = np.array(list(self.edges))
+        return bool(self.points) and not _components(len(self.points), edges).any()
 
     def edge_list_csv(self) -> str:
         lines = ["vertex_id_1,vertex_id_2"]

@@ -110,23 +110,22 @@ def numbered(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse.reshape(-1)]
 
 
-def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Connected components of vertices 0..n-1 joined by the pairs: the block id of
-    every vertex, blocks numbered by first occurrence."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-    ids: dict[int, int] = {}
-    return tuple(ids.setdefault(find(i), len(ids)) for i in range(n))
+def _components(n: int, edges: np.ndarray) -> np.ndarray:
+    """Connected components of vertices 0..n-1 joined by the rows of an (E, 2) edge array:
+    the block id of every vertex, blocks numbered by first occurrence.  Each round hooks
+    the larger root of every edge spanning two roots under the smaller, then jumps
+    pointers until each vertex points at its root, always its block's least vertex."""
+    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        span = ra != rb
+        if not span.any():
+            return (np.cumsum(parent == np.arange(n)) - 1)[parent]
+        np.minimum.at(parent, np.maximum(ra, rb)[span], np.minimum(ra, rb)[span])
+        jumped = parent[parent]
+        while (jumped != parent).any():
+            parent, jumped = jumped, jumped[jumped]
 
 
 def _laplacian(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -299,7 +298,7 @@ class FiniteForm:
 
     @functools.cached_property
     def _connected(self) -> bool:
-        return self.n > 0 and not any(_components(self.n, zip(self._a.tolist(), self._b.tolist())))
+        return self.n > 0 and not _components(self.n, np.column_stack([self._a, self._b])).any()
 
     def is_connected(self) -> bool:
         return self._connected

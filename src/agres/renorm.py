@@ -31,6 +31,7 @@ CHORD_START = 1e-2  # profile change below which eigen_solve switches to chord s
 CHORD_RATE = 0.2    # a chord step contracting the change less than this rebuilds J
 BISECT_TOL = 1e-10
 RELATION_GUARD = 12
+RELATION_CHUNK = 16_384  # candidates a stacked relation check holds at once
 
 
 def _pair_orbit_ids(perm: Sequence[int]) -> np.ndarray:
@@ -172,8 +173,8 @@ class GlueContext:
         try:
             return _schur(L, self.N)
         except SingularInterior as exc:
-            pairs = zip(self.gpair_a[gvec > 0].tolist(), self.gpair_b[gvec > 0].tolist())
-            if any(_components(self.n_glued, pairs)):
+            edges = np.column_stack([self.gpair_a, self.gpair_b])
+            if _components(self.n_glued, edges[gvec > 0]).any():
                 raise Disconnected("glued network is disconnected") from exc
             raise
 
@@ -217,8 +218,7 @@ class GlueContext:
 
     def connected(self, cvec: np.ndarray) -> bool:
         live = cvec > 1e-12 * max(cvec.max(), 1e-300)
-        pairs = zip(self.pair_i[live].tolist(), self.pair_j[live].tolist())
-        return not any(_components(self.N, pairs))
+        return not _components(self.N, np.column_stack([self.pair_i, self.pair_j])[live]).any()
 
     def symmetrize_vector(self, cvec: np.ndarray) -> np.ndarray:
         return _orbit_average(cvec, self.orbit_ids)
@@ -556,35 +556,41 @@ class Relation:
         return self.is_full or self.is_empty
 
 
-def _invariant_partitions(perm: Sequence[int]) -> set[tuple[int, ...]]:
-    """Every rotation-invariant partition of 0..n-1, as block ids numbered by first occurrence.
+def _invariant_partitions(perm: Sequence[int]) -> np.ndarray:
+    """Every rotation-invariant partition of 0..n-1, once each, as rows of block ids
+    numbered by first occurrence.
 
-    Walks up from the discrete partition on block labels: the rotation permutes the
-    blocks (``bp``), and each child merges one orbit of block pairs, tried from its
-    least pair only.  Closures are cached by block count and orbit.
-    """
-    discrete = tuple(range(len(perm)))
-    seen, queue, closures = {discrete}, [discrete], {}
-    while queue:
-        sig = queue.pop()
-        b = max(sig) + 1
-        bp = [sig[perm[sig.index(p)]] for p in range(b)]
-        for p in range(b):
-            p2, p3 = bp[p], bp[bp[p]]
-            for q in range(p + 1, b):
-                q2, q3 = bp[q], bp[bp[q]]
-                x, y = (p2, q2) if p2 < q2 else (q2, p2)
-                u, v = (p3, q3) if p3 < q3 else (q3, p3)
-                if x < p or x == p and y < q or u < p or u == p and v < q:
-                    continue  # (p, q) is not the least pair of its orbit
-                key = (b, p, q, p2, q2, p3, q3)
-                if key not in closures:
-                    closures[key] = _components(b, ((p, q), (p2, q2), (p3, q3)))
-                new = tuple(map(closures[key].__getitem__, sig))
-                if new not in seen:
-                    seen.add(new)
-                    queue.append(new)
-    return seen
+    The rotation has no fixed point and order 3, so its orbits are triples, and an
+    invariant partition groups them: each group is one block, or three blocks that the
+    rotation cycles, each taking one point of every orbit in the group.  The group's
+    first orbit fixes which; each later orbit joins a group (at one of three phases)
+    or opens one."""
+    n = len(perm)
+    if sorted(perm) != list(range(n)) or any(p == i or perm[perm[p]] != i
+                                             for i, p in enumerate(perm)):
+        raise DomainError("the rotation must be a fixed-point-free permutation of order 3")
+    orbits = [(i, perm[i], perm[perm[i]]) for i in range(n) if i < min(perm[i], perm[perm[i]])]
+    sig, rows = [0] * n, []
+    def grow(j: int, groups: list[tuple[int, int, int]], nxt: int) -> None:
+        # orbits j.. are left to group; groups holds each group's labels on its first orbit
+        if j == len(orbits):
+            rows.append(tuple(sig))
+            return
+        x, y, z = orbits[j]
+        for lab in groups:
+            for r in range(3 if lab[0] != lab[1] else 1):
+                sig[x], sig[y], sig[z] = lab[r], lab[r - 2], lab[r - 1]
+                grow(j + 1, groups, nxt)
+        for lab in ((nxt,) * 3, (nxt, nxt + 1, nxt + 2)):
+            sig[x], sig[y], sig[z] = lab
+            grow(j + 1, groups + [lab], lab[2] + 1)
+
+    grow(0, [], 0)
+    sigs = np.array(rows, dtype=np.int64)
+    if orbits != [(i, i + 1, i + 2) for i in range(0, n, 3)]:  # renumber by first occurrence
+        ids = numbered((np.arange(len(sigs))[:, None] * n + sigs).ravel())[1].reshape(sigs.shape)
+        sigs = ids - ids[:, :1]
+    return sigs
 
 
 def _slot_joins(ifs: IFS, bset: BoundarySet, k: int) -> tuple[np.ndarray, ...]:
@@ -603,11 +609,11 @@ def enumerate_preserved_relations(ifs: IFS, k: int = 1,
                                   guard: int = RELATION_GUARD) -> list[Relation]:
     """All rotation-invariant equivalence relations reproduced by one subdivision step.
 
-    Walks the rotation-invariant partitions of the boundary set by block-pair
-    orbits (``_invariant_partitions``) and keeps those whose depth-kk copy graph
-    induces exactly themselves back on the boundary set, for every kk = 1..k.
-    A copy graph has one node per block of each copy, joined where copies share
-    a point; each depth checks all its candidates in one stacked union-find.
+    Generates the rotation-invariant partitions of the boundary set
+    (``_invariant_partitions``) and keeps those whose depth-kk copy graph induces exactly
+    themselves back on the boundary set, for every kk = 1..k.  A copy graph has one node
+    per block of each copy, joined where copies share a point; each depth checks its
+    candidates ``RELATION_CHUNK`` at a time, in one stacked union-find per chunk.
     """
     if k < 1:
         raise DomainError(f"relation depth must be at least 1, got {k}")
@@ -615,18 +621,17 @@ def enumerate_preserved_relations(ifs: IFS, k: int = 1,
     n = bset.size
     if n > guard:
         raise GuardExceeded(f"boundary set has {n} points, guard is {guard}")
-    sigs = sorted(_invariant_partitions(bset.g_permutation))
+    sigs = _invariant_partitions(bset.g_permutation)
     for kk in range(1, k + 1):
-        # slot w of candidate t is the node of block s[t, w % n] in copy w // n
-        s, offset = np.array(sigs), np.arange(len(sigs))[:, None] * (4 ** kk * n)
-        a, b, head = (offset + w - w % n + s[:, w % n] for w in _slot_joins(ifs, bset, kk))
-        nodes, idx = np.unique(np.hstack([a, b, head]), return_inverse=True)
-        idx, e = idx.reshape(len(sigs), -1), a.shape[1]
-        labels = np.array(_components(len(nodes), zip(idx[:, :e].ravel().tolist(),
-                                                      idx[:, e:2 * e].ravel().tolist())))
-        keep = np.equal(*(np.argmax(x[:, :, None] == x[:, None, :], axis=2)
-                          for x in (labels[idx[:, 2 * e:]], s))).all(axis=1)
-        sigs = [sig for sig, ok in zip(sigs, keep.tolist()) if ok]
+        joins, size, kept = _slot_joins(ifs, bset, kk), 4 ** kk * n, []
+        for s in np.split(sigs, range(RELATION_CHUNK, len(sigs), RELATION_CHUNK)):
+            # slot w of row t is the node of block s[t, w % n] in copy w // n
+            rows = np.arange(len(s))[:, None] * size
+            a, b, head = (rows + w - w % n + s[:, w % n] for w in joins)
+            labels = _components(len(s) * size, np.column_stack([a.ravel(), b.ravel()]))[head]
+            kept.append(s[np.equal(*(np.argmax(x[:, :, None] == x[:, None, :], axis=2)
+                                     for x in (labels, s))).all(axis=1)])
+        sigs = np.concatenate(kept)
     rels = [Relation(tuple(tuple(i for i, c in enumerate(sig) if c == blk)
-                           for blk in range(max(sig) + 1))) for sig in sigs]
+                           for blk in range(max(sig) + 1))) for sig in sigs.tolist()]
     return sorted(rels, key=lambda rel: (len(rel.blocks), rel.blocks))

@@ -81,24 +81,45 @@ class TestValidate:
 
     @pytest.mark.parametrize("text,values", [
         ("\n   \n# a comment only\n", {}),
-        ("colour = blue\ncommand = solve\n", {}),  # unknown keys and the command are skipped
+        ("colour = blue\ncommand = solve\n", pytest.raises(ValidationError, match="'colour'")),
         ("grid = yes\n", {"grid": True}),
         ("grid = TRUE\n", {"grid": True}),
         ("grid = 0\n", {"grid": False}),
+        ("command = solve\n", {}),  # the command line is skipped
+        ("grid = No\n", {"grid": False}),
+        ("grid = FALSE\n", {"grid": False}),
+        ("grid = ture\n", pytest.raises(ValidationError, match="'ture' is not a bool")),
+        ("grid = 2\n", pytest.raises(ValidationError, match="'2' is not a bool")),
+        ("grid =\n", pytest.raises(ValidationError, match="'' is not a bool")),
     ])
     def test_config_file_lines(self, text, values, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(text)
-        assert _read_config_file(str(cfgfile)) == values
+        if isinstance(values, dict):
+            assert _read_config_file(str(cfgfile)) == values
+        else:
+            with values:
+                _read_config_file(str(cfgfile))
 
     def test_config_file_bool_reaches_the_manifest(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("\nlambda = 1/4\nlevel = 0\nshade = 3\ngrid = yes\n")
+        assert run_cli(["graph", "--config", str(cfgfile)], tmp_path)[0] == 2  # no flag shade
+        cfgfile.write_text("\nlambda = 1/4\nlevel = 0\ngrid = yes\n")
         code, out = run_cli(["graph", "--config", str(cfgfile)], tmp_path)
         assert code == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["lam"], config["level"], config["grid"]) == ("1/4", 0, True)
-        assert "shade" not in config
+
+    @pytest.mark.parametrize("line, named", [("levle = 5", "'levle'"), ("grid = ture", "'ture'")])
+    def test_config_file_line_it_cannot_read_exits_2(self, line, named, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"lambda = 1/4\nlevel = 0\n{line}\n")
+        code, out = run_cli(["graph", "--config", str(cfgfile)], tmp_path)
+        assert code == 2
+        assert not (out / "manifest.json").exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["type"] == "ValidationError" and named in err["message"]
 
     @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
     def test_help_exits_0(self, argv, capsys):

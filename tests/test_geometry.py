@@ -1,5 +1,6 @@
 """Geometry: the map family, attractor membership, boundary sets, graphs."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -290,6 +291,14 @@ class TestApproximationGraph:
                 distinct.append(p)
         g = agres.approximation_graph(ifs14, 2)
         assert g.vertex_count == len(distinct)
+
+    def test_connectivity(self, ifs14):
+        g = agres.approximation_graph(ifs14, 1)
+        assert g.is_connected()
+        assert not dataclasses.replace(g, edges={e for e in g.edges if 0 not in e}).is_connected()
+        assert not dataclasses.replace(g, edges=set()).is_connected()
+        assert dataclasses.replace(g, points=g.points[:1], edges=set()).is_connected()
+        assert not dataclasses.replace(g, points=[], edges=set()).is_connected()
 
     def test_nesting(self, ifs14):
         g1 = agres.approximation_graph(ifs14, 1)

@@ -20,6 +20,7 @@ from agres.errors import (BadMeasure, BadTarget, ConditionWarning, Disconnected,
 from agres.network import (FiniteForm, _components, _Factor, effective_resistance,
                            form_comparison, harmonic_extension, resistance_matrix,
                            resolvent, trace, triangle_form)
+from union_find_reference import components as components_reference
 
 
 def random_connected_form(rng, n, extra_edges=None):
@@ -376,7 +377,45 @@ def partition_oracle(n, pairs):
 @settings(max_examples=300, deadline=None)
 def test_components_match_brute_force_partition(case):
     n, pairs = case
-    assert _components(n, pairs) == partition_oracle(n, pairs)
+    result = _components(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    assert result.dtype == np.int64
+    assert tuple(result) == partition_oracle(n, pairs)
+
+
+@st.composite
+def graphs(draw):
+    """Up to 300 vertices: random edges (self-loops and repeats allowed), none at all,
+    or a path through the vertices in random order."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["random", "none", "path"]))
+    if kind == "none":
+        return n, []
+    if kind == "path":
+        order = draw(st.permutations(range(n)))
+        return n, list(zip(order, order[1:]))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    pairs += [(v, v) for v in draw(st.lists(vertex, max_size=5))]  # self-loops
+    if pairs:  # repeated edges
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=20))
+    return n, pairs
+
+
+@given(graphs())
+@settings(max_examples=200, deadline=None)
+def test_components_match_python_union_find(case):
+    n, pairs = case
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    assert tuple(_components(n, edges).tolist()) == components_reference(n, pairs)
+
+
+def test_components_of_a_long_shuffled_path():
+    """A path of 5,000 vertices numbered at random takes many hooking rounds."""
+    order = np.random.default_rng(7).permutation(5000)
+    pairs = list(zip(order[:-1].tolist(), order[1:].tolist()))
+    result = _components(5000, np.array(pairs))
+    assert not result.any()
+    assert tuple(result.tolist()) == components_reference(5000, pairs)
 
 
 def test_pivot_ratio_warning_on_dense_trace_only(monkeypatch):

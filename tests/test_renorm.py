@@ -14,12 +14,13 @@ from agres.converge import dyadic_schedule
 from agres.errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
                           GuardExceeded, NoConvergence)
 from agres.geometry import BoundarySet, _level_geometry, boundary_set, seeded_copies
-from agres.network import FiniteForm, _components, effective_resistance, trace
+from agres.network import FiniteForm, effective_resistance, trace
 from agres.renorm import (EIGEN_MAX_ITERS, EIGEN_TOL, BoundaryForm,
                           EigenResult, GlueContext, eigen_solve,
                           enumerate_preserved_relations, glue_level_one, renorm_map,
                           solve_r, symmetric_start, uniqueness_scan, _glue_context,
                           _invariant_partitions, _normalize_weights, _rel_delta)
+from union_find_reference import components
 
 
 def glued_vector_by_copy(ctx, cvec, weights):
@@ -34,7 +35,7 @@ def glued_vector_by_copy(ctx, cvec, weights):
 
 
 # -- reference enumeration: the point-pair walk and per-partition check that the
-# block-orbit walk and the batched union-find replaced, kept as an oracle ----------
+# orbit-grouping generator and the chunked union-find replaced, kept as an oracle --
 
 
 def _sig_blocks(sig: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -55,7 +56,7 @@ def _close_with_group(sig: tuple[int, ...], extra: tuple[int, int],
     """Smallest group-invariant equivalence relation containing sig and the extra pair."""
     x, y = extra
     orbit = [(x, y), (perm[x], perm[y]), (perm[perm[x]], perm[perm[y]])]
-    return _components(len(sig), _block_pairs(sig) + orbit)
+    return components(len(sig), _block_pairs(sig) + orbit)
 
 
 def _tilde_level_maps(ifs, bset, k):
@@ -73,7 +74,7 @@ def _restricted_relation(ifs, bset, sig: tuple[int, ...], k: int) -> tuple[int, 
     pairs = _block_pairs(sig)
     joined = [(int(arr[i]), int(arr[j])) for arr in copies for i, j in pairs]
     # boundary ids come first, so the prefix is already numbered by first occurrence
-    return _components(n_glued, joined)[:bset.size]
+    return components(n_glued, joined)[:bset.size]
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,6 +105,25 @@ def preserved_by_pair_walk(ifs, k):
                  if all(_restricted_relation(ifs, bset, sig, kk) == sig
                         for kk in range(1, k + 1))]
     return sorted(preserved, key=lambda blocks: (len(blocks), blocks))
+
+
+def rotation(n: int) -> tuple[int, ...]:
+    """The boundary set's rotation on n points: i -> i - i % 3 + (i + 1) % 3."""
+    return tuple(i - i % 3 + (i + 1) % 3 for i in range(n))
+
+
+def first_occurrence(labels) -> tuple[int, ...]:
+    ids: dict = {}
+    return tuple(ids.setdefault(x, len(ids)) for x in labels)
+
+
+def invariant_by_brute_force(perm: tuple[int, ...]) -> set:
+    """Every partition of 0..n-1 (restricted growth strings) that the permutation maps
+    onto itself: the blocks of sig o perm are the preimages of the blocks of sig."""
+    sigs = [()]
+    for _ in perm:
+        sigs = [sig + (b,) for sig in sigs for b in range(max(sig, default=-1) + 2)]
+    return {sig for sig in sigs if first_occurrence(sig[p] for p in perm) == sig}
 
 
 def full_start(ifs):
@@ -371,7 +391,46 @@ class TestPreservedRelations:
     def test_block_orbit_walk_matches_pair_walk(self, lam, n):
         perm = boundary_set(agres.make_ifs(lam)).g_permutation
         assert len(perm) == n
-        assert _invariant_partitions(perm) == pair_walk(tuple(perm))
+        sigs = _invariant_partitions(perm)
+        assert sigs.dtype == np.int64 and sigs.shape[1] == n
+        rows = set(map(tuple, sigs.tolist()))
+        assert len(rows) == len(sigs)  # each partition once
+        assert rows == pair_walk(tuple(perm))
+
+    @pytest.mark.parametrize("perm", [
+        rotation(6), rotation(9),
+        (2, 0, 1, 5, 3, 4),           # each orbit turned the other way
+        (3, 4, 5, 6, 7, 8, 0, 1, 2),  # orbits (0, 3, 6), (1, 4, 7), (2, 5, 8)
+        (4, 0, 7, 8, 1, 2, 3, 5, 6),  # orbits (0, 4, 1), (2, 7, 5), (3, 8, 6)
+    ])
+    def test_invariant_partitions_match_brute_force(self, perm):
+        sigs = _invariant_partitions(perm)
+        rows = set(map(tuple, sigs.tolist()))
+        assert len(rows) == len(sigs)
+        assert rows == invariant_by_brute_force(perm)
+
+    def test_brute_force_sees_every_set_partition(self):
+        assert len(invariant_by_brute_force(tuple(range(9)))) == 21147  # Bell(9)
+
+    @pytest.mark.parametrize("n, count", [(12, 268), (15, 1994), (18, 16852), (21, 158778)])
+    def test_invariant_partition_counts(self, n, count):
+        assert len(_invariant_partitions(rotation(n))) == count
+
+    @pytest.mark.parametrize("perm", [(0, 2, 1), (0, 1, 2), (1, 2, 0, 3), (1, 2, 0, 4, 3),
+                                      (1, 1, 0), (1, 2, 3)])
+    def test_rotation_without_fixed_points_of_order_3(self, perm):
+        with pytest.raises(DomainError):
+            _invariant_partitions(perm)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("lam, guard", [("1/7", 12), ("11/32", 15)])
+    def test_chunked_check_matches_one_chunk(self, lam, guard, k, chunk, monkeypatch):
+        ifs = agres.make_ifs(lam)
+        monkeypatch.setattr(renorm, "RELATION_CHUNK", 10 ** 6)
+        whole = enumerate_preserved_relations(ifs, k=k, guard=guard)
+        monkeypatch.setattr(renorm, "RELATION_CHUNK", chunk)
+        assert enumerate_preserved_relations(ifs, k=k, guard=guard) == whole
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("lam, guard", [
