@@ -79,11 +79,6 @@ class Target:
         d = 1 - q * q * self.value
         return (d > 0) - (d < 0)
 
-    def __float__(self) -> float:
-        if self.kind == "rational":
-            return float(self.value)
-        return 1.0 / math.sqrt(self.value)
-
     def in_open_interval(self) -> bool:
         return self.compare(Fraction(0)) > 0 and self.compare(Fraction(1, 2)) < 0
 
@@ -313,23 +308,23 @@ class GammaTable:
 
 def gamma_diagnostic(target, s: float, n_range: Sequence[int],
                      f_corners: Sequence[float], m: int = 3) -> GammaTable:
-    """Energies of harmonic extensions of fixed corner data along a schedule,
-    with the finest solution transplanted back as a competitor at every entry."""
+    """Harmonic energies of fixed corner data along a schedule, each distinct lambda_n
+    solved once, and of the finest solution transplanted to every entry as a competitor."""
     if len(f_corners) != 3 or not np.isfinite(np.asarray(f_corners, float)).all():
         raise DomainError("corner data must be three finite values")
     sched = dyadic_schedule(target, n_range)
-    solved = []
-    for n, lam in sched.entries:
+    solved = {}
+    for lam in dict.fromkeys(sched.lambdas()):
         lf = level_form(solve_r(make_ifs(lam), s), m)
         boundary = {lf.vid_of_address((), i + 1): float(f_corners[i]) for i in range(3)}
         h = harmonic_extension(lf.form, boundary)
-        hvec = np.array([h[v] for v in range(lf.form.n)])
-        solved.append((n, lam, lf, hvec))
+        solved[lam] = lf, np.array([h[v] for v in range(lf.form.n)])
 
-    _, _, lf_fin, h_fin = solved[-1]
+    lf_fin, h_fin = solved[sched.lambdas()[-1]]
     fin_corners = lf_fin.geometry.leaf_corners.ravel()
     rows = []
-    for (n, lam, lf, hvec) in solved:
+    for n, lam in sched.entries:
+        lf, hvec = solved[lam]
         # vertex ids are numbered by first occurrence in (leaf, corner) order, so the
         # first occurrence of each id is its canonical address
         addr = np.unique(lf.geometry.leaf_corners.ravel(), return_index=True)[1]

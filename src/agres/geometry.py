@@ -11,9 +11,9 @@ reference triangle is u >= 0, v >= 0, u + v <= 1.  ``cell_images`` maps
 whole point arrays with integer numerators over one denominator, and a
 ``VertexTable`` deduplicates them with ``np.unique``.  Level geometries,
 glued copies and graphs all come from these two.  The oracle contact set
-and the direct graph method pull whole point arrays back under the inverse
-maps on the same lattice, and attractor membership pulls single points
-back under them exactly.
+pulls the deepest level's vertices back, and the direct graph method the
+level's vertex table, as whole point arrays under the inverse maps on the
+same lattice; attractor membership then pulls each distinct point back.
 """
 
 from __future__ import annotations
@@ -248,11 +248,11 @@ def boundary_set(ifs: IFS, mode: Literal["fast", "oracle"] = "fast",
     parameters (the added cell touches the bottom edge's mirror point at
     parameter 2*lam, and pullbacks double the parameter).  Oracle mode
     evaluates the defining union directly down to ``depth`` subdivisions:
-    enumerate the level vertices, pull them back inside the triangle on the
-    Eisenstein lattice, and test the survivors for attractor membership
-    exactly.  The two must agree; tests enforce it, and they check the
-    oracle against an independent reference written in Cartesian
-    coordinates (x, y / sqrt(3)) with rational affine maps.
+    pull the level-``depth`` vertices, which cover every shallower level,
+    back inside the triangle on the Eisenstein lattice, and test them for
+    attractor membership exactly.  The two must agree; tests enforce it,
+    and check the oracle against the union over every level and against a
+    reference in Cartesian coordinates (x, y / sqrt(3)) with rational maps.
     """
     if mode == "fast":
         return ifs.cached(("boundary", guard),
@@ -277,25 +277,23 @@ def _pullbacks(ifs: IFS, lat: Lattice) -> tuple[Lattice, np.ndarray]:
 def _boundary_set_oracle(ifs: IFS, depth: int) -> BoundarySet:
     """Evaluate the defining union directly.
 
-    For every level m <= depth, pull every level-m vertex back m times under
-    the inverse maps, keeping only pullbacks inside the closed triangle
-    (a cell whose triangle excludes a point cannot contain it).  Each level
-    is pulled back as one lattice array, deduplicated and reduced after
-    every step.  Each surviving length-m pullback is tested for attractor
-    membership exactly.
+    The union is over levels m <= depth of P_m = pull^m(V_m): the level-m
+    vertices V_m pulled back m times under the inverse maps, keeping only
+    pullbacks inside the closed triangle (a cell whose triangle excludes a
+    point cannot contain it).  Each v in V_{m-1} has F_i(v) in V_m and
+    F_i^-1(F_i(v)) = v, so V_{m-1} lies in pull(V_m); pull is monotone, so
+    P_{m-1} lies in P_m and the union is P_depth.  Level ``depth`` is pulled
+    back as one lattice array, deduplicated and reduced after every step,
+    and each survivor is tested for attractor membership exactly.
     """
     level = Lattice.of_points(CORNERS)
-    survivors = []
-    for m in range(depth + 1):
-        if m:
-            level = VertexTable(ifs.omega.images(level)).lattice()
-        pulled = level
-        for _ in range(m):
-            images, inside = _pullbacks(ifs, pulled)
-            pulled = VertexTable(Lattice(images.num[inside], images.den)).lattice().reduced()
-        survivors.append(pulled)
+    for _ in range(depth):
+        level = VertexTable(ifs.omega.images(level)).lattice()
+    for _ in range(depth):
+        images, inside = _pullbacks(ifs, level)
+        level = VertexTable(Lattice(images.num[inside], images.den)).lattice().reduced()
     ts: set[Fraction] = set()
-    for p in VertexTable(Lattice.concat(survivors)).lattice().points():
+    for p in level.points():
         if not point_in_attractor(ifs, p):
             continue
         lab = classify_boundary_point(p)  # raises if a contact leaves the edge skeleton
@@ -522,7 +520,7 @@ def approximation_graph(ifs: IFS, m: int,
     small levels: it pulls the whole vertex table back under every inverse
     cell map F_w^-1 = F_{w_m}^-1 o ... o F_{w_1}^-1 as lattice arrays, one
     letter at a time, drops the pullbacks outside the closed triangle
-    exactly, and tests each remaining one for attractor membership.
+    exactly, and tests each distinct survivor once for attractor membership.
     """
     if m < 0:
         raise DomainError("level must be nonnegative")
@@ -542,10 +540,11 @@ def approximation_graph(ifs: IFS, m: int,
             letter, at = np.nonzero(inside)
             word, vid = 4 * word[at] + letter, vid[at]
             pulled = Lattice(images.num[inside], images.den).reduced()
+        table = VertexTable(pulled)
+        keep = np.array([point_in_attractor(ifs, p) for p in table.lattice().points()])[table.ids]
         members = [[] for _ in range(4 ** m)]
-        for i, (w, g) in enumerate(zip(word.tolist(), vid.tolist())):
-            if point_in_attractor(ifs, pulled.point(i)):
-                members[w].append(g)
+        for w, g in zip(word[keep].tolist(), vid[keep].tolist()):
+            members[w].append(g)
     words = itertools.product((1, 2, 3, 4), repeat=m)
     cells = {w: tuple(sorted(ids)) for w, ids in zip(words, members)}
     edges = {pair for ids in cells.values() for pair in itertools.combinations(ids, 2)}

@@ -13,13 +13,13 @@ from scipy.spatial import cKDTree
 
 import agres
 import exact_reference as ref
-from agres import geometry
+from agres import exact, geometry
 from agres.errors import CapExceeded, DomainError, NumericalError
 from agres.exact import Point
 from agres.geometry import (CENTROID, CORNERS, BoundarySet, Label, _corner_cloud,
-                            boundary_set, classify_boundary_point, doubling_orbit, edge_point,
-                            point_in_attractor, point_in_triangle, point_on_triangle_boundary,
-                            point_of_address)
+                            _level_geometry, boundary_set, classify_boundary_point,
+                            doubling_orbit, edge_point, point_in_attractor, point_in_triangle,
+                            point_on_triangle_boundary, point_of_address)
 from exact_reference import cartesian
 
 
@@ -248,6 +248,9 @@ class TestBoundarySet:
                 assert lab.kind == "edge" and lab.edge == e and lab.t == t
 
 
+DEEP_GRAPH_LAMBDAS = ["3/16", "2/7", "11/32", "181/512"]
+
+
 class TestApproximationGraph:
     def test_level_zero(self, ifs14):
         g = agres.approximation_graph(ifs14, 0)
@@ -263,7 +266,8 @@ class TestApproximationGraph:
         sizes = sorted(len(ids) for ids in g.cells.values())
         assert sizes == [3, 4, 4, 4]
 
-    @pytest.mark.parametrize("lam,m", [("1/4", 1), ("1/4", 2), ("1/8", 2), ("1/7", 2)])
+    @pytest.mark.parametrize("lam,m", [("1/4", 1), ("1/4", 2), ("1/8", 2), ("1/7", 2),
+                                       *((lam, 3) for lam in DEEP_GRAPH_LAMBDAS)])
     def test_fast_equals_direct(self, lam, m):
         ifs = agres.make_ifs(lam)
         fast = agres.approximation_graph(ifs, m, method="fast")
@@ -278,6 +282,35 @@ class TestApproximationGraph:
             members = tuple(i for i, p in enumerate(points)
                             if ref.in_attractor(lam, ref.apply(inv, p), memo=memo))
             assert direct.cells[word] == members, word
+
+    @pytest.mark.parametrize("m,force_objects", [(3, True), (4, False), (4, True)])
+    @pytest.mark.parametrize("lam", DEEP_GRAPH_LAMBDAS)
+    def test_fast_equals_direct_deeper(self, lam, m, force_objects, monkeypatch):
+        if force_objects:
+            monkeypatch.setattr(exact, "INT64_LIMIT", 0)
+        ifs = agres.make_ifs(lam)
+        direct = agres.approximation_graph(ifs, m, method="direct")
+        assert (_level_geometry(ifs, m).table.num.dtype == object) == force_objects
+        fast = agres.approximation_graph(ifs, m, method="fast")
+        assert fast.edges == direct.edges and fast.cells == direct.cells
+
+    @pytest.mark.parametrize("lam,m", [("1/7", 3), ("3/16", 3), ("181/512", 3)])
+    def test_direct_tests_each_distinct_pullback_once(self, lam, m, monkeypatch):
+        tested = []
+
+        def spy(ifs, p):
+            tested.append(p)
+            return point_in_attractor(ifs, p)
+
+        monkeypatch.setattr(geometry, "point_in_attractor", spy)
+        g = agres.approximation_graph(agres.make_ifs(lam), m, method="direct")
+        points = [cartesian(p) for p in g.points]
+        pulled = set()
+        for _, fw in ref.iter_word_maps(lam, m):
+            inv = ref.inverse(fw)
+            pulled.update(q for q in (ref.apply(inv, p) for p in points) if ref.in_triangle(q))
+        assert len(tested) == len(set(tested)) == len(pulled)
+        assert {cartesian(p) for p in tested} == pulled
 
     def test_vertex_count_against_quadratic_dedup_oracle(self, ifs14):
         # hash-free O(n^2) dedup of all corner images

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 import agres
 import exact_reference as ref
-from agres import exact
+from agres import exact, geometry
 from agres.approx import _level_geometry, level_form, resistance_metric
 from agres.errors import UnknownVertex
 from agres.exact import Lattice, Point
-from agres.geometry import (CENTROID, CORNERS, LevelGeometry, VertexTable, _mask_keys,
-                            boundary_set, cell_images, edge_point)
+from agres.geometry import (CENTROID, CORNERS, BoundarySet, LevelGeometry, VertexTable,
+                            _mask_keys, _pullbacks, boundary_set, cell_images,
+                            classify_boundary_point, edge_point, point_in_attractor)
 from agres.network import effective_resistance, numbered
 from exact_reference import cartesian
 
@@ -285,3 +286,62 @@ def test_boundary_oracle_through_a_real_overflow(monkeypatch):
     monkeypatch.setattr(exact.OmegaMaps, "images", spy)
     assert oracle_keys("181/512", 5) == reference_boundary_keys("181/512", 5)
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def pullbacks_of_every_level(lam, depth):
+    """The defining union's terms level by level: P_m, the level-m vertices pulled
+    back m times inside the triangle, for every m <= depth (deduplicated as lattice
+    arrays after every step)."""
+    ifs = agres.make_ifs(lam)
+    level, terms = Lattice.of_points(CORNERS), []
+    for m in range(depth + 1):
+        if m:
+            level = VertexTable(ifs.omega.images(level)).lattice()
+        pulled = level
+        for _ in range(m):
+            images, inside = _pullbacks(ifs, pulled)
+            pulled = VertexTable(Lattice(images.num[inside], images.den)).lattice().reduced()
+        terms.append(pulled)
+    return ifs, terms
+
+
+def union_contact_set(ifs, terms):
+    """The distinct points of the terms, and the contact set their attractor points give."""
+    union = VertexTable(Lattice.concat(terms)).lattice().points()
+    labels = [classify_boundary_point(p) for p in union if point_in_attractor(ifs, p)]
+    return union, BoundarySet(lab.t for lab in labels if lab.kind == "edge")
+
+
+UNION_LAMBDAS = ["1/4", "1/8", "3/8", "1/7", "2/7", "3/7", "3/16", "5/16", "1/5", "11/32",
+                 "1/9", "23/64", "1/3", "5/14"]
+
+
+@pytest.mark.parametrize("lam", UNION_LAMBDAS)
+def test_deepest_level_oracle_equals_the_union_over_levels(lam, monkeypatch):
+    # the oracle pulls back level `depth` only: P_m lies in P_depth for every m <= depth
+    ifs, terms = pullbacks_of_every_level(lam, 7)
+    tested = []
+
+    def spy(ifs, p):
+        tested.append(p)
+        return point_in_attractor(ifs, p)
+
+    monkeypatch.setattr(geometry, "point_in_attractor", spy)
+    for depth in range(8):
+        union, expected = union_contact_set(ifs, terms[:depth + 1])
+        assert set(terms[depth].points()) == set(union)
+        tested.clear()
+        assert boundary_set(agres.make_ifs(lam), "oracle", depth=depth) == expected
+        assert sorted(tested) == sorted(union)
+
+
+@pytest.mark.parametrize("lam", ["3/16", "2/7", "1/9", "5/14"])
+def test_deepest_level_oracle_equals_the_union_on_object_arrays(lam, monkeypatch):
+    wide = [boundary_set(agres.make_ifs(lam), "oracle", depth=d) for d in range(8)]
+    monkeypatch.setattr(exact, "INT64_LIMIT", 0)
+    ifs, terms = pullbacks_of_every_level(lam, 7)
+    assert all(t.num.dtype == object for t in terms[1:])
+    for depth in range(8):
+        _, expected = union_contact_set(ifs, terms[:depth + 1])
+        assert boundary_set(agres.make_ifs(lam), "oracle", depth=depth) == expected
+        assert wide[depth] == expected
