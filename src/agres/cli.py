@@ -147,7 +147,10 @@ def validate(cfg: RunConfig) -> list[str]:
         v.append("pairs: required for resistance")
     if cfg.command in ("resistance", "converge") and cfg.pairs:
         try:
-            _parse_pairs(cfg.pairs)
+            pairs = _parse_pairs(cfg.pairs)
+            if cfg.level >= 0:  # a negative level is its own violation
+                for word, corner in (addr for pair in pairs for addr in pair):
+                    geometry.address_leaf(word, corner, cfg.level)
         except ValidationError as exc:
             v.append(f"pairs: {exc}")
     if cfg.command == "relations" and lam is not None:
@@ -159,6 +162,11 @@ def validate(cfg: RunConfig) -> list[str]:
             v.append(f"lambda: {exc}")
     if cfg.level < 0:
         v.append("level: must be nonnegative")
+    elif cfg.command in ("resistance", "resolvent", "converge"):
+        try:
+            approx._check_level(cfg.level)
+        except AgresError as exc:
+            v.append(f"level: {exc}")
     if cfg.depth < 0 or cfg.depth > geometry.GRAPH_LEVEL_CAP:
         v.append(f"depth: must lie in 0..{geometry.GRAPH_LEVEL_CAP}")
     if cfg.alpha is not None and not (math.isfinite(cfg.alpha) and cfg.alpha > 0):

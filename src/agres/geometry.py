@@ -13,7 +13,8 @@ whole point arrays with integer numerators over one denominator, and a
 glued copies and graphs all come from these two.  The oracle contact set
 pulls the deepest level's vertices back, and the direct graph method the
 level's vertex table, as whole point arrays under the inverse maps on the
-same lattice; attractor membership then pulls each distinct point back.
+same lattice.  A level vertex pulled back inside the triangle is a point of
+the attractor (``_pullbacks``), so neither tests attractor membership.
 """
 
 from __future__ import annotations
@@ -249,10 +250,10 @@ def boundary_set(ifs: IFS, mode: Literal["fast", "oracle"] = "fast",
     parameter 2*lam, and pullbacks double the parameter).  Oracle mode
     evaluates the defining union directly down to ``depth`` subdivisions:
     pull the level-``depth`` vertices, which cover every shallower level,
-    back inside the triangle on the Eisenstein lattice, and test them for
-    attractor membership exactly.  The two must agree; tests enforce it,
-    and check the oracle against the union over every level and against a
-    reference in Cartesian coordinates (x, y / sqrt(3)) with rational maps.
+    back inside the triangle on the Eisenstein lattice.  The two must agree;
+    tests enforce it, and check the oracle against the union over every
+    level and against a reference in Cartesian coordinates (x, y / sqrt(3))
+    with rational maps.
     """
     if mode == "fast":
         return ifs.cached(("boundary", guard),
@@ -268,7 +269,19 @@ def boundary_set(ifs: IFS, mode: Literal["fast", "oracle"] = "fast",
 
 def _pullbacks(ifs: IFS, lat: Lattice) -> tuple[Lattice, np.ndarray]:
     """A flat point array pulled back under the four inverse maps (shape (4, N)),
-    and the mask of the pullbacks inside the closed reference triangle."""
+    and the mask of the pullbacks inside the closed reference triangle.
+
+    A masked pullback of a point of the attractor K is a point of K.  Let
+    v be in K with F_i^-1(v) in the triangle T, and let v lie in the cell
+    F_j(K).  If j = i, F_i^-1(v) is in K.  Otherwise v lies where the
+    level-1 triangles F_i(T) and F_j(T) meet, and they meet in one point
+    only: two corner cells share one vertex, and the added cell touches
+    corner cell i at F_4(p_k) = F_i(e), e the edge point at parameter
+    2 lam.  Either way F_i^-1(v) is a corner or an edge point of T, and
+    the edges of T lie in the corner maps' gasket, which lies in K.
+    Level vertices F_w(p) lie in K, so every pullback of one that stays
+    in T, letter after letter, does too.
+    """
     images = ifs.omega_inverses.images(lat, headroom=2)  # U + V must not wrap either
     U, V = images.num[..., 0], images.num[..., 1]
     return images, (U >= 0) & (V >= 0) & (U + V <= images.den)
@@ -283,8 +296,9 @@ def _boundary_set_oracle(ifs: IFS, depth: int) -> BoundarySet:
     point cannot contain it).  Each v in V_{m-1} has F_i(v) in V_m and
     F_i^-1(F_i(v)) = v, so V_{m-1} lies in pull(V_m); pull is monotone, so
     P_{m-1} lies in P_m and the union is P_depth.  Level ``depth`` is pulled
-    back as one lattice array, deduplicated and reduced after every step,
-    and each survivor is tested for attractor membership exactly.
+    back as one lattice array, deduplicated and reduced after every step.
+    Every survivor lies in the attractor (``_pullbacks``), so none is
+    tested for membership.
     """
     level = Lattice.of_points(CORNERS)
     for _ in range(depth):
@@ -292,14 +306,9 @@ def _boundary_set_oracle(ifs: IFS, depth: int) -> BoundarySet:
     for _ in range(depth):
         images, inside = _pullbacks(ifs, level)
         level = VertexTable(Lattice(images.num[inside], images.den)).lattice().reduced()
-    ts: set[Fraction] = set()
-    for p in level.points():
-        if not point_in_attractor(ifs, p):
-            continue
-        lab = classify_boundary_point(p)  # raises if a contact leaves the edge skeleton
-        if lab.kind == "edge":
-            ts.add(lab.t)
-    return BoundarySet(ts)
+    # raises if a contact leaves the edge skeleton
+    labels = [classify_boundary_point(p) for p in level.points()]
+    return BoundarySet(lab.t for lab in labels if lab.kind == "edge")
 
 
 # -- approximating graphs --------------------------------------------------------
@@ -450,24 +459,30 @@ class LevelGeometry:
         return self.table.lattice().point(vid)
 
     def vid_of_address(self, word: Word, corner: int) -> int:
-        """Vertex id of F_w(p_corner); the word is padded with the corner's own letter."""
-        if corner not in (1, 2, 3):
-            raise UnknownVertex("corner index must be 1, 2 or 3")
-        if len(word) > self.m:
-            raise UnknownVertex(f"word longer than level {self.m}")
-        padded = tuple(word) + (corner,) * (self.m - len(word))
-        leaf = 0
-        for c in padded:
-            if c not in (1, 2, 3, 4):
-                raise UnknownVertex(f"bad letter in word {padded}")
-            leaf = leaf * 4 + (c - 1)
-        return int(self.leaf_corners[leaf, corner - 1])
+        """Vertex id of F_w(p_corner)."""
+        return int(self.leaf_corners[address_leaf(word, corner, self.m), corner - 1])
 
     def vid_of_point(self, p: Point) -> int:
         g = self.table.index_of(*p)
         if g is None:
             raise UnknownVertex("point is not a vertex at this level")
         return g
+
+
+def address_leaf(word: Word, corner: int, m: int) -> int:
+    """Index of the level-m cell whose corner ``corner`` is F_w(p_corner): the word
+    padded with the corner's own letter, in lexicographic word order."""
+    if corner not in (1, 2, 3):
+        raise UnknownVertex("corner index must be 1, 2 or 3")
+    if len(word) > m:
+        raise UnknownVertex(f"word longer than level {m}")
+    padded = tuple(word) + (corner,) * (m - len(word))
+    leaf = 0
+    for c in padded:
+        if c not in (1, 2, 3, 4):
+            raise UnknownVertex(f"bad letter in word {padded}")
+        leaf = leaf * 4 + (c - 1)
+    return leaf
 
 
 def _level_geometry(ifs: IFS, m: int) -> LevelGeometry:
@@ -519,8 +534,9 @@ def approximation_graph(ifs: IFS, m: int,
     is the image of a contact point).  The direct method validates it on
     small levels: it pulls the whole vertex table back under every inverse
     cell map F_w^-1 = F_{w_m}^-1 o ... o F_{w_1}^-1 as lattice arrays, one
-    letter at a time, drops the pullbacks outside the closed triangle
-    exactly, and tests each distinct survivor once for attractor membership.
+    letter at a time, and drops the pullbacks outside the closed triangle
+    exactly.  A vertex v lies in cell w iff F_w^-1(v) lies in the attractor,
+    and every survivor does (``_pullbacks``), so it is a member of its cell.
     """
     if m < 0:
         raise DomainError("level must be nonnegative")
@@ -540,10 +556,8 @@ def approximation_graph(ifs: IFS, m: int,
             letter, at = np.nonzero(inside)
             word, vid = 4 * word[at] + letter, vid[at]
             pulled = Lattice(images.num[inside], images.den).reduced()
-        table = VertexTable(pulled)
-        keep = np.array([point_in_attractor(ifs, p) for p in table.lattice().points()])[table.ids]
         members = [[] for _ in range(4 ** m)]
-        for w, g in zip(word[keep].tolist(), vid[keep].tolist()):
+        for w, g in zip(word.tolist(), vid.tolist()):
             members[w].append(g)
     words = itertools.product((1, 2, 3, 4), repeat=m)
     cells = {w: tuple(sorted(ids)) for w, ids in zip(words, members)}

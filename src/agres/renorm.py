@@ -593,12 +593,11 @@ def _invariant_partitions(perm: Sequence[int]) -> np.ndarray:
     return sigs
 
 
-def _slot_joins(ifs: IFS, bset: BoundarySet, k: int) -> tuple[np.ndarray, ...]:
-    """The depth-k copies' slots w * n + i (point i of copy w) as pairs of slots glued
-    to one point, then a slot holding each boundary point."""
-    table, ids = seeded_copies(ifs, bset.points, k)
-    if np.unique(ids).size < len(table):
-        raise IdentificationMismatch("a boundary point is not an image of any copy")
+def _slot_joins(ifs: IFS, bset: BoundarySet) -> tuple[np.ndarray, ...]:
+    """The depth-1 copies' slots w * n + i (point i of copy w) as pairs of slots glued
+    to one point, then a slot holding each boundary point.  ``GlueContext`` checks
+    that the copies cover the boundary set."""
+    ids = _glue_context(ifs, bset, True).ids
     order = np.argsort(ids, axis=None)
     glued = ids.reshape(-1)[order]
     same = np.flatnonzero(glued[1:] == glued[:-1])
@@ -610,10 +609,18 @@ def enumerate_preserved_relations(ifs: IFS, k: int = 1,
     """All rotation-invariant equivalence relations reproduced by one subdivision step.
 
     Generates the rotation-invariant partitions of the boundary set
-    (``_invariant_partitions``) and keeps those whose depth-kk copy graph induces exactly
-    themselves back on the boundary set, for every kk = 1..k.  A copy graph has one node
-    per block of each copy, joined where copies share a point; each depth checks its
-    candidates ``RELATION_CHUNK`` at a time, in one stacked union-find per chunk.
+    (``_invariant_partitions``) and keeps those whose depth-1 copy graph induces exactly
+    themselves back on the boundary set.  A copy graph has one node per block of each
+    copy, joined where copies share a point; the candidates are checked
+    ``RELATION_CHUNK`` at a time, in one stacked union-find per chunk.
+
+    Depth 1 settles every depth k >= 1, which is still accepted and validated.  Let
+    Phi_k(R) be the relation that the depth-k copy graph of R induces on the boundary
+    set.  The depth-k copies are four depth-1 copies of the depth-(k-1) copies.
+    Inside one depth-1 cell they are glued as at depth k-1, so each cell carries
+    Phi_{k-1}(R) on its copy of the boundary set; two cells meet only at images
+    F_i(u) = F_j(u') of boundary points, which is what defines the contact set.  So
+    Phi_k = Phi_1 o Phi_{k-1}, and a fixed point of Phi_1 is one of every Phi_k.
     """
     if k < 1:
         raise DomainError(f"relation depth must be at least 1, got {k}")
@@ -622,16 +629,15 @@ def enumerate_preserved_relations(ifs: IFS, k: int = 1,
     if n > guard:
         raise GuardExceeded(f"boundary set has {n} points, guard is {guard}")
     sigs = _invariant_partitions(bset.g_permutation)
-    for kk in range(1, k + 1):
-        joins, size, kept = _slot_joins(ifs, bset, kk), 4 ** kk * n, []
-        for s in np.split(sigs, range(RELATION_CHUNK, len(sigs), RELATION_CHUNK)):
-            # slot w of row t is the node of block s[t, w % n] in copy w // n
-            rows = np.arange(len(s))[:, None] * size
-            a, b, head = (rows + w - w % n + s[:, w % n] for w in joins)
-            labels = _components(len(s) * size, np.column_stack([a.ravel(), b.ravel()]))[head]
-            kept.append(s[np.equal(*(np.argmax(x[:, :, None] == x[:, None, :], axis=2)
-                                     for x in (labels, s))).all(axis=1)])
-        sigs = np.concatenate(kept)
+    joins, size, kept = _slot_joins(ifs, bset), 4 * n, []
+    for s in np.split(sigs, range(RELATION_CHUNK, len(sigs), RELATION_CHUNK)):
+        # slot w of row t is the node of block s[t, w % n] in copy w // n
+        rows = np.arange(len(s))[:, None] * size
+        a, b, head = (rows + w - w % n + s[:, w % n] for w in joins)
+        labels = _components(len(s) * size, np.column_stack([a.ravel(), b.ravel()]))[head]
+        kept.append(s[np.equal(*(np.argmax(x[:, :, None] == x[:, None, :], axis=2)
+                                 for x in (labels, s))).all(axis=1)])
+    sigs = np.concatenate(kept)
     rels = [Relation(tuple(tuple(i for i, c in enumerate(sig) if c == blk)
                            for blk in range(max(sig) + 1))) for sig in sigs.tolist()]
     return sorted(rels, key=lambda rel: (len(rel.blocks), rel.blocks))

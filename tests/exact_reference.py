@@ -133,6 +133,34 @@ def in_attractor(lam, p, cap: int = 64, memo=None) -> bool:
     return descend(p)
 
 
+def cell_members(lam, points, m: int) -> dict:
+    """Every length-m word w with the indices of the points v whose F_w^-1(v) is in
+    the attractor, ascending: the vertex sets of the level-m cells.
+
+    The points are pulled back one letter at a time (F_w^-1 applies F_{w_1}^-1
+    first), keeping the pullbacks inside the triangle and merging equal ones
+    after every letter; each distinct survivor is tested for membership once."""
+    invs = [inverse(f) for f in maps(lam)]
+    frontier: dict = {}  # each distinct pullback, with the (word, index) pairs reaching it
+    for i, p in enumerate(points):
+        frontier.setdefault(p, []).append(((), i))
+    for _ in range(m):
+        pulled: dict = {}
+        for q, tags in frontier.items():
+            for c, inv in enumerate(invs, 1):
+                r = apply(inv, q)
+                if in_triangle(r):
+                    pulled.setdefault(r, []).extend((w + (c,), i) for w, i in tags)
+        frontier = pulled
+    members: dict = {w: [] for w in itertools.product((1, 2, 3, 4), repeat=m)}
+    memo: dict = {}
+    for q, tags in frontier.items():
+        if in_attractor(lam, q, memo=memo):
+            for w, i in tags:
+                members[w].append(i)
+    return {w: tuple(sorted(ids)) for w, ids in members.items()}
+
+
 def cover_excludes(lam, p, depth: int) -> bool:
     """Certify non-membership: no depth-k cell triangle contains the point.
 

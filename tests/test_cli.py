@@ -402,6 +402,33 @@ class TestCommands:
         assert obj["error"]["type"] == "ValidationError"
         assert flag[2:].replace("-", "_") in obj["error"]["message"]
 
+    @pytest.mark.parametrize("command, level, pairs, message", [
+        ("resistance", "2", "(5,1):(,2)", "pairs: bad letter in word (5, 1)"),
+        ("resistance", "2", "(111,1):(,2)", "pairs: word longer than level 2"),
+        ("resistance", "2", "(1,4):(,2)", "pairs: corner index must be 1, 2 or 3"),
+        ("converge", "2", "(4,1):(5,2)", "pairs: bad letter in word (5, 2)"),
+        ("converge", "2", "(,1):(414,2)", "pairs: word longer than level 2"),
+        ("resistance", "9", "(,1):(,2)", "level: level 9 exceeds cap 8"),
+        ("resolvent", "9", None, "level: level 9 exceeds cap 8"),
+        ("converge", "9", None, "level: level 9 exceeds cap 8"),
+    ])
+    def test_addresses_and_level_cap_are_validation_errors(self, tmp_path, capsys, monkeypatch,
+                                                           command, level, pairs, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before validation")
+
+        args = [command, "--s", "0.5", "--level", level]
+        args += (["--target", "1/sqrt8", "--n", "4..5"] if command == "converge"
+                 else ["--lambda", "1/4"])
+        args += ["--pairs", pairs] if pairs else []
+        monkeypatch.setattr("agres.renorm.solve_r", no_work)
+        monkeypatch.setattr("agres.converge.solve_r", no_work)
+        monkeypatch.setattr("agres.geometry.LevelGeometry.__init__", no_work)
+        code, out = run_cli(args, tmp_path)
+        assert code == 2 and not (out / "manifest.json").exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err == {"type": "ValidationError", "message": message}
+
 
 def oracle_resolvent_csv(points, matrix) -> bytes:
     """resolvent.csv as the plain one-entry-at-a-time writer formats it: the slow

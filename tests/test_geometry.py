@@ -267,7 +267,7 @@ class TestApproximationGraph:
         assert sizes == [3, 4, 4, 4]
 
     @pytest.mark.parametrize("lam,m", [("1/4", 1), ("1/4", 2), ("1/8", 2), ("1/7", 2),
-                                       *((lam, 3) for lam in DEEP_GRAPH_LAMBDAS)])
+                                       *((lam, m) for m in (3, 4) for lam in DEEP_GRAPH_LAMBDAS)])
     def test_fast_equals_direct(self, lam, m):
         ifs = agres.make_ifs(lam)
         fast = agres.approximation_graph(ifs, m, method="fast")
@@ -275,13 +275,7 @@ class TestApproximationGraph:
         assert fast.edges == direct.edges and fast.cells == direct.cells
         assert fast.points == direct.points
         # a vertex lies in cell w iff F_w^-1 of it is in the attractor
-        points = [cartesian(p) for p in direct.points]
-        memo: dict = {}
-        for word, fw in ref.iter_word_maps(lam, m):
-            inv = ref.inverse(fw)
-            members = tuple(i for i, p in enumerate(points)
-                            if ref.in_attractor(lam, ref.apply(inv, p), memo=memo))
-            assert direct.cells[word] == members, word
+        assert direct.cells == ref.cell_members(lam, [cartesian(p) for p in direct.points], m)
 
     @pytest.mark.parametrize("m,force_objects", [(3, True), (4, False), (4, True)])
     @pytest.mark.parametrize("lam", DEEP_GRAPH_LAMBDAS)
@@ -296,6 +290,7 @@ class TestApproximationGraph:
 
     @pytest.mark.parametrize("lam,m", [("1/7", 3), ("3/16", 3), ("181/512", 3)])
     def test_direct_tests_each_distinct_pullback_once(self, lam, m, monkeypatch):
+        # every in-triangle pullback is a member, so the direct graph tests none
         tested = []
 
         def spy(ifs, p):
@@ -303,14 +298,17 @@ class TestApproximationGraph:
             return point_in_attractor(ifs, p)
 
         monkeypatch.setattr(geometry, "point_in_attractor", spy)
-        g = agres.approximation_graph(agres.make_ifs(lam), m, method="direct")
+        ifs = agres.make_ifs(lam)
+        g = agres.approximation_graph(ifs, m, method="direct")
         points = [cartesian(p) for p in g.points]
-        pulled = set()
-        for _, fw in ref.iter_word_maps(lam, m):
+        pulled, kept = set(), set()
+        for word, fw in ref.iter_word_maps(lam, m):
             inv = ref.inverse(fw)
             pulled.update(q for q in (ref.apply(inv, p) for p in points) if ref.in_triangle(q))
-        assert len(tested) == len(set(tested)) == len(pulled)
-        assert {cartesian(p) for p in tested} == pulled
+            kept.update(ref.apply(inv, points[i]) for i in g.cells[word])
+        assert tested == []
+        assert kept == pulled
+        assert all(point_in_attractor(ifs, lattice_point(q)) for q in pulled)
 
     def test_vertex_count_against_quadratic_dedup_oracle(self, ifs14):
         # hash-free O(n^2) dedup of all corner images
@@ -459,6 +457,39 @@ class TestGuards:
     def test_hausdorff_depth_must_be_nonnegative(self, ifs14):
         with pytest.raises(DomainError):
             agres.hausdorff_distance(ifs14, agres.make_ifs("3/8"), depth=-3)
+
+
+# the 78 lambda = p/q, q <= 32, whose contact parameter has a doubling orbit of at most 6
+ORBIT6_LAMBDAS = sorted({Fraction(p, q) for q in range(3, 33) for p in range(1, q)
+                         if 2 * p < q and len(doubling_orbit(Fraction(2 * p, q))) <= 6})
+
+
+@pytest.mark.parametrize("lam", ORBIT6_LAMBDAS, ids=str)
+def test_oracles_keep_only_members_and_test_none(lam, monkeypatch):
+    # a level vertex pulled back inside the triangle is a point of the attractor
+    tested, kept = [], []
+
+    def spy(ifs, p):
+        tested.append(p)
+        return point_in_attractor(ifs, p)
+
+    def classify(p):
+        kept.append(p)
+        return classify_boundary_point(p)
+
+    monkeypatch.setattr(geometry, "point_in_attractor", spy)
+    monkeypatch.setattr(geometry, "classify_boundary_point", classify)
+    ifs = agres.make_ifs(lam)
+    assert boundary_set(ifs, "oracle") == boundary_set(ifs)
+    g = agres.approximation_graph(ifs, 3, method="direct")
+    assert tested == [] and kept
+    for word, ids in g.cells.items():
+        for i in ids:
+            q = g.points[i]
+            for c in word:  # F_w^-1 applies F_{w_1}^-1 first
+                q = ifs.omega_inverses.apply(c - 1, q)
+            kept.append(q)
+    assert all(point_in_attractor(ifs, q) for q in kept)
 
 
 class TestBoundaryOracleExtended:

@@ -330,9 +330,10 @@ def test_deepest_level_oracle_equals_the_union_over_levels(lam, monkeypatch):
     for depth in range(8):
         union, expected = union_contact_set(ifs, terms[:depth + 1])
         assert set(terms[depth].points()) == set(union)
-        tested.clear()
         assert boundary_set(agres.make_ifs(lam), "oracle", depth=depth) == expected
-        assert sorted(tested) == sorted(union)
+        # every in-triangle pullback of a vertex is a member, so the oracle tests none
+        assert tested == []
+        assert all(point_in_attractor(ifs, p) for p in union)
 
 
 @pytest.mark.parametrize("lam", ["3/16", "2/7", "1/9", "5/14"])

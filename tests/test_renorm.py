@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from agres import renorm
 from agres.converge import dyadic_schedule
 from agres.errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
                           GuardExceeded, NoConvergence)
-from agres.geometry import BoundarySet, _level_geometry, boundary_set, seeded_copies
+from agres.geometry import (BoundarySet, _level_geometry, boundary_set, doubling_orbit,
+                            seeded_copies)
 from agres.network import FiniteForm, effective_resistance, trace
 from agres.renorm import (EIGEN_MAX_ITERS, EIGEN_TOL, BoundaryForm,
                           EigenResult, GlueContext, eigen_solve,
@@ -124,6 +126,11 @@ def invariant_by_brute_force(perm: tuple[int, ...]) -> set:
     for _ in perm:
         sigs = [sig + (b,) for sig in sigs for b in range(max(sig, default=-1) + 2)]
     return {sig for sig in sigs if first_occurrence(sig[p] for p in perm) == sig}
+
+
+# the 47 lambda = p/q, q < 40, with at most 15 boundary points
+SMALL_SET_LAMBDAS = sorted({Fraction(p, q) for q in range(3, 40) for p in range(1, q)
+                            if 2 * p < q and len(doubling_orbit(Fraction(2 * p, q))) <= 4})
 
 
 def full_start(ifs):
@@ -432,7 +439,7 @@ class TestPreservedRelations:
         monkeypatch.setattr(renorm, "RELATION_CHUNK", chunk)
         assert enumerate_preserved_relations(ifs, k=k, guard=guard) == whole
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("lam, guard", [
         ("1/4", 12), ("1/8", 12), ("1/16", 12), ("1/6", 12), ("1/7", 12), ("2/7", 12),
         ("3/16", 12), ("1/5", 15), ("11/32", 15),
@@ -450,6 +457,28 @@ class TestPreservedRelations:
     def test_nontrivial_exists_for_non_dyadic_beyond_default_guard(self):
         rels = enumerate_preserved_relations(agres.make_ifs("1/5"), guard=15)
         assert any(not r.is_trivial for r in rels)
+
+    @pytest.mark.parametrize("lam", SMALL_SET_LAMBDAS, ids=str)
+    def test_depth_one_fixed_points_are_fixed_at_every_depth(self, lam, monkeypatch):
+        # Phi_k = Phi_1 o Phi_(k-1), so depth 1 settles every depth
+        depths = []
+
+        def spy(ifs, pts, m, words=None):
+            depths.append(m)
+            return seeded_copies(ifs, pts, m, words)
+
+        monkeypatch.setattr(renorm, "seeded_copies", spy)
+        ifs = agres.make_ifs(lam)
+        rels = [enumerate_preserved_relations(ifs, k=k, guard=15) for k in (1, 2, 3)]
+        assert rels[0] == rels[1] == rels[2] and depths == [1]
+        bset = boundary_set(ifs)
+        for rel in rels[0]:
+            sig = [0] * bset.size
+            for b, block in enumerate(rel.blocks):
+                for i in block:
+                    sig[i] = b
+            assert all(_restricted_relation(ifs, bset, tuple(sig), k) == tuple(sig)
+                       for k in (1, 2, 3))
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_depth_below_one_is_a_domain_error(self, k):
