@@ -167,6 +167,8 @@ def validate(cfg: RunConfig) -> list[str]:
             approx._check_level(cfg.level)
         except AgresError as exc:
             v.append(f"level: {exc}")
+    elif cfg.command == "graph" and cfg.level > geometry.GRAPH_LEVEL_CAP:
+        v.append(f"level: level {cfg.level} exceeds cap {geometry.GRAPH_LEVEL_CAP}")
     if cfg.depth < 0 or cfg.depth > geometry.GRAPH_LEVEL_CAP:
         v.append(f"depth: must lie in 0..{geometry.GRAPH_LEVEL_CAP}")
     if cfg.alpha is not None and not (math.isfinite(cfg.alpha) and cfg.alpha > 0):

@@ -27,7 +27,7 @@ from .network import (FiniteForm, _components, _Factor, _laplacian, _pair_conduc
 
 EIGEN_TOL = 1e-12
 EIGEN_MAX_ITERS = 10_000
-CHORD_START = 1e-2  # profile change below which eigen_solve switches to chord steps
+CHORD_START = 1e-1  # profile change below which eigen_solve switches to chord steps
 CHORD_RATE = 0.2    # a chord step contracting the change less than this rebuilds J
 BISECT_TOL = 1e-10
 RELATION_GUARD = 12
@@ -151,6 +151,10 @@ class GlueContext:
         self.scatter = gids.reshape(a.shape)
         self.gpair_a, self.gpair_b = lo[first], hi[first]
         self.n_gpairs = len(first)
+        # flat positions of each glued pair's -g at (a, b) and (b, a), +g at (a, a) and (b, b)
+        ga, gb = self.gpair_a, self.gpair_b
+        self._laplacian_at = np.ravel_multi_index(([ga, gb, ga, gb], [gb, ga, ga, gb]),
+                                                  (self.n_glued,) * 2).ravel()
 
     @property
     def points(self) -> list[Point]:
@@ -169,7 +173,8 @@ class GlueContext:
 
     def _schur(self, gvec: np.ndarray) -> tuple[np.ndarray, _Factor, np.ndarray]:
         """``network._schur`` of the glued Laplacian onto the boundary vertices."""
-        L = _laplacian(self.n_glued, self.gpair_a, self.gpair_b, gvec)
+        L = np.bincount(self._laplacian_at, np.concatenate([-gvec, -gvec, gvec, gvec]),
+                        self.n_glued ** 2).reshape(self.n_glued, -1)
         try:
             return _schur(L, self.N)
         except SingularInterior as exc:
@@ -178,19 +183,22 @@ class GlueContext:
                 raise Disconnected("glued network is disconnected") from exc
             raise
 
+    def trace(self, cvec: np.ndarray, weights: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """``apply``'s pair vector, and the X of the glued network's harmonic extension [I; -X]."""
+        S, _, X = self._schur(self.glued_vector(cvec, weights))
+        return _pair_conductances(S, self.pair_i, self.pair_j)[0], X
+
     def apply(self, cvec: np.ndarray, weights: Sequence[float]) -> np.ndarray:
         """Glue the weighted copies and trace to the boundary; returns its pair vector."""
-        S = self._schur(self.glued_vector(cvec, weights))[0]
-        return _pair_conductances(S, self.pair_i, self.pair_j)[0]
+        return self.trace(cvec, weights)[0]
 
-    def jacobian(self, cvec: np.ndarray, weights: Sequence[float]) -> np.ndarray:
-        """Jacobian of ``normalized(apply(.))`` at a rotation-symmetric vector: a row (its
-        least pair) and a column (summed over the orbit) per pair orbit.  The trace's
-        derivative in the glued conductance of (p, q) is -h[a] h[b] on the output pair
-        (a, b), h being row p minus row q of the harmonic extension (Kigami, Analysis on
-        Fractals, ch. 2); the normalization adds a rank-one term."""
-        S, _, X = self._schur(self.glued_vector(cvec, weights))
-        y = _pair_conductances(S, self.pair_i, self.pair_j)[0]
+    def jacobian(self, X: np.ndarray, y: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+        """Jacobian of ``e0_normalized(apply(.))`` at a rotation-symmetric vector, from the
+        harmonic extension X and the image y that ``trace`` returned there: a row (its least
+        pair) and a column (summed over the orbit) per pair orbit.  The trace's derivative
+        in the glued conductance of (p, q) is -h[a] h[b] on the output pair (a, b), h being
+        row p minus row q of the harmonic extension (Kigami, Analysis on Fractals, ch. 2);
+        the normalization adds a rank-one term."""
         Ht = np.hstack([np.eye(self.N), -X.T])
         rep = self.orbit_pairs[0]
         a, b = self.pair_i[rep], self.pair_j[rep]
@@ -200,9 +208,10 @@ class GlueContext:
             for m in self.orbit_pairs:
                 h = K[:, self.pair_i[m]] - K[:, self.pair_j[m]]  # boundary vertex x input orbit
                 Jy -= h[a] * h[b] / float(weights[ci])
-        u = self._unit_potential(y)
-        dR = -np.bincount(self.orbit_ids, (u[self.pair_i] - u[self.pair_j]) ** 2) @ Jy
-        return 1.5 * (u[1] * Jy + np.outer(y[rep], dR))
+        # m0[o]: the pairs of orbit o that touch vertex 0, so m0 @ y is E0 of the orbit values
+        m0 = np.bincount(self.orbit_ids[self.pair_i == 0], minlength=len(rep))
+        y = self.symmetrize_vector(y)[rep]
+        return Jy / (m0 @ y) - np.outer(y, m0 @ Jy) / (m0 @ y) ** 2
 
     def _unit_potential(self, cvec: np.ndarray) -> np.ndarray:
         """Potential of a unit current from corner 2 (vertex 1) to corner 1 (vertex 0),
@@ -222,6 +231,11 @@ class GlueContext:
 
     def symmetrize_vector(self, cvec: np.ndarray) -> np.ndarray:
         return _orbit_average(cvec, self.orbit_ids)
+
+    def e0_normalized(self, cvec: np.ndarray) -> np.ndarray:
+        """The vector symmetrized, then scaled so that the indicator of corner 1 has energy 1."""
+        cvec = self.symmetrize_vector(cvec)
+        return cvec / self.energy_at_p1_indicator(cvec)
 
     def normalized(self, cvec: np.ndarray) -> np.ndarray:
         """The vector symmetrized, then scaled to resistance 2/3 between corners 1 and 2."""
@@ -278,8 +292,9 @@ def renorm_map(ifs: IFS, D: BoundaryForm, weights) -> BoundaryForm:
 
 @dataclass
 class EigenResult:
-    """Fixed ray of the unit-corner-weight subdivision map at one added weight; ``chord``
-    is the LU factor of J - I that a later solve on the same boundary set may start from."""
+    """Fixed ray of the unit-corner-weight subdivision map at one added weight, D at corner
+    resistance 2/3; ``chord`` is the LU factor of J - I (J that of the loop's E0-scaled map)
+    that a later solve on the same boundary set may start from."""
     rtilde4: float
     C: float
     D: BoundaryForm
@@ -303,17 +318,20 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
                 chord: Optional[tuple] = None) -> EigenResult:
     """Fixed conductance profile of the subdivision map at unit corner weights.
 
-    Iterates T = normalize(apply(.)) from a rotation-symmetric start until
-    it changes the profile by less than ``tol`` and takes that image;
-    normalization rescales so the resistance between corners 1 and 2 is 2/3.
-    Power steps D <- T(D) run until the change is below CHORD_START, then
-    chord steps z <- z - (J - I)^-1 (T(z) - z) on one value per pair orbit,
-    with the Jacobian J factored once (or passed in as ``chord``) and rebuilt
-    whenever a step contracts the change by less than CHORD_RATE.  A chord step
-    that leaves the positive cone or does not reduce the change hands back to
-    power steps.  The scale factor C is the energy ratio of one application at
-    the limit; it lies in [3/5, 1).  ``rtilde4 = inf`` or None omits the added
-    copy (open circuit).
+    Iterates T = e0_normalized(apply(.)) from a rotation-symmetric start until
+    it changes the profile by less than ``tol`` and takes that image.  The
+    trace is homogeneous of degree 1, so scaling each image by E0, the energy
+    of the corner-1 indicator (no solve), gives the same ray; the limit is
+    rescaled once, to resistance 2/3 between corners 1 and 2, before the
+    closing application.  Power steps D <- T(D) run until the change is below
+    CHORD_START, then chord steps z <- z - (J - I)^-1 (T(z) - z) on one value
+    per pair orbit, with J factored once (or passed in as ``chord``) and
+    rebuilt whenever a step contracts the change by less than CHORD_RATE; J
+    comes from the harmonic extension of the step it follows, so every step
+    factors the glued interior once.  A chord step that leaves the positive
+    cone or does not reduce the change hands back to power steps.  The scale
+    factor C is the energy ratio of one application at the limit; it lies in
+    [3/5, 1).  ``rtilde4 = inf`` or None omits the added copy (open circuit).
     """
     rtilde4 = math.inf if rtilde4 is None else float(rtilde4)
     if not rtilde4 > 0:
@@ -324,14 +342,15 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
 
     if initial is not None and initial.n != ctx.N:
         raise DomainError("initial form lives on a different boundary set")
-    c = ctx.normalized(np.ones(len(ctx.pairs)) if initial is None else initial.c)
+    c = ctx.e0_normalized(np.ones(len(ctx.pairs)) if initial is None else initial.c)
 
     rep = ctx.orbit_pairs[0]
     lu = chord if chord is not None and len(chord[1]) == len(rep) else None
     chording = fallen = False
     delta, iters, jacobians = math.inf, 0, 0
     for iters in range(1, max_iters + 1):
-        new = ctx.normalized(ctx.apply(c, ws))
+        y, X = ctx.trace(c, ws)
+        new = ctx.e0_normalized(y)
         prev, delta = delta, _rel_delta(new, c)
         if not math.isfinite(delta):
             raise NoConvergence(f"profile change is {delta} after {iters} iterations")
@@ -343,7 +362,7 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
             lu = None
         chording = not fallen and delta < CHORD_START
         if chording and lu is None:
-            lu = _scipy("linalg.lapack").dgetrf(ctx.jacobian(c, ws) - np.eye(len(rep)))[:2]
+            lu = _scipy("linalg.lapack").dgetrf(ctx.jacobian(X, y, ws) - np.eye(len(rep)))[:2]
             jacobians += 1
         if chording:
             t, z = new[rep], c[rep]
@@ -357,6 +376,7 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
     if not ctx.connected(c):
         raise DegenerateLimit("limit form is disconnected")
 
+    c = ctx.normalized(c)
     raw = ctx.apply(c, ws)
     C = ctx.energy_at_p1_indicator(raw) / ctx.energy_at_p1_indicator(c)
     residual = _rel_delta(raw, C * c)

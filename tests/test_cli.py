@@ -411,6 +411,7 @@ class TestCommands:
         ("resistance", "9", "(,1):(,2)", "level: level 9 exceeds cap 8"),
         ("resolvent", "9", None, "level: level 9 exceeds cap 8"),
         ("converge", "9", None, "level: level 9 exceeds cap 8"),
+        ("graph", "11", None, "level: level 11 exceeds cap 10"),
     ])
     def test_addresses_and_level_cap_are_validation_errors(self, tmp_path, capsys, monkeypatch,
                                                            command, level, pairs, message):

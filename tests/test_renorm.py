@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import agres
-from agres import renorm
+from agres import network, renorm
 from agres.converge import dyadic_schedule
 from agres.errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
                           GuardExceeded, NoConvergence)
@@ -594,10 +594,11 @@ def test_jacobian_matches_central_differences(lam, x):
     # a positive symmetric point off the fixed ray
     z = ray_vector(eigen_solve(ifs, x))[rep]
     z = (z + 0.1 * z.mean()) * np.random.default_rng(3).uniform(0.8, 1.2, len(rep))
-    J = ctx.jacobian(z[ctx.orbit_ids], weights)
+    y, X = ctx.trace(z[ctx.orbit_ids], weights)
+    J = ctx.jacobian(X, y, weights)
 
-    def T(v):  # normalized(apply(.)) on one value per pair orbit
-        return ctx.normalized(ctx.apply(v[ctx.orbit_ids], weights))[rep]
+    def T(v):  # the loop's map, e0_normalized(apply(.)), on one value per pair orbit
+        return ctx.e0_normalized(ctx.apply(v[ctx.orbit_ids], weights))[rep]
 
     fd = np.empty_like(J)
     for k in range(len(z)):
@@ -616,7 +617,7 @@ def test_jacobian_matches_central_differences(lam, x):
 @pytest.mark.parametrize("lam", ["1/7", "181/512"])
 def test_wrong_jacobian_falls_back_to_the_power_ray(monkeypatch, lam, wrong):
     ifs = agres.make_ifs(lam)
-    monkeypatch.setattr(GlueContext, "jacobian", lambda self, c, w: wrong(len(self.pairs) // 3))
+    monkeypatch.setattr(GlueContext, "jacobian", lambda self, X, y, w: wrong(len(self.pairs) // 3))
     res, oracle = eigen_solve(ifs, 0.7), power_eigen_solve(ifs, 0.7)
     assert res.jacobians >= 1 and res.chord is None  # a chord phase ran, then handed back
     assert res.C == pytest.approx(oracle.C, rel=1e-9)
@@ -633,6 +634,85 @@ def test_chord_counts_map_applications(ifs14):
     sol = solve_r(ifs14, 0.5)
     assert sol.jacobians == sum(h.jacobians for h in sol.history) >= 1
     assert "jacobians" not in sol.to_json_obj()
+
+
+def count_calls(monkeypatch, cls, name):
+    """Wrap ``cls.name`` so that every call appends its arguments to the returned list."""
+    calls, method = [], getattr(cls, name)
+
+    def spy(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("lam,x", [("1/7", 0.7), ("181/512", 0.7), ("181/512", 1e-3),
+                                   ("11/32", 2.0)])
+def test_each_step_factors_the_glued_interior_once(monkeypatch, lam, x):
+    ifs = agres.make_ifs(lam)
+    schurs = count_calls(monkeypatch, GlueContext, "_schur")
+    potentials = count_calls(monkeypatch, GlueContext, "_unit_potential")
+    res = eigen_solve(ifs, x)
+    assert res.jacobians >= 1
+    assert len(schurs) == res.iterations + 1  # one per step, one for the closing application
+    assert len(potentials) == 1               # the single rescale to corner resistance 2/3
+
+
+def test_weight_solve_factors_once_per_application(monkeypatch):
+    ifs = agres.make_ifs("181/512")
+    schurs = count_calls(monkeypatch, GlueContext, "_schur")
+    sol = solve_r(ifs, 0.5)
+    assert sol.jacobians >= 1
+    assert len(schurs) == sol.power_iterations + sol.eigen_iterations + 1
+
+
+def test_sqrt8_schedule_map_applications():
+    sols = [solve_r(agres.make_ifs(lam), 0.5)
+            for _, lam in dyadic_schedule("1/sqrt8", range(4, 11)).entries]
+    assert sum(sol.power_iterations for sol in sols) <= 300
+    for sol in sols:  # rescaled once, on exit, to corner resistance 2/3
+        for pair in ((0, 1), (1, 2), (0, 2)):
+            assert effective_resistance(sol.D.form, *pair) == pytest.approx(2 / 3, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam", ["1/7", "181/512"])
+def test_jacobian_from_the_steps_trace_matches_a_fresh_one(monkeypatch, lam):
+    ifs = agres.make_ifs(lam)
+    ctx = _glue_context(ifs, boundary_set(ifs), True)
+    traced, built, jacobian = count_calls(monkeypatch, GlueContext, "trace"), [], ctx.jacobian
+
+    def spy(self, X, y, weights):  # the point the step traced, and the Jacobian built there
+        built.append((traced[-1][0], jacobian(X, y, weights)))
+        return built[-1][1]
+
+    monkeypatch.setattr(GlueContext, "jacobian", spy)
+    assert eigen_solve(ifs, 0.7).jacobians == len(built) >= 1
+    weights = (1.0, 1.0, 1.0, 0.7)
+    for c, J in built:
+        S, _, X = ctx._schur(ctx.glued_vector(c, weights))
+        fresh = jacobian(X, renorm._pair_conductances(S, ctx.pair_i, ctx.pair_j)[0], weights)
+        assert np.abs(J - fresh).max() <= 1e-13 * np.abs(fresh).max()
+
+
+@pytest.mark.parametrize("lam", SQRT8_LAMBDAS)
+def test_glued_laplacian_matches_the_pair_laplacian(monkeypatch, lam):
+    ifs = agres.make_ifs(lam)
+    ctx = _glue_context(ifs, boundary_set(ifs), True)
+    c, weights, seen = ray_vector(eigen_solve(ifs, 0.7)), (1.0, 1.0, 1.0, 0.7), []
+    monkeypatch.setattr(renorm, "_schur", lambda L, nk: seen.append(L) or network._schur(L, nk))
+    ctx.apply(c, weights)
+    gvec = ctx.glued_vector(c, weights)
+    expected = network._laplacian(ctx.n_glued, ctx.gpair_a, ctx.gpair_b, gvec)
+    assert seen == [pytest.approx(expected, rel=1e-15, abs=0.0)]
+
+
+@pytest.mark.parametrize("lam", ["1/7", "3/16", "181/512"])
+def test_tiny_added_weight_converges(lam):
+    res = eigen_solve(agres.make_ifs(lam), 1e-3)
+    assert res.delta < EIGEN_TOL and res.residual <= 1e-10
+    assert 0.6 <= res.C < 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
