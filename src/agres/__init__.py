@@ -11,7 +11,7 @@ from .errors import (AgresError, BadMeasure, BadTarget, BadWeights, BracketFailu
                      Disconnected, DomainError, GuardExceeded, IdentificationMismatch,
                      InsufficientScales, MismatchedVertexSets, NegativeConductance,
                      NoConvergence, NumericalError, OrbitOverflow, SingularInterior,
-                     TrackingError, UnknownVertex, ValidationError)
+                     UnknownVertex, ValidationError)
 from .exact import Point, as_fraction
 from .geometry import (IFS, BoundarySet, GraphApprox, Label, approximation_graph,
                        boundary_set, doubling_orbit, hausdorff_distance, make_ifs,

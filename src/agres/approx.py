@@ -25,7 +25,8 @@ import numpy as np
 from .errors import (BadWeights, CapExceeded, DomainError, IdentificationMismatch,
                      InsufficientScales, UnknownVertex)
 from .exact import Lattice, Point
-from .geometry import IFS, LevelGeometry, VertexTable, Word, _level_geometry, cell_images
+from .geometry import (IFS, Address, LevelGeometry, VertexTable, Word, _level_geometry,
+                       cell_images)
 from .network import (FiniteForm, _dipole_resistances, effective_resistance,
                       harmonic_extension, resistance_matrix, resolvent, trace)
 from .renorm import BoundaryForm, Solution, bracketed_root
@@ -159,8 +160,6 @@ def vertex_masses(ifs: IFS, mspec: MeasureSpec, m: int) -> np.ndarray:
 
 
 # -- resistances and estimates -----------------------------------------------------
-
-Address = tuple[Word, int]
 
 
 def resistance_metric(lf: LevelForm, pairs: Sequence[tuple[Address, Address]]

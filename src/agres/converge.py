@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .approx import level_form, measure_weights, resistance_metric, resolvent_kernel
-from .errors import DomainError, TrackingError
-from .geometry import Word, hausdorff_distance, make_ifs
+from .errors import DomainError
+from .geometry import Address, address_leaf, hausdorff_distance, make_ifs
 from .network import harmonic_extension
 from .renorm import BISECT_TOL, EIGEN_MAX_ITERS, EIGEN_TOL, solve_r
 
@@ -27,7 +27,6 @@ DIFF_THRESHOLD = 1e-2
 WINDOW_ROWS = 3  # trailing rows whose successive differences must not increase
 TREND_SLACK = 1e-12
 
-Address = tuple[Word, int]
 TrackedPair = tuple[Address, Address]
 
 
@@ -125,15 +124,6 @@ def dyadic_schedule(target, n_range: Sequence[int]) -> DyadicSchedule:
             raise DomainError(f"rounding at n={n} leaves (0, 1/2): {lam}")
         entries.append((n, lam))
     return DyadicSchedule(tgt, entries)
-
-
-def _parse_address(addr) -> Address:
-    word, corner = addr
-    word = tuple(int(c) for c in word)
-    corner = int(corner)
-    if corner not in (1, 2, 3) or any(c not in (1, 2, 3, 4) for c in word):
-        raise DomainError(f"bad address {(word, corner)}")
-    return (word, corner)
 
 
 @dataclass
@@ -234,16 +224,15 @@ def convergence_report(target, s: float, n_range: Sequence[int],
 
     Tracked points are (word, corner) addresses, so they exist canonically
     at every schedule entry; coordinate-specified points are rejected by
-    construction of the interface.  Each distinct lambda_n is solved once;
-    entries that repeat it get a copy of its row under their own n.
+    construction of the interface, and ``geometry.address_leaf`` checks each one
+    at level m before any solve.  Each distinct lambda_n is solved once; entries
+    that repeat it get a copy of its row under their own n.
     """
     sched = dyadic_schedule(target, n_range)
-    pairs = [(_parse_address(a), _parse_address(b)) for a, b in tracked]
-    for (a, b) in pairs:
-        for addr in (a, b):
-            if len(addr[0]) > m:
-                raise TrackingError(
-                    f"address word {addr[0]} longer than level {m}")
+    pairs = [tuple((tuple(int(c) for c in word), int(corner)) for word, corner in (a, b))
+             for a, b in tracked]
+    for word, corner in (addr for pair in pairs for addr in pair):
+        address_leaf(word, corner, m)
     rows, solved = [], {}
     for n, lam in sched.entries:
         if lam not in solved:

@@ -50,10 +50,6 @@ class InsufficientScales(ValidationError):
     """Scaling fit attempted over fewer than the required number of dyadic scales."""
 
 
-class TrackingError(ValidationError):
-    """A tracked point is absent from the vertex set at some schedule entry."""
-
-
 class NumericalError(AgresError):
     """A numerical procedure failed or produced a degenerate result."""
 

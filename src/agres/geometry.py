@@ -28,8 +28,8 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import (CapExceeded, DepthExceeded, DomainError, NumericalError, OrbitOverflow,
-                     UnknownVertex)
+from .errors import (CapExceeded, DepthExceeded, Disconnected, DomainError, NumericalError,
+                     OrbitOverflow, UnknownVertex)
 from .exact import (Lattice, OmegaMaps, Point, RationalLike, as_fraction, point_decimal_str,
                     point_exact_str)
 from .network import _components, _scipy, numbered
@@ -46,6 +46,7 @@ MEMBERSHIP_CAP = 64
 ORBIT_GUARD = 64
 
 Word = tuple[int, ...]
+Address = tuple[Word, int]
 
 
 class IFS:
@@ -564,7 +565,7 @@ def approximation_graph(ifs: IFS, m: int,
     edges = {pair for ids in cells.values() for pair in itertools.combinations(ids, 2)}
     g = GraphApprox(m, geom.points, edges, cells)
     if not g.is_connected():
-        raise DomainError("approximating graph is unexpectedly disconnected")
+        raise Disconnected("approximating graph is unexpectedly disconnected")
     return g
 
 
@@ -618,10 +619,7 @@ def track_point(word: Word, corner: int, lam1: RationalLike,
 
 def point_of_address(ifs: IFS, word: Word, corner: int) -> Point:
     """Exact coordinates of the vertex addressed by (word, corner)."""
-    if corner not in (1, 2, 3):
-        raise DomainError("corner index must be 1, 2 or 3")
-    if any(c not in (1, 2, 3, 4) for c in word):
-        raise DomainError("word letters must be in {1,2,3,4}")
+    address_leaf(word, corner, len(word))
     p = CORNERS[corner - 1]
     for c in reversed(word):  # F_w = F_{w_1} o ... o F_{w_m}
         p = ifs.omega.apply(c - 1, p)

@@ -242,12 +242,14 @@ class FiniteForm:
                 raise DomainError("duplicate vertex ids")
         a, b, c = np.asarray(a, np.int64), np.asarray(b, np.int64), np.asarray(c, float)
         loop, unknown = a == b, (np.minimum(a, b) < 0) | (np.maximum(a, b) >= n)
-        bad = np.flatnonzero(loop | unknown | (c < 0))
+        nonfinite = ~np.isfinite(c)
+        bad = np.flatnonzero(loop | unknown | nonfinite | (c < 0))
         if bad.size:
             k, names = bad[0], names or vertices
             x, y = (names[p] if 0 <= p < len(names) else p for p in (int(a[k]), int(b[k])))
             raise DomainError("self-loops are not allowed" if loop[k] else
                               f"edge ({x!r},{y!r}) references unknown vertex" if unknown[k] else
+                              f"non-finite conductance on ({x!r},{y!r})" if nonfinite[k] else
                               f"negative conductance on ({x!r},{y!r})")
         live = c != 0.0
         lo, hi = np.minimum(a[live], b[live]), np.maximum(a[live], b[live])

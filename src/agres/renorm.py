@@ -11,6 +11,7 @@ finder in ``solve_r`` exploits.
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 from dataclasses import dataclass, field
@@ -58,13 +59,15 @@ class BoundaryForm:
     and is held as its pair vector: ``c[k]`` is the conductance of the k-th
     pair i < j in row-major order, and pairs with ``c[k] <= 0`` carry no edge.
     ``c`` is a read-only float copy, negative entries held as zero; ``form`` is
-    built from it on first read.
+    built from it on first read.  Every value must be finite.
     """
     bset: BoundarySet
     c: np.ndarray
     symmetric: bool = False
 
     def __post_init__(self):
+        if not np.isfinite(self.c).all():
+            raise DomainError("pair values must be finite")
         self.c = np.maximum(self.c, 0.0)
         self.c.flags.writeable = False
         if self.c.shape != (self.n * (self.n - 1) // 2,):
@@ -333,11 +336,8 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
     factor C is the energy ratio of one application at the limit; it lies in
     [3/5, 1).  ``rtilde4 = inf`` or None omits the added copy (open circuit).
     """
-    rtilde4 = math.inf if rtilde4 is None else float(rtilde4)
-    if not rtilde4 > 0:
-        raise DomainError("rtilde4 must be positive or inf")
-    bset = boundary_set(ifs)
     ws, include_added = _normalize_weights((1.0, 1.0, 1.0, rtilde4))
+    bset = boundary_set(ifs)
     ctx = _glue_context(ifs, bset, include_added)
 
     if initial is not None and initial.n != ctx.N:
@@ -384,7 +384,7 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
         raise DegenerateLimit(f"scale factor {C!r} escapes [3/5, 1)")
 
     D = BoundaryForm(bset, c, symmetric=True)
-    return EigenResult(rtilde4, float(C), D, iters, delta, residual, jacobians,
+    return EigenResult(ws[3], float(C), D, iters, delta, residual, jacobians,
                        None if fallen else lu)
 
 
@@ -590,11 +590,11 @@ def _invariant_partitions(perm: Sequence[int]) -> np.ndarray:
                                              for i, p in enumerate(perm)):
         raise DomainError("the rotation must be a fixed-point-free permutation of order 3")
     orbits = [(i, perm[i], perm[perm[i]]) for i in range(n) if i < min(perm[i], perm[perm[i]])]
-    sig, rows = [0] * n, []
+    sig, rows = [0] * n, array.array("q")  # rows of n block ids, end to end
     def grow(j: int, groups: list[tuple[int, int, int]], nxt: int) -> None:
         # orbits j.. are left to group; groups holds each group's labels on its first orbit
         if j == len(orbits):
-            rows.append(tuple(sig))
+            rows.extend(sig)
             return
         x, y, z = orbits[j]
         for lab in groups:
@@ -606,7 +606,7 @@ def _invariant_partitions(perm: Sequence[int]) -> np.ndarray:
             grow(j + 1, groups + [lab], lab[2] + 1)
 
     grow(0, [], 0)
-    sigs = np.array(rows, dtype=np.int64)
+    sigs = np.frombuffer(rows, dtype=np.int64).reshape(-1, n)
     if orbits != [(i, i + 1, i + 2) for i in range(0, n, 3)]:  # renumber by first occurrence
         ids = numbered((np.arange(len(sigs))[:, None] * n + sigs).ravel())[1].reshape(sigs.shape)
         sigs = ids - ids[:, :1]

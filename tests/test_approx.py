@@ -356,6 +356,25 @@ class TestDecimation:
         assert lf.form.energy(h) == pytest.approx(2.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda sol: measure_weights(sol.ifs, "custom"), BadWeights,
+     "custom scheme needs four weights"),
+    (lambda sol: boundary_resistance_check(level_form(sol, 0)), DomainError,
+     "level must be at least 1"),
+    (lambda sol: decimation_identity(level_form(sol, 0), (1.0, 0.0, 0.0)), DomainError,
+     "level must be >= 1"),
+    (lambda sol: EdgeTraceTower(sol).refine_to(13), CapExceeded,
+     "tower depth 13 exceeds cap 12"),
+    (lambda sol: EdgeTraceTower(sol).bottom_resistances([(Fraction(0), Fraction(1, 3))]),
+     UnknownVertex, "bottom parameter 1/3 not in tower at depth 0"),
+    (lambda sol: scaling_exponent(sol, [0, 1, 2, 3]), DomainError, "levels must be >= 1"),
+])
+def test_input_checks(sol14, call, error, message):
+    with pytest.raises(error) as info:
+        call(sol14)
+    assert str(info.value) == message
+
+
 def test_tower_matches_level_form_at_bigger_boundary():
     ifs = agres.make_ifs("5/16")
     sol = agres.solve_r(ifs, 0.5)

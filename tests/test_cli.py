@@ -235,6 +235,13 @@ class TestCommands:
         assert obj["error"]["type"] == "ValidationError"
         assert "relation_depth" in obj["error"]["message"]
 
+    def test_an_orbit_beyond_its_guard_is_a_validation_error(self, tmp_path, capsys):
+        code, out = run_cli(["relations", "--lambda", "1/131"], tmp_path)
+        assert code == 2 and not (out / "manifest.json").exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err == {"type": "ValidationError",
+                       "message": "lambda: doubling orbit of 2/131 exceeds 64 states"}
+
     def test_converge_report(self, tmp_path):
         code, out = run_cli(["converge", "--target", "1/sqrt8", "--s", "0.5",
                              "--n", "4..6", "--pairs", "(4,1):(4,2)",

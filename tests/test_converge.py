@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import agres
-from agres import converge
+from agres import cli, converge
 from agres.converge import (Target, convergence_report, dyadic_round, dyadic_schedule,
                             gamma_diagnostic, hausdorff_check)
-from agres.errors import DomainError, TrackingError
+from agres.errors import DomainError, UnknownVertex
+from agres.geometry import _level_geometry, point_of_address
 from agres.renorm import solve_r
 
 
@@ -116,7 +117,7 @@ class TestConvergenceReport:
             assert 0.6 <= row.r < 1.0
 
     def test_tracked_word_longer_than_level(self):
-        with pytest.raises(TrackingError):
+        with pytest.raises(UnknownVertex, match="word longer than level 2"):
             convergence_report("1/4", 0.5, [3, 4], [(((1, 2, 3), 1), ((), 2))], m=2)
 
     def test_csv_and_json_shapes(self):
@@ -146,6 +147,34 @@ class TestConvergenceReport:
         assert (row9.n, row10.n) == (9, 10) and row9.lam == row10.lam == Fraction(181, 512)
         assert replace(row10, n=9) == row9
         assert row10.resistances is not row9.resistances
+
+
+@pytest.mark.parametrize("word, corner, message", [
+    ((4, 5), 1, "bad letter in word (4, 5)"),
+    ((4,), 4, "corner index must be 1, 2 or 3"),
+    ((1, 2, 3), 1, "word longer than level 2"),
+])
+def test_a_bad_address_is_one_error_at_every_entry_point(tmp_path, capsys, monkeypatch,
+                                                         word, corner, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the address check")
+
+    monkeypatch.setattr(converge, "solve_r", no_solve)
+    ifs = agres.make_ifs("1/4")
+    calls = [lambda: convergence_report("1/4", 0.5, [3, 4], [((word, corner), ((), 2))], m=2),
+             lambda: _level_geometry(ifs, 2).vid_of_address(word, corner)]
+    if len(word) <= 2:  # any word names a point; only a level caps its length
+        calls.append(lambda: point_of_address(ifs, word, corner))
+    for call in calls:
+        with pytest.raises(UnknownVertex) as info:
+            call()
+        assert str(info.value) == message
+    pairs = f"({''.join(map(str, word))},{corner}):(,2)"
+    code = cli.main(["converge", "--target", "1/sqrt8", "--s", "0.5", "--n", "4..5",
+                     "--level", "2", "--pairs", pairs, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err == {"type": "ValidationError", "message": f"pairs: {message}"}
 
 
 class TestHausdorffCheck:

@@ -24,6 +24,8 @@ def test_as_fraction_rejects_floats_and_junk():
         as_fraction(0.25)  # type: ignore[arg-type]
     with pytest.raises(DomainError):
         as_fraction("not-a-number")
+    with pytest.raises(DomainError, match="must be rational, got bool"):
+        as_fraction(True)
     assert as_fraction("3/8") == Fraction(3, 8)
 
 

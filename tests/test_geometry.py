@@ -13,12 +13,13 @@ from scipy.spatial import cKDTree
 
 import agres
 import exact_reference as ref
-from agres import exact, geometry
-from agres.errors import CapExceeded, DomainError, NumericalError
+from agres import cli, exact, geometry
+from agres.errors import CapExceeded, Disconnected, DomainError, NumericalError
 from agres.exact import Point
 from agres.geometry import (CENTROID, CORNERS, BoundarySet, Label, _corner_cloud,
-                            _level_geometry, boundary_set, classify_boundary_point,
-                            doubling_orbit, edge_point, point_in_attractor, point_in_triangle,
+                            _level_geometry, approximation_graph, boundary_set,
+                            classify_boundary_point, doubling_orbit, edge_point,
+                            point_in_attractor, point_in_triangle,
                             point_on_triangle_boundary, point_of_address)
 from exact_reference import cartesian
 
@@ -520,3 +521,22 @@ class TestBoundaryOracleExtended:
         oracle = boundary_set(ifs, "oracle", depth=7)
         assert fast.size == 21
         assert fast.points == oracle.points
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda ifs: boundary_set(ifs, "bogus"), "mode must be 'fast' or 'oracle', got 'bogus'"),
+    (lambda ifs: approximation_graph(ifs, -1), "level must be nonnegative"),
+    (lambda ifs: approximation_graph(ifs, 2, "bogus"), "unknown method 'bogus'"),
+])
+def test_input_checks(ifs14, call, message):
+    with pytest.raises(DomainError) as info:
+        call(ifs14)
+    assert str(info.value) == message
+
+
+def test_a_disconnected_graph_is_a_numerical_error(ifs14, tmp_path, monkeypatch):
+    monkeypatch.setattr(geometry, "_components", lambda n, edges: np.ones(n, dtype=np.int64))
+    with pytest.raises(Disconnected, match="approximating graph is unexpectedly disconnected"):
+        approximation_graph(ifs14, 2)
+    assert cli.main(["graph", "--lambda", "1/4", "--level", "2",
+                     "--out", str(tmp_path / "g")]) == 3

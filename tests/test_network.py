@@ -2,6 +2,7 @@
 
 import ctypes
 import itertools
+import math
 import sys
 import types
 import warnings
@@ -228,6 +229,12 @@ TRI = triangle_form(1.0)
     (lambda: form_comparison(FiniteForm([0], {}), FiniteForm([0], {})), DomainError,
      "need at least two vertices"),
     (lambda: TRI.energy([1.0, 2.0]), DomainError, "function has shape (2,), expected (3,)"),
+    (lambda: FiniteForm("abc", {("a", "b"): math.nan, ("b", "c"): 1.0}), DomainError,
+     "non-finite conductance on ('a','b')"),
+    (lambda: FiniteForm("abc", {("a", "b"): 1.0, ("b", "c"): math.inf}), DomainError,
+     "non-finite conductance on ('b','c')"),
+    (lambda: FiniteForm.from_arrays(range(3), [0], [2], [-math.inf]), DomainError,
+     "non-finite conductance on (0,2)"),
     (lambda: network._pair_conductances(np.array([[1.0, 0.5], [0.5, 1.0]]),
                                         np.array([0]), np.array([1])),
      NegativeConductance, "reduction produced conductance -5.000e-01 on pair (0, 1)"),
