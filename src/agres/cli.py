@@ -23,7 +23,7 @@ import numpy as np
 
 from . import approx, converge, geometry, renorm
 from .errors import AgresError, NumericalError, ValidationError
-from .exact import as_fraction, point_decimal_str, point_exact_str
+from .exact import as_fraction, g17_lines, point_decimal_str, point_exact_str
 
 COMMANDS = ("solve", "boundary", "graph", "resistance", "resolvent", "relations",
             "estimates", "converge", "hausdorff")
@@ -255,35 +255,32 @@ def _write_kernel_csv(path: Path, points, matrix) -> None:
     """Write resolvent.csv: a header, then the line 'x_id,y_id,x,y,x_exact,y_exact,u'
     of every ordered pair of points, row by row.
 
-    ``matrix`` must be bitwise symmetric (``ResolventKernel.matrix`` is), because
-    each unordered pair {x, y} is formatted once: row x formats its u texts for
-    y >= x with one '%' format and appends those for y > x to column y's carry,
-    which row y takes as its texts for x < y and then drops.  The carry peaks
-    at n^2/4 texts, at the middle row.  Each row is one write, joined from the
-    parts "{x},", "{y},", x's coordinate columns and "{u:.17g}\\n" of its lines.
-    A matrix that is not bitwise symmetric (a sign of zero or a NaN payload
-    counts) raises NumericalError before the file is opened.
+    The u texts of a block of about 4,096 entries (whole rows) come from one
+    ``exact.g17_lines`` call, which gives "{u:.17g}\\n" bit for bit.  Each row
+    is one write, joined from the parts "{x},", "{y},", x's coordinate columns
+    and the u text of its lines.  ``matrix`` must be bitwise symmetric
+    (``ResolventKernel.matrix`` is), so that the (x, y) and (y, x) lines carry
+    the same text; one that is not (a sign of zero or a NaN payload counts)
+    raises NumericalError before the file is opened.
     """
     bits = matrix.view(np.int64)
     if not np.array_equal(bits, bits.T):
         raise NumericalError("resolvent kernel is not bitwise symmetric")
     n = len(points)
+    rows = max(1, 4096 // n)
     parts = [None] * (4 * n)
     parts[1::4] = [b"%d," % j for j in range(n)]
-    carry = [bytearray() for _ in range(n)]
     with open(path, "wb") as fh:
         fh.write(b"x_id,y_id,x,y,x_exact,y_exact,u\n")
-        for i, p in enumerate(points):
-            dx, dy = point_decimal_str(p)
-            ex, ey = point_exact_str(p)
-            upper = (b"%.17g\n" * (n - i) % tuple(matrix[i, i:].tolist())).splitlines(keepends=True)
-            for column, text in zip(carry[i + 1:], upper[1:]):
-                column += text
-            parts[0::4] = [b"%d," % i] * n
-            parts[2::4] = [f'{dx},{dy},"{ex}","{ey}",'.encode()] * n
-            parts[3::4] = carry[i].splitlines(keepends=True) + upper
-            carry[i] = None
-            fh.write(b"".join(parts))
+        for start in range(0, n, rows):
+            texts = g17_lines(matrix[start:start + rows].ravel())
+            for i, p in enumerate(points[start:start + rows], start):
+                dx, dy = point_decimal_str(p)
+                ex, ey = point_exact_str(p)
+                parts[0::4] = [b"%d," % i] * n
+                parts[2::4] = [f'{dx},{dy},"{ex}","{ey}",'.encode()] * n
+                parts[3::4] = texts[(i - start) * n:(i - start + 1) * n]
+                fh.write(b"".join(parts))
 
 
 def _cmd_resolvent(cfg: RunConfig, outdir: Path) -> None:

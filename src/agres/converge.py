@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .approx import level_form, measure_weights, resistance_metric, resolvent_kernel
+from .approx import _check_level, level_form, measure_weights, resistance_metric, resolvent_kernel
 from .errors import DomainError
 from .geometry import Address, address_leaf, hausdorff_distance, make_ifs
 from .network import harmonic_extension
@@ -224,10 +224,12 @@ def convergence_report(target, s: float, n_range: Sequence[int],
 
     Tracked points are (word, corner) addresses, so they exist canonically
     at every schedule entry; coordinate-specified points are rejected by
-    construction of the interface, and ``geometry.address_leaf`` checks each one
-    at level m before any solve.  Each distinct lambda_n is solved once; entries
-    that repeat it get a copy of its row under their own n.
+    construction of the interface.  The level m, then each address at level m
+    (``geometry.address_leaf``), is checked before any solve.  Each distinct
+    lambda_n is solved once; entries that repeat it get a copy of its row under
+    their own n.
     """
+    _check_level(m)
     sched = dyadic_schedule(target, n_range)
     pairs = [tuple((tuple(int(c) for c in word), int(corner)) for word, corner in (a, b))
              for a, b in tracked]

@@ -23,6 +23,7 @@ coordinates x = u + v/2 and y = (v/2)*sqrt(3) in the form
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
@@ -83,6 +84,129 @@ def point_exact_str(p: Point) -> tuple[str, str]:
     x, eta = p.cartesian()
     return (f"({x.numerator}/{x.denominator}) + (0/1)*sqrt3",
             f"(0/1) + ({eta.numerator}/{eta.denominator})*sqrt3")
+
+
+# -- '%.17g' texts of float arrays ---------------------------------------------
+#
+# '%.17g' prints x > 0 with k = floor(log10 x) in [-4, 16] in fixed notation,
+# from the correctly rounded 17-digit significand D = round(x * 10**(16 - k)),
+# 10**16 <= D < 10**17 (Gay's dtoa rounds half to even): the digits of D with
+# a point after digit k ('0.' and -k - 1 zeros before them when k < 0),
+# trailing fractional zeros stripped, and the point too if nothing follows it.
+
+_G17_K_MIN, _G17_K_MAX = -4, 15  # k = 16 is left to '%'
+_VELTKAMP = 2.0 ** 27 + 1
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a == hi + lo exactly, each half with at most 26 significant bits."""
+    t = _VELTKAMP * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+class _G17Tables(NamedTuple):
+    scale: np.ndarray     # 10**(16 - k), k = _G17_K_MIN.._G17_K_MAX: exact, as 10**p is for p <= 22
+    scale_hi: np.ndarray  # and its Veltkamp halves
+    scale_lo: np.ndarray
+    digits4: np.ndarray   # ASCII of '0000'..'9999', one little-endian uint32 per group
+    zeros4: np.ndarray    # the trailing zeros of each group; '0000' has 4
+    keep: np.ndarray      # the bytes of its record that each text keeps (see _g17_tables)
+
+
+@functools.cache
+def _g17_tables() -> _G17Tables:
+    """The kernel's tables, built at its first call: building them takes about
+    2 ms and 0.8 MB of resident memory that a run which prints no kernel need
+    not spend.
+
+    Row (k - _G17_K_MIN) * 21 + f of ``keep`` marks the bytes of a text with f
+    fractional digits (0 <= f <= 20) in its 48-byte record.  A record is twelve
+    uint32 cells: cells 0-4 hold '000' and the 17 digits of D (bytes 0-19),
+    cell 5 the point (byte 20), cells 6-10 the digits again (bytes 24-43) and
+    cell 11 the newline (byte 44).  The integer part is byte 2 (a '0') when
+    k < 0 and bytes 3..3+k otherwise; the fraction starts at byte 28 + k, with
+    the -k - 1 zeros of '0.000ddd' when k < 0.
+    """
+    scale = 10.0 ** (16 - np.arange(_G17_K_MIN, _G17_K_MAX + 1))
+    groups = np.arange(10_000, dtype=np.uint32)
+    k = np.arange(_G17_K_MIN, _G17_K_MAX + 1)[:, None, None]
+    f = np.arange(21)[None, :, None]
+    byte = np.arange(48)
+    keep = (np.where(k < 0, byte == 2, (byte >= 3) & (byte <= 3 + k))
+            | ((byte == 20) & (f > 0))
+            | ((byte >= 28 + k) & (byte < 28 + k + f))
+            | (byte == 44))
+    return _G17Tables(
+        scale, *_split(scale),
+        sum((groups // 10 ** (3 - j) % 10 + ord("0")) << 8 * j for j in range(4)).astype("<u4"),
+        sum((groups % 10 ** j == 0).astype(np.uint8) for j in range(1, 5)),
+        keep.reshape(-1, 48))
+
+
+def _divmod(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    q = a // b  # division by a scalar is fast; np.divmod is not
+    return q, a - q * b
+
+
+def _g17_by_percent(v: float) -> bytes:
+    return b"%.17g\n" % v
+
+
+def g17_lines(x: np.ndarray) -> list[bytes]:
+    """``[b"%.17g\\n" % v for v in x]`` for a 1-d float64 array, bit for bit.
+
+    Values printed in fixed notation are formatted in one vectorized pass:
+    hi + lo == x * 10**(16 - k) exactly (Dekker's product of Veltkamp
+    halves), and hi >= 2**53 is an even integer, so D = hi + rint(lo) rounds
+    half to even as '%' does.  Each text is masked out of its record (see
+    ``_g17_tables``) and the masked bytes are deleted in one pass.  Any
+    value that is not finite and positive, or whose k or D falls outside that
+    range, goes to '%' itself.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not x.size:
+        return []
+    tables = _g17_tables()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(x))
+    fixed = (k >= _G17_K_MIN) & (k <= _G17_K_MAX)  # false for nan, inf and x <= 0
+    row = np.where(fixed, k - _G17_K_MIN, 0).astype(np.intp)  # k's row of the tables
+    k = row + _G17_K_MIN
+    xf = np.where(fixed, x, 0.0)
+    hi = xf * tables.scale[row]
+    xh, xl = _split(xf)
+    sh, sl = tables.scale_hi[row], tables.scale_lo[row]
+    lo = ((xh * sh - hi) + xh * sl + xl * sh) + xl * sl
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fast = fixed & (D >= 10 ** 16) & (D < 10 ** 17)
+    top, low = _divmod(D, 10 ** 8)
+    lead, mid = _divmod(top, 10 ** 8)
+    groups = (lead, *_divmod(mid, 10 ** 4), *_divmod(low, 10 ** 4))  # digits 1 + 4 + 4 + 4 + 4
+    zeros = tables.zeros4[groups[4]]
+    for depth in range(1, 4):  # only texts whose lower groups are all zero look further up
+        rows = np.flatnonzero(zeros == 4 * depth)
+        if not rows.size:
+            break
+        zeros[rows] += tables.zeros4[groups[4 - depth][rows]]
+    fraction = np.maximum(16 - k - zeros, 0)
+    # only the first int_cells cells can hold the integer part, so drop the rest
+    int_cells = (3 + max(int(k.max()), 0)) // 4 + 1
+    record = np.empty((len(x), int_cells + 7), dtype="<u4")
+    for c, group in enumerate(groups):
+        cell = tables.digits4[group]
+        if c < int_cells:
+            record[:, c] = cell
+        record[:, int_cells + 1 + c] = cell
+    record[:, int_cells] = ord(".")
+    record[:, -1] = ord("\n")
+    keep = tables.keep[:, np.r_[0:4 * int_cells, 20:48]]
+    text = record.view(np.uint8)
+    text *= keep.take(row * 21 + fraction, axis=0)
+    lines = text.tobytes().translate(None, b"\0").splitlines(keepends=True)
+    for i in np.flatnonzero(~fast).tolist():
+        lines[i] = _g17_by_percent(x[i])
+    return lines
 
 
 # Largest magnitude an int64 numerator may take; lowering it forces the

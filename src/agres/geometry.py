@@ -437,7 +437,6 @@ class LevelGeometry:
         self.kept_gids = gids[kept]
         counts = kept.sum(axis=1)
         self.kept_start = np.cumsum(counts) - counts
-        self.cell_gids: list[np.ndarray] = np.split(self.kept_gids, self.kept_start[1:])
         digits = (np.arange(4 ** m)[:, None] // 4 ** np.arange(m - 1, -1, -1)) % 4
         self.letter_counts = np.stack([(digits == c).sum(axis=1) for c in range(4)],
                                       axis=1).astype(np.int16)
@@ -450,6 +449,11 @@ class LevelGeometry:
         """Every cell's conductance multiplier r^-(m-k) s^-k, k its count of added letters."""
         per_count = np.array([r ** -(self.m - k) * s ** -k for k in range(self.m + 1)])
         return per_count[self.letter_counts[:, 3]]
+
+    @functools.cached_property
+    def cell_gids(self) -> list[np.ndarray]:
+        """Every cell's kept global ids, one array per cell, split on first use."""
+        return np.split(self.kept_gids, self.kept_start[1:])
 
     @functools.cached_property
     def points(self) -> list[Point]:

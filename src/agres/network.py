@@ -490,8 +490,8 @@ class ResolventKernel:
 
     ``resolvent`` solves U and stores 0.5 * (U + U.T) as ``matrix``, so
     ``matrix[x, y] == matrix[y, x]`` exactly.  ``agres resolvent``'s CSV writer
-    relies on it: it formats each unordered pair {x, y} once, for both the (x, y)
-    and the (y, x) line, and refuses a matrix that is not bitwise symmetric.
+    relies on it: the (x, y) and the (y, x) line carry the same text, and it
+    refuses a matrix that is not bitwise symmetric.
     ``asymmetry``, which ``symmetry_error`` reports, is max |U - U.T| / max(1, max |U|).
     """
     alpha: float

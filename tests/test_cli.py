@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from agres import approx
 from agres.cli import (RunConfig, main, validate, _parse_pairs, _parse_range,
                        _read_config_file, _solve, _write_kernel_csv)
 from agres.errors import ValidationError
-from agres.exact import point_decimal_str, point_exact_str
+from agres.exact import Point, point_decimal_str, point_exact_str
 
 
 def run_cli(args, tmp_path, sub="out"):
@@ -472,6 +473,16 @@ class TestResolventWriter:
         kernel = approx.resolvent_kernel(lf, alpha, approx.measure_weights(sol.ifs, cfg["measure"]))
         assert np.array_equal(kernel.matrix, kernel.matrix.T)
         assert (out / "resolvent.csv").read_bytes() == oracle_resolvent_csv(lf.points, kernel.matrix)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 65])
+    def test_csv_bytes_equal_the_oracle_at_any_size(self, tmp_path, n):
+        """The writer formats blocks of 4096 // n whole rows: one block for 1, 2 and
+        3 points, and for 65 blocks of 63 rows, the last one of 2."""
+        points = [Point(Fraction(i, 7), Fraction(1, 3)) for i in range(n)]
+        matrix = np.random.default_rng(n).uniform(0.5, 2.0, (n, n))
+        matrix = matrix + matrix.T
+        _write_kernel_csv(tmp_path / "k.csv", points, matrix)
+        assert (tmp_path / "k.csv").read_bytes() == oracle_resolvent_csv(points, matrix)
 
     def test_csv_bytes_equal_the_oracle_on_extreme_values(self, tmp_path):
         sol = _solve(RunConfig(command="resolvent", lam="1/4", s=0.5), "1/4")

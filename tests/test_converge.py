@@ -15,7 +15,7 @@ import agres
 from agres import cli, converge
 from agres.converge import (Target, convergence_report, dyadic_round, dyadic_schedule,
                             gamma_diagnostic, hausdorff_check)
-from agres.errors import DomainError, UnknownVertex
+from agres.errors import CapExceeded, DomainError, UnknownVertex
 from agres.geometry import _level_geometry, point_of_address
 from agres.renorm import solve_r
 
@@ -130,6 +130,18 @@ class TestConvergenceReport:
         obj = rep.to_json_obj()
         assert len(obj["rows"]) == 3
         assert set(obj["verdicts"]) == {"r", "R_0", "u_0"}
+
+    @pytest.mark.parametrize("m, tracked, error", [
+        (-1, [(((), 1), ((), 2))], DomainError),
+        (-1, [], DomainError),
+        (9, [], CapExceeded),
+    ])
+    def test_level_is_checked_before_any_solve(self, monkeypatch, m, tracked, error):
+        solved = []
+        monkeypatch.setattr(converge, "solve_r", lambda *args, **kwargs: solved.append(args))
+        with pytest.raises(error):
+            convergence_report("1/4", 0.5, [3, 4], tracked, m=m)
+        assert solved == []
 
     def test_each_distinct_lambda_is_solved_once(self, monkeypatch):
         solved = []

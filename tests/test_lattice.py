@@ -202,6 +202,14 @@ def test_resistance_metric_matches_pairwise_solves(sol14):
         assert value == pytest.approx(expected, rel=1e-10)
 
 
+def test_a_level_form_leaves_the_cell_id_split_unbuilt(sol14):
+    """Only the approximation graph reads the per-cell id arrays; a level form
+    reads the flat kept ids, so the 4**m-way split waits for its first use."""
+    geom = level_form(sol14, 5).geometry
+    assert "cell_gids" not in geom.__dict__
+    assert len(geom.cell_gids) == 4 ** 5
+
+
 class TestLatticeMaps:
     @pytest.mark.parametrize("force_objects", [False, True])
     @pytest.mark.parametrize("lam", ["1/4", "3/16", "1/9", "181/512"])
