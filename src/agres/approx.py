@@ -26,7 +26,7 @@ from .errors import (BadWeights, CapExceeded, DomainError, IdentificationMismatc
                      InsufficientScales, UnknownVertex)
 from .exact import Lattice, Point
 from .geometry import (IFS, Address, LevelGeometry, VertexTable, Word, _level_geometry,
-                       cell_images)
+                       cell_images, check_level)
 from .network import (FiniteForm, _dipole_resistances, effective_resistance,
                       harmonic_extension, resistance_matrix, resolvent, trace)
 from .renorm import BoundaryForm, Solution, bracketed_root
@@ -68,20 +68,13 @@ def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(len(run)) - (np.cumsum(sizes) - sizes)[run]
 
 
-def _check_level(m: int) -> None:
-    if m < 0:
-        raise DomainError("level must be nonnegative")
-    if m > LEVEL_CAP:
-        raise CapExceeded(f"level {m} exceeds cap {LEVEL_CAP}")
-
-
 def level_form(sol: Solution, m: int) -> LevelForm:
     """Trace of the solved self-similar form onto the level-m vertex set of its IFS.
 
     Exact decomposition: one copy of the boundary form per cell, traced to
     the cell's kept vertices and weighted by the inverse word weight.
     """
-    _check_level(m)
+    check_level(m, LEVEL_CAP)
     geom = _level_geometry(sol.ifs, m)
     tables = [_cell_table(sol.D, kept) for kept in geom.types]
     # one contribution per (cell, row of the cell's table), cell after cell
@@ -147,7 +140,7 @@ def measure_weights(ifs: IFS, scheme: Literal["hausdorff", "uniform", "custom"] 
 
 def vertex_masses(ifs: IFS, mspec: MeasureSpec, m: int) -> np.ndarray:
     """Level-m vertex masses: each cell spreads its measure equally on its three corners."""
-    _check_level(m)
+    check_level(m, LEVEL_CAP)
     geom = _level_geometry(ifs, m)
     counts = geom.letter_counts.astype(float)
     logw = counts @ np.log(np.array(mspec.weights))

@@ -21,9 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import approx, converge, geometry, renorm
+from . import approx, converge, geometry, network, renorm
 from .errors import AgresError, NumericalError, ValidationError
-from .exact import as_fraction, g17_lines, point_decimal_str, point_exact_str
+from .exact import g17_lines, point_decimal_str, point_exact_str
 
 COMMANDS = ("solve", "boundary", "graph", "resistance", "resolvent", "relations",
             "estimates", "converge", "hausdorff")
@@ -95,84 +95,72 @@ def _parse_range(text: str) -> list[int]:
 
 
 def validate(cfg: RunConfig) -> list[str]:
-    """Total validation pass; returns human-readable violations."""
+    """Total validation pass; returns human-readable violations.  A rule the library
+    defines is checked by its owner's check, and reads "field: <the owner's message>"."""
     v: list[str] = []
     if cfg.command not in COMMANDS:
         v.append(f"command: unknown command {cfg.command!r}")
         return v
 
+    def check(field, rule, *args):
+        """rule(*args), or None once its violation is recorded under field."""
+        try:
+            return rule(*args)
+        except AgresError as exc:
+            v.append(f"{field}: {exc}")
+            return None
+
     def check_lambda(text, name="lambda"):
         if text is None:
             v.append(f"{name}: required for {cfg.command}")
             return None
-        try:
-            lam = as_fraction(text, name)
-        except AgresError as exc:
-            v.append(f"{name}: {exc}")
-            return None
-        if not (0 < lam < Fraction(1, 2)):
-            v.append(f"{name}: must lie in (0, 1/2), got {lam}")
-            return None
-        return lam
+        return check(name, geometry.check_lambda, text, name)
 
-    needs_lambda = cfg.command in ("solve", "boundary", "graph", "resistance",
-                                   "resolvent", "relations", "estimates", "hausdorff")
-    lam = check_lambda(cfg.lam) if needs_lambda else None
+    lam = check_lambda(cfg.lam) if cfg.command != "converge" else None
     if cfg.command == "hausdorff":
         check_lambda(cfg.lam2, "lambda2")
+    if cfg.command == "boundary":
+        check("mode", geometry.check_mode, cfg.mode)
     if cfg.command == "converge":
+        target = ns = None
         if cfg.target is None:
             v.append("target: required for converge")
         else:
-            try:
-                tgt = converge.Target.parse(cfg.target)
-                if not tgt.in_open_interval():
-                    v.append("target: must lie in (0, 1/2)")
-            except AgresError as exc:
-                v.append(f"target: {exc}")
+            target = check("target", converge.schedule_target, cfg.target)
         if cfg.n_range is None:
             v.append("n: schedule range required")
         else:
             try:
-                if not _parse_range(cfg.n_range):
-                    v.append("n: schedule range is empty")
+                ns = _parse_range(cfg.n_range)
             except ValueError:
                 v.append(f"n: malformed range {cfg.n_range!r}")
+        if target is not None and ns is not None:
+            check("n", converge.dyadic_schedule, target, ns)
     if cfg.command in ("solve", "resistance", "resolvent", "estimates", "converge"):
         if cfg.s is None:
             v.append("s: required")
-        elif not (0.0 < cfg.s < 1.0):
-            v.append("s must lie in (0,1); irregular cases s >= 1 are out of scope")
+        else:
+            check("s", renorm.check_s, cfg.s)
     if cfg.command == "resistance" and not cfg.pairs:
         v.append("pairs: required for resistance")
+    caps = {"graph": geometry.GRAPH_LEVEL_CAP, "resistance": approx.LEVEL_CAP,
+            "resolvent": approx.LEVEL_CAP, "converge": approx.LEVEL_CAP}
+    level = check("level", geometry.check_level, cfg.level, caps.get(cfg.command, math.inf))
     if cfg.command in ("resistance", "converge") and cfg.pairs:
         try:
             pairs = _parse_pairs(cfg.pairs)
-            if cfg.level >= 0:  # a negative level is its own violation
+            if level is not None:
                 for word, corner in (addr for pair in pairs for addr in pair):
-                    geometry.address_leaf(word, corner, cfg.level)
+                    geometry.address_leaf(word, corner, level)
         except ValidationError as exc:
             v.append(f"pairs: {exc}")
     if cfg.command == "relations" and lam is not None:
-        try:
-            size = geometry.boundary_set(geometry.make_ifs(lam)).size
-            if size > cfg.guard:
-                v.append(f"lambda: boundary set has {size} points, guard is {cfg.guard}")
-        except AgresError as exc:
-            v.append(f"lambda: {exc}")
-    if cfg.level < 0:
-        v.append("level: must be nonnegative")
-    elif cfg.command in ("resistance", "resolvent", "converge"):
-        try:
-            approx._check_level(cfg.level)
-        except AgresError as exc:
-            v.append(f"level: {exc}")
-    elif cfg.command == "graph" and cfg.level > geometry.GRAPH_LEVEL_CAP:
-        v.append(f"level: level {cfg.level} exceeds cap {geometry.GRAPH_LEVEL_CAP}")
-    if cfg.depth < 0 or cfg.depth > geometry.GRAPH_LEVEL_CAP:
-        v.append(f"depth: must lie in 0..{geometry.GRAPH_LEVEL_CAP}")
-    if cfg.alpha is not None and not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
-        v.append("alpha: must be finite and positive")
+        bset = check("lambda", geometry.boundary_set, geometry.make_ifs(lam))
+        if bset is not None:
+            check("guard", renorm.check_guard, cfg.guard, bset.size)
+    check("depth", geometry.check_level, cfg.depth, geometry.GRAPH_LEVEL_CAP, "depth")
+    if cfg.alpha is not None:
+        check("alpha", network.check_alpha, cfg.alpha)
     if cfg.measure not in ("hausdorff", "uniform"):
         v.append(f"measure: must be hausdorff or uniform, got {cfg.measure!r}")
     for name in ("eigen_tol", "bisect_tol"):
@@ -221,9 +209,7 @@ def _cmd_solve(cfg: RunConfig, outdir: Path) -> None:
 
 
 def _cmd_boundary(cfg: RunConfig, outdir: Path) -> None:
-    ifs = geometry.make_ifs(cfg.lam)
-    bset = geometry.boundary_set(ifs, cfg.mode,
-                                 depth=cfg.depth if cfg.mode == "oracle" else None)
+    bset = geometry.boundary_set(geometry.make_ifs(cfg.lam), cfg.mode, depth=cfg.depth)
     obj = {"lambda": cfg.lam, "size": bset.size,
            "parameters": [f"{t.numerator}/{t.denominator}" for t in bset.parameter_set()],
            "points": _points_json(bset.points, bset.labels)}
@@ -370,17 +356,7 @@ def _cmd_hausdorff(cfg: RunConfig, outdir: Path) -> None:
     })
 
 
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "boundary": _cmd_boundary,
-    "graph": _cmd_graph,
-    "resistance": _cmd_resistance,
-    "resolvent": _cmd_resolvent,
-    "relations": _cmd_relations,
-    "estimates": _cmd_estimates,
-    "converge": _cmd_converge,
-    "hausdorff": _cmd_hausdorff,
-}
+_DISPATCH = {name: globals()[f"_cmd_{name}"] for name in COMMANDS}
 
 
 _CONFIG_ALIASES = {"lambda": "lam", "lambda2": "lam2", "n": "n_range"}

@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .approx import _check_level, level_form, measure_weights, resistance_metric, resolvent_kernel
+from .approx import LEVEL_CAP, level_form, measure_weights, resistance_metric, resolvent_kernel
 from .errors import DomainError
-from .geometry import Address, address_leaf, hausdorff_distance, make_ifs
+from .geometry import Address, address_leaf, check_level, hausdorff_distance, make_ifs
 from .network import harmonic_extension
 from .renorm import BISECT_TOL, EIGEN_MAX_ITERS, EIGEN_TOL, solve_r
 
@@ -78,9 +78,6 @@ class Target:
         d = 1 - q * q * self.value
         return (d > 0) - (d < 0)
 
-    def in_open_interval(self) -> bool:
-        return self.compare(Fraction(0)) > 0 and self.compare(Fraction(1, 2)) < 0
-
     def describe(self) -> str:
         if self.kind == "rational":
             return f"{self.value.numerator}/{self.value.denominator}"
@@ -109,11 +106,17 @@ def dyadic_round(target: Target, n: int) -> Fraction:
     return Fraction((x + 1) // 2, 2 ** n)
 
 
-def dyadic_schedule(target, n_range: Sequence[int]) -> DyadicSchedule:
-    """Dyadic roundings of the target for each n, clamped to stay in (0, 1/2)."""
+def schedule_target(target) -> Target:
+    """The target parsed (``Target.parse``), checked to lie in (0, 1/2)."""
     tgt = Target.parse(target)
-    if not tgt.in_open_interval():
+    if not (tgt.compare(Fraction(0)) > 0 and tgt.compare(Fraction(1, 2)) < 0):
         raise DomainError("target must lie in (0, 1/2)")
+    return tgt
+
+
+def dyadic_schedule(target, n_range: Sequence[int]) -> DyadicSchedule:
+    """Dyadic roundings of the target (``schedule_target``) for each n >= 0, all in (0, 1/2)."""
+    tgt = schedule_target(target)
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
         raise DomainError("schedule range is empty")
@@ -229,7 +232,7 @@ def convergence_report(target, s: float, n_range: Sequence[int],
     lambda_n is solved once; entries that repeat it get a copy of its row under
     their own n.
     """
-    _check_level(m)
+    check_level(m, LEVEL_CAP)
     sched = dyadic_schedule(target, n_range)
     pairs = [tuple((tuple(int(c) for c in word), int(corner)) for word, corner in (a, b))
              for a, b in tracked]

@@ -93,14 +93,32 @@ class IFS:
         return f"IFS(lambda={self.lam})"
 
 
+def check_lambda(lam: RationalLike, name: str = "lambda") -> Fraction:
+    """lam as an exact Fraction (``as_fraction``), checked to lie in (0, 1/2)."""
+    frac = as_fraction(lam, name)
+    if not (0 < frac < Fraction(1, 2)):
+        raise DomainError(f"{name} must lie in (0, 1/2), got {frac}")
+    return frac
+
+
 def make_ifs(lam: RationalLike) -> IFS:
     """Build the exact iterated function system for a rational lam in (0, 1/2)."""
-    if isinstance(lam, float):
-        raise DomainError("lambda must be given exactly (int, Fraction or 'p/q'), not float")
-    frac = as_fraction(lam, "lambda")
-    if not (0 < frac < Fraction(1, 2)):
-        raise DomainError(f"lambda must lie in (0, 1/2), got {frac}")
-    return IFS(frac)
+    return IFS(check_lambda(lam))
+
+
+def check_level(m: int, cap: float = GRAPH_LEVEL_CAP, name: str = "level") -> int:
+    """m, checked to lie in 0..cap: the rule of every subdivision level and depth."""
+    if m < 0:
+        raise DomainError(f"{name} must be nonnegative")
+    if m > cap:
+        raise CapExceeded(f"{name} {m} exceeds cap {cap}")
+    return m
+
+
+def check_mode(mode: str) -> str:
+    if mode not in ("fast", "oracle"):
+        raise DomainError(f"mode must be 'fast' or 'oracle', got {mode!r}")
+    return mode
 
 
 # -- membership of exact points in the attractor --------------------------------
@@ -249,23 +267,19 @@ def boundary_set(ifs: IFS, mode: Literal["fast", "oracle"] = "fast",
     Fast mode uses the doubling-orbit characterization of the contact
     parameters (the added cell touches the bottom edge's mirror point at
     parameter 2*lam, and pullbacks double the parameter).  Oracle mode
-    evaluates the defining union directly down to ``depth`` subdivisions:
-    pull the level-``depth`` vertices, which cover every shallower level,
-    back inside the triangle on the Eisenstein lattice.  The two must agree;
-    tests enforce it, and check the oracle against the union over every
-    level and against a reference in Cartesian coordinates (x, y / sqrt(3))
-    with rational maps.
+    evaluates the defining union directly down to ``depth`` (at most 10)
+    subdivisions: pull the level-``depth`` vertices, which cover every
+    shallower level, back inside the triangle on the Eisenstein lattice.
+    The two must agree; tests enforce it, and check the oracle against the
+    union over every level and against a reference in Cartesian coordinates
+    (x, y / sqrt(3)) with rational maps.
     """
-    if mode == "fast":
+    if check_mode(mode) == "fast":
         return ifs.cached(("boundary", guard),
                           lambda: BoundarySet(doubling_orbit(2 * ifs.lam, guard)))
-    if mode != "oracle":
-        raise DomainError(f"mode must be 'fast' or 'oracle', got {mode!r}")
     if depth is None:
         depth = len(doubling_orbit(2 * ifs.lam, guard)) + 2
-    if depth < 0:
-        raise DomainError(f"oracle depth must be nonnegative, got {depth}")
-    return _boundary_set_oracle(ifs, depth)
+    return _boundary_set_oracle(ifs, check_level(depth, name="depth"))
 
 
 def _pullbacks(ifs: IFS, lat: Lattice) -> tuple[Lattice, np.ndarray]:
@@ -543,10 +557,7 @@ def approximation_graph(ifs: IFS, m: int,
     exactly.  A vertex v lies in cell w iff F_w^-1(v) lies in the attractor,
     and every survivor does (``_pullbacks``), so it is a member of its cell.
     """
-    if m < 0:
-        raise DomainError("level must be nonnegative")
-    if m > GRAPH_LEVEL_CAP:
-        raise CapExceeded(f"level {m} exceeds cap {GRAPH_LEVEL_CAP}")
+    check_level(m)
     if method not in ("fast", "direct"):
         raise DomainError(f"unknown method {method!r}")
     geom = _level_geometry(ifs, m)
@@ -591,10 +602,7 @@ def hausdorff_distance(ifs1: IFS, ifs2: IFS, depth: int = 8) -> tuple[float, flo
     it is within 2*2^-k of the true value.  The bound is 2*|lam1 - lam2|,
     sharp for this family.
     """
-    if depth < 0:
-        raise DomainError(f"depth must be nonnegative, got {depth}")
-    if depth > GRAPH_LEVEL_CAP:
-        raise CapExceeded(f"depth {depth} exceeds cap {GRAPH_LEVEL_CAP}")
+    check_level(depth, name="depth")
     cKDTree = _scipy("spatial").cKDTree
 
     c1 = _corner_cloud(ifs1, depth)

@@ -509,6 +509,11 @@ class ResolventKernel:
         return self.asymmetry
 
 
+def check_alpha(alpha: float) -> None:
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise DomainError("alpha must be finite and positive")
+
+
 def resolvent(form: FiniteForm, masses: Union[Mapping[VertexId, float], Sequence[float]],
               alpha: float) -> ResolventKernel:
     """Resolvent kernel for the form and a probability measure on the vertices.
@@ -518,8 +523,7 @@ def resolvent(form: FiniteForm, masses: Union[Mapping[VertexId, float], Sequence
     whose row masses miss 1/alpha by more than ROW_MASS_TOL relative (alpha so
     small that L + alpha * M is numerically singular) raises SingularInterior.
     """
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise DomainError("alpha must be finite and positive")
+    check_alpha(alpha)
     form.require_connected()
     m = form._as_array(masses)
     if not ((m > 0) & (m < np.inf)).all():

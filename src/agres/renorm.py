@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
+from .errors import (BracketFailure, CapExceeded, DegenerateLimit, Disconnected, DomainError,
                      GuardExceeded, IdentificationMismatch, NoConvergence, SingularInterior)
 from .exact import Point
 from .geometry import IFS, BoundarySet, boundary_set, numbered, seeded_copies
@@ -32,6 +32,7 @@ CHORD_START = 1e-1  # profile change below which eigen_solve switches to chord s
 CHORD_RATE = 0.2    # a chord step contracting the change less than this rebuilds J
 BISECT_TOL = 1e-10
 RELATION_GUARD = 12
+RELATION_GUARD_CAP = 24  # candidates are int64 rows of n: 0.32 GB at n = 24, 4.0 GB at 27
 RELATION_CHUNK = 16_384  # candidates a stacked relation check holds at once
 
 
@@ -493,6 +494,13 @@ def bracketed_root(value: Callable[[float], tuple[float, float, Any]], lo: float
     raise NoConvergence("root finder did not reach tolerance")
 
 
+def check_s(s: float) -> float:
+    s = float(s)
+    if not (0.0 < s < 1.0):
+        raise DomainError(f"s must lie in (0, 1), got {s}; irregular cases s >= 1 are out of scope")
+    return s
+
+
 def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
             bisect_tol: float = BISECT_TOL, max_iters: int = EIGEN_MAX_ITERS) -> Solution:
     """Solve for the corner weight making a self-similar fixed point exist.
@@ -505,9 +513,7 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
     resistance 2/3, and the residual measures how far D is from being fixed
     under weights (r, r, r, s).
     """
-    s = float(s)
-    if not (0.0 < s < 1.0):
-        raise DomainError(f"s must lie in (0, 1), got {s}")
+    s = check_s(s)
     warm: Optional[EigenResult] = None  # the last fixed ray and chord factor start the next
     history: list[Evaluation] = []
 
@@ -624,6 +630,14 @@ def _slot_joins(ifs: IFS, bset: BoundarySet) -> tuple[np.ndarray, ...]:
     return order[same], order[same + 1], order[np.searchsorted(glued, range(bset.size))]
 
 
+def check_guard(guard: int, n: int) -> None:
+    """A guard of at most ``RELATION_GUARD_CAP`` that admits a boundary set of n points."""
+    if guard > RELATION_GUARD_CAP:
+        raise CapExceeded(f"guard {guard} exceeds cap {RELATION_GUARD_CAP}")
+    if n > guard:
+        raise GuardExceeded(f"boundary set has {n} points, guard is {guard}")
+
+
 def enumerate_preserved_relations(ifs: IFS, k: int = 1,
                                   guard: int = RELATION_GUARD) -> list[Relation]:
     """All rotation-invariant equivalence relations reproduced by one subdivision step.
@@ -646,8 +660,7 @@ def enumerate_preserved_relations(ifs: IFS, k: int = 1,
         raise DomainError(f"relation depth must be at least 1, got {k}")
     bset = boundary_set(ifs)
     n = bset.size
-    if n > guard:
-        raise GuardExceeded(f"boundary set has {n} points, guard is {guard}")
+    check_guard(guard, n)
     sigs = _invariant_partitions(bset.g_permutation)
     joins, size, kept = _slot_joins(ifs, bset), 4 * n, []
     for s in np.split(sigs, range(RELATION_CHUNK, len(sigs), RELATION_CHUNK)):

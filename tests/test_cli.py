@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import agres
-from agres import approx
+from agres import approx, converge, geometry, network, renorm
 from agres.cli import (RunConfig, main, validate, _parse_pairs, _parse_range,
                        _read_config_file, _solve, _write_kernel_csv)
-from agres.errors import ValidationError
+from agres.errors import AgresError, ValidationError
 from agres.exact import Point, point_decimal_str, point_exact_str
 
 
@@ -31,8 +31,8 @@ def run_cli(args, tmp_path, sub="out"):
 class TestValidate:
     def test_s_out_of_range_message(self):
         cfg = RunConfig(command="solve", lam="1/4", s=1.0)
-        msgs = validate(cfg)
-        assert any("s must lie in (0,1)" in m and "out of scope" in m for m in msgs)
+        assert validate(cfg) == ["s: s must lie in (0, 1), got 1.0; irregular cases s >= 1 "
+                                 "are out of scope"]
 
     def test_relations_guard_arithmetic(self):
         ok = RunConfig(command="relations", lam="1/7", guard=12)
@@ -59,14 +59,14 @@ class TestValidate:
         (dict(command="resistance", lam="1/4", s=0.5), "pairs: required for resistance"),
         (dict(command="graph", lam="x/y"), "lambda: lambda is not a rational: 'x/y'"),
         (dict(command="converge", target="3/4", s=0.5, n_range="4..6"),
-         "target: must lie in (0, 1/2)"),
+         "target: target must lie in (0, 1/2)"),
         (dict(command="converge", target="abc", s=0.5, n_range="4..6"),
          "target: cannot parse target 'abc'"),
         (dict(command="converge", target="1/sqrt8", s=0.5, n_range="4..x"),
          "n: malformed range '4..x'"),
-        (dict(command="graph", lam="1/4", level=-1), "level: must be nonnegative"),
-        (dict(command="graph", lam="1/4", depth=-1), "depth: must lie in 0..10"),
-        (dict(command="graph", lam="1/4", depth=11), "depth: must lie in 0..10"),
+        (dict(command="graph", lam="1/4", level=-1), "level: level must be nonnegative"),
+        (dict(command="graph", lam="1/4", depth=-1), "depth: depth must be nonnegative"),
+        (dict(command="graph", lam="1/4", depth=11), "depth: depth 11 exceeds cap 10"),
         (dict(command="resolvent", lam="1/4", s=0.5, measure="counting"),
          "measure: must be hausdorff or uniform, got 'counting'"),
     ])
@@ -79,6 +79,62 @@ class TestValidate:
         assert main([]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert err == {"type": "ValidationError", "message": message}
+
+    @pytest.mark.parametrize("fields, field, owner", [
+        pytest.param(dict(command="graph", lam="3/4"), "lambda",
+                     lambda: geometry.make_ifs("3/4"), id="lambda"),
+        pytest.param(dict(command="hausdorff", lam="1/8", lam2="1/2"), "lambda2",
+                     lambda: geometry.check_lambda("1/2", "lambda2"), id="lambda2"),
+        pytest.param(dict(command="boundary", lam="1/4", mode="bogus"), "mode",
+                     lambda: geometry.boundary_set(geometry.make_ifs("1/4"), "bogus"), id="mode"),
+        pytest.param(dict(command="converge", target="3/4", s=0.5, n_range="4..6"), "target",
+                     lambda: converge.dyadic_schedule("3/4", range(4, 7)), id="target"),
+        pytest.param(dict(command="converge", target="1/sqrt8", s=0.5, n_range=""), "n",
+                     lambda: converge.dyadic_schedule("1/sqrt8", []), id="n-empty"),
+        pytest.param(dict(command="converge", target="1/sqrt8", s=0.5, n_range="-1..2"), "n",
+                     lambda: converge.dyadic_schedule("1/sqrt8", range(-1, 3)), id="n-negative"),
+        pytest.param(dict(command="converge", target="1/100", s=0.5, n_range="1..3"), "n",
+                     lambda: converge.dyadic_schedule("1/100", range(1, 4)), id="n-rounding"),
+        pytest.param(dict(command="solve", lam="1/4", s=1.0), "s",
+                     lambda: renorm.solve_r(geometry.make_ifs("1/4"), 1.0), id="s"),
+        pytest.param(dict(command="relations", lam="1/7", guard=9), "guard",
+                     lambda: renorm.enumerate_preserved_relations(geometry.make_ifs("1/7"),
+                                                                  guard=9), id="guard-size"),
+        pytest.param(dict(command="relations", lam="1/7", guard=25), "guard",
+                     lambda: renorm.enumerate_preserved_relations(geometry.make_ifs("1/7"),
+                                                                  guard=25), id="guard-cap"),
+        pytest.param(dict(command="graph", lam="1/4", level=-1), "level",
+                     lambda: geometry.approximation_graph(geometry.make_ifs("1/4"), -1),
+                     id="level-negative"),
+        pytest.param(dict(command="graph", lam="1/4", level=11), "level",
+                     lambda: geometry.approximation_graph(geometry.make_ifs("1/4"), 11),
+                     id="level-graph-cap"),
+        pytest.param(dict(command="resolvent", lam="1/4", s=0.5, level=9), "level",
+                     lambda: approx.level_form(_solve(RunConfig(command="solve", s=0.5), "1/4"),
+                                               9), id="level-form-cap"),
+        pytest.param(dict(command="converge", target="1/sqrt8", s=0.5, n_range="4..6", level=9),
+                     "level", lambda: converge.convergence_report("1/sqrt8", 0.5, [4], [], m=9),
+                     id="level-report-cap"),
+        pytest.param(dict(command="boundary", lam="1/4", mode="oracle", depth=-1), "depth",
+                     lambda: geometry.boundary_set(geometry.make_ifs("1/4"), "oracle", depth=-1),
+                     id="depth-oracle-negative"),
+        pytest.param(dict(command="boundary", lam="1/4", mode="oracle", depth=11), "depth",
+                     lambda: geometry.boundary_set(geometry.make_ifs("1/4"), "oracle", depth=11),
+                     id="depth-oracle-cap"),
+        pytest.param(dict(command="hausdorff", lam="1/8", lam2="3/8", depth=11), "depth",
+                     lambda: geometry.hausdorff_distance(geometry.make_ifs("1/8"),
+                                                         geometry.make_ifs("3/8"), 11),
+                     id="depth-hausdorff-cap"),
+        pytest.param(dict(command="resolvent", lam="1/4", s=0.5, alpha=float("nan")), "alpha",
+                     lambda: network.resolvent(network.triangle_form(), [1 / 3] * 3, float("nan")),
+                     id="alpha"),
+    ])
+    def test_validate_reports_the_owners_message(self, fields, field, owner):
+        """A rule that both validate and the library enforce reads "field: <message>",
+        the message being the one the library's own call raises on the same value."""
+        with pytest.raises(AgresError) as info:
+            owner()
+        assert validate(RunConfig(**fields)) == [f"{field}: {info.value}"]
 
     @pytest.mark.parametrize("text,values", [
         ("\n   \n# a comment only\n", {}),
@@ -121,6 +177,15 @@ class TestValidate:
         assert not (out / "manifest.json").exists()
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert err["type"] == "ValidationError" and named in err["message"]
+
+    def test_config_file_mode_is_checked_before_the_manifest(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("lambda = 1/4\nmode = bogus\n")
+        code, out = run_cli(["boundary", "--config", str(cfgfile)], tmp_path)
+        assert code == 2 and not (out / "manifest.json").exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err == {"type": "ValidationError",
+                       "message": "mode: mode must be 'fast' or 'oracle', got 'bogus'"}
 
     @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
     def test_help_exits_0(self, argv, capsys):
@@ -236,6 +301,23 @@ class TestCommands:
         assert obj["error"]["type"] == "ValidationError"
         assert "relation_depth" in obj["error"]["message"]
 
+    @pytest.mark.parametrize("lam, guard, message", [
+        ("181/512", "27", "guard: guard 27 exceeds cap 24"),
+        ("1/7", "25", "guard: guard 25 exceeds cap 24"),
+        ("181/512", "24", "guard: boundary set has 27 points, guard is 24"),
+    ])
+    def test_guard_above_its_cap_or_below_the_boundary_set_is_a_validation_error(
+            self, tmp_path, capsys, monkeypatch, lam, guard, message):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("an enumeration started before validation")
+
+        monkeypatch.setattr("agres.renorm.enumerate_preserved_relations", no_enumeration)
+        monkeypatch.setattr("agres.renorm._invariant_partitions", no_enumeration)
+        code, out = run_cli(["relations", "--lambda", lam, "--guard", guard], tmp_path)
+        assert code == 2 and not (out / "manifest.json").exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err == {"type": "ValidationError", "message": message}
+
     def test_an_orbit_beyond_its_guard_is_a_validation_error(self, tmp_path, capsys):
         code, out = run_cli(["relations", "--lambda", "1/131"], tmp_path)
         assert code == 2 and not (out / "manifest.json").exists()
@@ -323,11 +405,27 @@ class TestCommands:
         assert obj["error"]["type"] == "FileExistsError"
 
     def test_negative_schedule_scale_is_validation_error(self, tmp_path, capsys):
-        code, _ = run_cli(["converge", "--target", "1/sqrt8", "--s", "0.5", "--n=-3..-3"],
-                          tmp_path)
-        assert code == 2
+        code, out = run_cli(["converge", "--target", "1/sqrt8", "--s", "0.5", "--n=-3..-3"],
+                            tmp_path)
+        assert code == 2 and not (out / "manifest.json").exists()
         obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert obj["error"]["type"] == "DomainError"
+        assert obj["error"] == {"type": "ValidationError",
+                                "message": "n: schedule scale n must be nonnegative, got -3"}
+
+    @pytest.mark.parametrize("args, message", [
+        (["--target", "1/100", "--n", "1..3"], "n: rounding at n=1 leaves (0, 1/2): 0"),
+        (["--target", "1/sqrt8", "--n=-1..2"], "n: schedule scale n must be nonnegative, got -1"),
+    ])
+    def test_schedule_rules_are_checked_before_the_manifest(self, tmp_path, capsys, monkeypatch,
+                                                            args, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started before validation")
+
+        monkeypatch.setattr("agres.converge.solve_r", no_solve)
+        code, out = run_cli(["converge", "--s", "0.5", "--level", "1"] + args, tmp_path)
+        assert code == 2 and not (out / "manifest.json").exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err == {"type": "ValidationError", "message": message}
 
     def test_fine_schedule_scale_fails_promptly(self, tmp_path):
         # lambda_100 has a doubling orbit past the guard; run in a child process so a
@@ -519,23 +617,23 @@ class TestResolventWriter:
                                 "message": "resolvent kernel is not bitwise symmetric"}
         assert not (out / "resolvent.csv").exists()
 
-    def test_carry_holds_at_most_a_quarter_of_the_texts(self, tmp_path):
-        """The writer frees each carried text once written: its traced peak stays
-        under n^2/4 texts of 32 bytes (a text is at most 25 bytes; the rest is the
-        carry's growth slack and the row in hand).  Keeping every upper row to the
-        end would hold n^2/2 texts, about 2.6 MB here."""
+    @pytest.mark.parametrize("level, n", [(3, 126), (4, 498)])
+    def test_block_writer_peak_is_bounded_per_block(self, tmp_path, level, n):
+        """The writer holds the texts of one block of about 4,096 entries at a time:
+        its traced peak, about 1.38 MB at both n (some 340 bytes per text of a
+        block), stays under one bound of 448 bytes per text of a block of 4,096.
+        Holding every text would take about 15 MB at n = 498."""
         sol = _solve(RunConfig(command="resolvent", lam="1/8", s=0.5), "1/8")
-        lf = approx.level_form(sol, 4)
+        lf = approx.level_form(sol, level)
         kernel = approx.resolvent_kernel(lf, 1.0, approx.measure_weights(sol.ifs, "hausdorff"))
-        n = len(lf.points)
-        assert n == 498
+        assert len(lf.points) == n
         tracemalloc.start()
         try:
             _write_kernel_csv(tmp_path / "k.csv", lf.points, kernel.matrix)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * n // 4 * 32, peak
+        assert peak < 4096 * 448, peak
 
     @pytest.mark.parametrize("alpha", ["1e-20", "1e-300"])
     def test_singular_shift_exits_3(self, tmp_path, capsys, alpha):

@@ -203,6 +203,14 @@ class TestBoundarySet:
         with pytest.raises(DomainError):
             boundary_set(ifs14, "oracle", depth=-1)
 
+    def test_oracle_depth_is_capped_before_any_level_is_built(self, ifs14, monkeypatch):
+        def no_level(*args, **kwargs):
+            raise AssertionError("a level was built before the depth was checked")
+
+        monkeypatch.setattr(geometry, "_boundary_set_oracle", no_level)
+        with pytest.raises(CapExceeded, match="^depth 11 exceeds cap 10$"):
+            boundary_set(ifs14, "oracle", depth=11)
+
     def test_doubling_orbits(self):
         assert doubling_orbit(Fraction(1, 2)) == [Fraction(1, 2)]
         assert doubling_orbit(Fraction(2, 7)) == [Fraction(2, 7), Fraction(4, 7), Fraction(1, 7)]

@@ -13,7 +13,7 @@ import pytest
 import agres
 from agres import network, renorm
 from agres.converge import dyadic_schedule
-from agres.errors import (BracketFailure, DegenerateLimit, Disconnected, DomainError,
+from agres.errors import (BracketFailure, CapExceeded, DegenerateLimit, Disconnected, DomainError,
                           GuardExceeded, NoConvergence)
 from agres.geometry import (BoundarySet, _level_geometry, boundary_set, doubling_orbit,
                             seeded_copies)
@@ -381,6 +381,15 @@ class TestPreservedRelations:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             enumerate_preserved_relations(agres.make_ifs("1/7"), guard=9)
+
+    @pytest.mark.parametrize("lam", ["1/7", "181/512"])
+    def test_guard_above_its_cap_raises_before_any_enumeration(self, lam, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("an enumeration started before the guard was checked")
+
+        monkeypatch.setattr(renorm, "_invariant_partitions", no_enumeration)
+        with pytest.raises(CapExceeded, match="^guard 25 exceeds cap 24$"):
+            enumerate_preserved_relations(agres.make_ifs(lam), guard=renorm.RELATION_GUARD_CAP + 1)
 
     def test_nontrivial_exists_for_non_dyadic(self):
         # corners can merge without touching edge points only when no edge
