@@ -174,14 +174,19 @@ def bottom_edge_vids(geom: LevelGeometry) -> list[int]:
     return np.flatnonzero(geom.table.num[:, 1] == 0).tolist()
 
 
+def _check_subdivided(m: int) -> None:
+    """The rule of every diagnostic that reads a level against the cells of level 1."""
+    if m < 1:
+        raise DomainError("level must be at least 1")
+
+
 def boundary_resistance_check(lf: LevelForm) -> tuple[float, float, bool]:
     """Resistance from the top corner to the grounded bottom edge versus its lower bound.
 
     The bound (1/2) * s * r / (s + r) reflects that current must leave the
     top cell through its own copy and through the added cell.
     """
-    if lf.m < 1:
-        raise DomainError("level must be at least 1")
+    _check_subdivided(lf.m)
     bottom = bottom_edge_vids(lf.geometry)
     top = lf.vid_of_address((), 1)
     value = effective_resistance(lf.form, top, set(bottom))
@@ -289,8 +294,7 @@ def scaling_exponent(sol: Solution,
     levels = sorted(set(int(k) for k in levels))
     if len(levels) < 4:
         raise InsufficientScales("need at least 4 distinct dyadic scales")
-    if levels[0] < 1:
-        raise DomainError("levels must be >= 1")
+    _check_subdivided(levels[0])
     tower = EdgeTraceTower(sol)
     tower.refine_to(max(levels))
 
@@ -406,8 +410,7 @@ def decimation_identity(lf: LevelForm, f_corners: Sequence[float]) -> Decimation
     a plain evaluation against the bare level-(m-1) form is reported too.
     """
     m, sol = lf.m, lf.solution
-    if m < 1:
-        raise DomainError("level must be >= 1")
+    _check_subdivided(m)
     if len(f_corners) != 3:
         raise DomainError("corner data must have three values")
     ifs, geom = sol.ifs, lf.geometry

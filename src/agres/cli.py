@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--measure", choices=("hausdorff", "uniform"))
         p.add_argument("--eigen-tol", dest="eigen_tol", type=float)
         p.add_argument("--bisect-tol", dest="bisect_tol", type=float,
-                       help="weight solve stops once |x*C(x) - s| <= this")
+                       help="weight solve: the solved x must reach |x*C(x) - s| <= this")
         p.add_argument("--max-iters", dest="max_iters", type=int)
         p.add_argument("--relation-depth", dest="relation_depth", type=int)
         p.add_argument("--guard", type=int)

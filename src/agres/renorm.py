@@ -5,8 +5,9 @@ boundary form along the cell contact points (one copy per map, copy i
 scaled by 1/r_i) and reduces back to the boundary set by a Schur trace.
 A self-similar form corresponds to a fixed point; at unit corner weights
 the operator has a one-dimensional fixed ray whose scale factor C depends
-monotonically on the added-cell weight, which is what the Brent root
-finder in ``solve_r`` exploits.
+monotonically on the added-cell weight.  ``solve_r`` solves the ray and the
+weight together, with Brent's root finder on that monotone dependence as
+its fallback.
 """
 
 from __future__ import annotations
@@ -126,6 +127,9 @@ class GlueContext:
         self.orbit_ids = _pair_orbit_ids(bset.g_permutation)
         # row k: the k-th pair of each orbit, least first (three each: one point is fixed)
         self.orbit_pairs = np.argsort(self.orbit_ids, kind="stable").reshape(-1, 3).T
+        # m0[o]: the pairs of orbit o that touch vertex 0, so m0 @ z is E0 of the orbit values z
+        self.m0 = np.bincount(self.orbit_ids[self.pair_i == 0],
+                              minlength=self.orbit_pairs.shape[1])
         self.copies = (0, 1, 2, 3) if include_added else (0, 1, 2)
 
         table, ids = seeded_copies(ifs, bset.points, 1, self.copies)
@@ -196,13 +200,16 @@ class GlueContext:
         """Glue the weighted copies and trace to the boundary; returns its pair vector."""
         return self.trace(cvec, weights)[0]
 
-    def jacobian(self, X: np.ndarray, y: np.ndarray, weights: Sequence[float]) -> np.ndarray:
-        """Jacobian of ``e0_normalized(apply(.))`` at a rotation-symmetric vector, from the
-        harmonic extension X and the image y that ``trace`` returned there: a row (its least
-        pair) and a column (summed over the orbit) per pair orbit.  The trace's derivative
-        in the glued conductance of (p, q) is -h[a] h[b] on the output pair (a, b), h being
-        row p minus row q of the harmonic extension (Kigami, Analysis on Fractals, ch. 2);
-        the normalization adds a rank-one term."""
+    def _derivatives(self, X: np.ndarray, weights: Sequence[float],
+                     c: Optional[np.ndarray] = None) -> np.ndarray:
+        """Derivative of ``apply``'s orbit values (its least pair per orbit) at a
+        rotation-symmetric vector, from the harmonic extension X that ``trace`` returned
+        there: a column per input pair orbit (summed over the orbit) and, given that input
+        vector c, one more for the added weight x.  The trace's derivative in the glued
+        conductance of (p, q) is -h[a] h[b] on the output pair (a, b), h being row p minus
+        row q of the harmonic extension (Kigami, Analysis on Fractals, ch. 2); copy 3
+        carries c/x, so the derivative in x reads off K Lap(c) K^T / x^2, K being the
+        extension's columns at copy 3's points."""
         Ht = np.hstack([np.eye(self.N), -X.T])
         rep = self.orbit_pairs[0]
         a, b = self.pair_i[rep], self.pair_j[rep]
@@ -212,10 +219,38 @@ class GlueContext:
             for m in self.orbit_pairs:
                 h = K[:, self.pair_i[m]] - K[:, self.pair_j[m]]  # boundary vertex x input orbit
                 Jy -= h[a] * h[b] / float(weights[ci])
-        # m0[o]: the pairs of orbit o that touch vertex 0, so m0 @ y is E0 of the orbit values
-        m0 = np.bincount(self.orbit_ids[self.pair_i == 0], minlength=len(rep))
-        y = self.symmetrize_vector(y)[rep]
-        return Jy / (m0 @ y) - np.outer(y, m0 @ Jy) / (m0 @ y) ** 2
+        if c is None:
+            return Jy
+        K = Ht[:, self.ids[3]]
+        M = K @ _laplacian(self.N, self.pair_i, self.pair_j, c) @ K.T
+        return np.column_stack([Jy, M[a, b] / float(weights[3]) ** 2])
+
+    def _e0_scaled(self, R: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Derivatives R of the orbit values of the image y, taken through
+        ``e0_normalized``: a rank-one term."""
+        y = self.symmetrize_vector(y)[self.orbit_pairs[0]]
+        return R / (self.m0 @ y) - np.outer(y, self.m0 @ R) / (self.m0 @ y) ** 2
+
+    def jacobian(self, X: np.ndarray, y: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+        """Jacobian of ``e0_normalized(apply(.))`` at a rotation-symmetric vector, from the
+        harmonic extension X and the image y that ``trace`` returned there: a row (its least
+        pair) and a column (summed over the orbit) per pair orbit."""
+        return self._e0_scaled(self._derivatives(X, weights), y)
+
+    def weight_jacobian(self, X: np.ndarray, y: np.ndarray, c: np.ndarray,
+                        weights: Sequence[float]) -> np.ndarray:
+        """Jacobian of G(z, x) = (T(z) - z, x E0(y) / E0(z)) in the orbit values z and the
+        added weight x, T being ``e0_normalized(apply(.))`` and y = ``apply(z)`` at weights
+        (1, 1, 1, x), at the vector c that ``trace`` took to y and X.  Its leading block is
+        ``jacobian`` minus I; the last row is the weight equation's."""
+        R = self._derivatives(X, weights, c)
+        x, n = float(weights[3]), len(R)
+        e0y = self.m0 @ self.symmetrize_vector(y)[self.orbit_pairs[0]]
+        e0z = self.m0 @ c[self.orbit_pairs[0]]
+        row = x * (self.m0 @ R) / e0z
+        row[:n] -= x * e0y / e0z ** 2 * self.m0
+        row[n] += e0y / e0z
+        return np.vstack([self._e0_scaled(R, y) - np.eye(n, n + 1), row])
 
     def _unit_potential(self, cvec: np.ndarray) -> np.ndarray:
         """Potential of a unit current from corner 2 (vertex 1) to corner 1 (vertex 0),
@@ -297,8 +332,11 @@ def renorm_map(ifs: IFS, D: BoundaryForm, weights) -> BoundaryForm:
 @dataclass
 class EigenResult:
     """Fixed ray of the unit-corner-weight subdivision map at one added weight, D at corner
-    resistance 2/3; ``chord`` is the LU factor of J - I (J that of the loop's E0-scaled map)
-    that a later solve on the same boundary set may start from."""
+    resistance 2/3; ``chord`` is the LU factor of the chord matrix (J - I, J that of the
+    loop's E0-scaled map, bordered by the weight equation in a joint solve) that a later
+    solve of the same kind on the same boundary set may start from.  In a joint solve
+    (``eigen_solve`` given s), ``rtilde4`` is the solved weight x and C is that of the
+    closing application there, so x * C - s is the certificate's g."""
     rtilde4: float
     C: float
     D: BoundaryForm
@@ -316,10 +354,17 @@ def _rel_delta(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.abs(new - old) / denom))
 
 
+def _weight_bracket(s: float) -> tuple[float, float]:
+    """[s, s/0.58] holds the root of g(x) = x * C(x) - s: ``eigen_solve`` returns only
+    3/5 - 1e-9 <= C < 1, so g(s) < 0 < g(s/0.58)."""
+    return s, s / 0.58
+
+
 def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
                 max_iters: int = EIGEN_MAX_ITERS,
                 initial: Optional[BoundaryForm] = None,
-                chord: Optional[tuple] = None) -> EigenResult:
+                chord: Optional[tuple] = None,
+                s: Optional[float] = None, s_tol: float = BISECT_TOL) -> EigenResult:
     """Fixed conductance profile of the subdivision map at unit corner weights.
 
     Iterates T = e0_normalized(apply(.)) from a rotation-symmetric start until
@@ -336,8 +381,24 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
     cone or does not reduce the change hands back to power steps.  The scale
     factor C is the energy ratio of one application at the limit; it lies in
     [3/5, 1).  ``rtilde4 = inf`` or None omits the added copy (open circuit).
+
+    Given ``s``, the added weight x is solved too, from the start ``rtilde4``,
+    so that g(x) = x * C(x) - s vanishes (Keller's bordered system for a
+    parameter-dependent fixed point, 1977): each power step also sets
+    x <- s / C, clamped to [s, s/0.58], and the chord steps solve for (z, x)
+    with ``GlueContext.weight_jacobian``.  A chord step that takes x out of
+    that bracket hands back to power steps too.  The loop stops once the step
+    at the final x changes the profile by less than ``tol`` with
+    |g| <= ``s_tol``; the result's ``rtilde4`` is that x, and its C, from the
+    closing application, is for the caller to check against ``s_tol``.  A
+    step that finds the profile settled but cannot move x raises NoConvergence.
     """
     ws, include_added = _normalize_weights((1.0, 1.0, 1.0, rtilde4))
+    x = ws[3]
+    if s is not None:
+        lo, hi = _weight_bracket(check_s(s))
+        if not include_added:
+            raise DomainError("a weight solve needs a finite start weight")
     bset = boundary_set(ifs)
     ctx = _glue_context(ifs, bset, include_added)
 
@@ -346,16 +407,21 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
     c = ctx.e0_normalized(np.ones(len(ctx.pairs)) if initial is None else initial.c)
 
     rep = ctx.orbit_pairs[0]
-    lu = chord if chord is not None and len(chord[1]) == len(rep) else None
+    size = len(rep) + (s is not None)
+    lu = chord if chord is not None and len(chord[1]) == size else None
     chording = fallen = False
-    delta, iters, jacobians = math.inf, 0, 0
+    delta, iters, jacobians, g = math.inf, 0, 0, 0.0
     for iters in range(1, max_iters + 1):
+        ws = (1.0, 1.0, 1.0, x)
         y, X = ctx.trace(c, ws)
         new = ctx.e0_normalized(y)
         prev, delta = delta, _rel_delta(new, c)
         if not math.isfinite(delta):
             raise NoConvergence(f"profile change is {delta} after {iters} iterations")
-        if delta < tol:
+        if s is not None:
+            ratio = ctx.energy_at_p1_indicator(y) / ctx.energy_at_p1_indicator(c)
+            g = x * ratio - s
+        if delta < tol and (s is None or abs(g) <= s_tol):
             c = new
             break
         fallen = fallen or (chording and not delta < prev)  # a chord step that did not help
@@ -363,14 +429,24 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
             lu = None
         chording = not fallen and delta < CHORD_START
         if chording and lu is None:
-            lu = _scipy("linalg.lapack").dgetrf(ctx.jacobian(X, y, ws) - np.eye(len(rep)))[:2]
+            A = (ctx.jacobian(X, y, ws) - np.eye(size) if s is None
+                 else ctx.weight_jacobian(X, y, c, ws))
+            lu = _scipy("linalg.lapack").dgetrf(A)[:2]
             jacobians += 1
+        c_next, x_next = new, (x if s is None else min(max(s / ratio, lo), hi))
         if chording:
             t, z = new[rep], c[rep]
             live = t > 0  # pairs the map leaves at zero stay there
-            z = np.where(live, z - _scipy("linalg.lapack").dgetrs(*lu, t - z)[0], 0.0)
-            fallen = not (z[live] > 0).all()
-        c = z[ctx.orbit_ids] if chording and not fallen else new
+            step = _scipy("linalg.lapack").dgetrs(*lu, t - z if s is None
+                                                  else np.append(t - z, g))[0]
+            z = np.where(live, z - step[:len(rep)], 0.0)
+            xz = x if s is None else x - float(step[-1])
+            fallen = not ((z[live] > 0).all() and (s is None or lo <= xz <= hi))
+            if not fallen:
+                c_next, x_next = z[ctx.orbit_ids], xz
+        if delta < tol and abs(x_next - x) <= 4 * np.finfo(float).eps * x:
+            raise NoConvergence(f"the weight stalls at |x * C - s| = {abs(g):.3e}")
+        c, x = c_next, x_next
     else:
         raise NoConvergence(f"no fixed profile after {max_iters} iterations (delta={delta:.3e})")
 
@@ -391,7 +467,8 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One evaluation of the weight solve's g(x) = x * C(x) - s, by ``eigen_solve`` at x."""
+    """One ``eigen_solve`` call of the weight solve and its g(x) = x * C(x) - s: the joint
+    solve, at the x it solved, or one abscissa of the fallback root finder."""
     x: float
     g: float
     C: float
@@ -406,11 +483,13 @@ class Solution:
     """Solved renormalization data for one (lambda, s) pair, with the IFS it was solved on.
 
     ``eigen_iterations`` counts the ``eigen_solve`` calls of the weight
-    solve (one per root-finder evaluation), not the map applications inside
-    them; ``power_iterations`` is their total, ``jacobians`` that of the
-    Jacobians they built.  ``history`` holds one record per evaluation, in
-    call order, and ``bracket`` the final sign-change interval of g; none of
-    these is serialized.
+    solve, not the map applications inside them: 1 when the joint solve
+    certifies, and otherwise one more per evaluation of the fallback root
+    finder (the joint call counts when it returned).  ``power_iterations``
+    is the total of map applications, ``jacobians`` that of the Jacobians
+    built.  ``history`` holds one record per call, in call order, and
+    ``bracket`` the final sign-change interval of g, (x, x) when the joint
+    solve certifies; none of these is serialized.
     """
     ifs: IFS
     s: float
@@ -505,29 +584,41 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
             bisect_tol: float = BISECT_TOL, max_iters: int = EIGEN_MAX_ITERS) -> Solution:
     """Solve for the corner weight making a self-similar fixed point exist.
 
-    Finds the root of g(x) = x * C(x) - s, which is nondecreasing in x, with
-    ``bracketed_root`` until |g| <= ``bisect_tol``.  The bracket
-    [s, s/0.58] holds the root: ``eigen_solve`` returns only
-    3/5 - 1e-9 <= C < 1, so g(s) < 0 < g(s/0.58).  The returned r equals
-    C at the solving abscissa, the fixed form D is normalized to corner
-    resistance 2/3, and the residual measures how far D is from being fixed
-    under weights (r, r, r, s).
+    Finds the root x of g(x) = x * C(x) - s, which is nondecreasing in x, in
+    the bracket [s, s/0.58] (``_weight_bracket``), by one joint
+    ``eigen_solve`` for the fixed ray and x, started at the bracket's middle.
+    Its result is certified when x lies in the bracket and |g| <=
+    ``bisect_tol`` with C from its closing application; the loop has already
+    checked that the step at that x changed the ray by less than
+    ``eigen_tol``.  Otherwise (also when it raises NoConvergence), Brent's
+    ``bracketed_root`` solves on the bracket until |g| <= ``bisect_tol``,
+    each evaluation a fixed-weight ``eigen_solve`` warm-started from the
+    last.  The returned r equals C at the solved weight, the fixed form D is
+    normalized to corner resistance 2/3, and the residual measures how far D
+    is from being fixed under weights (r, r, r, s).
     """
     s = check_s(s)
     warm: Optional[EigenResult] = None  # the last fixed ray and chord factor start the next
     history: list[Evaluation] = []
 
-    def value(x: float) -> tuple[float, float, EigenResult]:
+    def value(x: float, **joint) -> tuple[float, float, EigenResult]:
         nonlocal warm
         res = eigen_solve(ifs, x, tol=eigen_tol, max_iters=max_iters,
-                          initial=warm and warm.D, chord=warm and warm.chord)
-        warm = res
+                          initial=warm and warm.D, chord=warm and warm.chord, **joint)
+        warm, x = res, res.rtilde4
         g = x * res.C - s
         history.append(Evaluation(x, g, res.C, res.iterations, res.delta, res.residual,
                                   res.jacobians))
         return x, g, res
 
-    b, c = bracketed_root(value, s, s / 0.58, bisect_tol)
+    lo, hi = _weight_bracket(s)
+    try:
+        b = c = value(0.5 * (lo + hi), s=s, s_tol=bisect_tol)
+        certified = lo <= b[0] <= hi and abs(b[1]) <= bisect_tol
+    except NoConvergence:
+        certified = False
+    if not certified:
+        b, c = bracketed_root(value, lo, hi, bisect_tol)
     rtilde4, _, res = b
     r, D = res.C, res.D
     ctx = _glue_context(ifs, boundary_set(ifs), include_added=True)

@@ -1,5 +1,6 @@
 """The subdivision operator, its fixed ray, the weight solve, and preserved relations."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -630,6 +631,37 @@ def test_jacobian_matches_central_differences(lam, x):
     assert np.abs(J - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
+@pytest.mark.parametrize("lam", ["1/7", "181/512"])
+def test_weight_jacobian_matches_central_differences(lam):
+    ifs = agres.make_ifs(lam)
+    ctx = _glue_context(ifs, boundary_set(ifs), True)
+    x, s, rep = 0.7, 0.5, ctx.orbit_pairs[0]
+    # a positive symmetric point off the fixed ray, not E0-normalized
+    z = ray_vector(eigen_solve(ifs, x))[rep]
+    z = (z + 0.1 * z.mean()) * np.random.default_rng(5).uniform(0.8, 1.2, len(rep))
+    c = z[ctx.orbit_ids]
+    y, X = ctx.trace(c, (1.0, 1.0, 1.0, x))
+    A = ctx.weight_jacobian(X, y, c, (1.0, 1.0, 1.0, x))
+
+    def G(v):  # (T(z) - z, x * C - s) at v = (z, x)
+        z, x = v[:-1], v[-1]
+        y = ctx.apply(z[ctx.orbit_ids], (1.0, 1.0, 1.0, x))
+        C = ctx.energy_at_p1_indicator(y) / ctx.energy_at_p1_indicator(z[ctx.orbit_ids])
+        return np.append(ctx.e0_normalized(y)[rep] - z, x * C - s)
+
+    v, fd = np.append(z, x), np.empty_like(A)
+    for k in range(len(v)):
+        step = np.zeros_like(v)
+        step[k] = 1e-6 * v[k]
+        fd[:, k] = (G(v + step) - G(v - step)) / (2 * step[k])
+    n = len(rep)
+    assert A.shape == (n + 1, n + 1)
+    assert np.abs(A[:, n] - fd[:, n]).max() <= 1e-6 * np.abs(fd[:, n]).max()  # the x column
+    assert np.abs(A[n] - fd[n]).max() <= 1e-6 * np.abs(fd[n]).max()           # the weight row
+    J = ctx.jacobian(X, y, (1.0, 1.0, 1.0, x))
+    assert np.abs(A[:n, :n] + np.eye(n) - J).max() <= 1e-13 * np.abs(J).max()
+
+
 @pytest.mark.parametrize("wrong", [
     lambda n: 3.0 * np.eye(n),
     lambda n: np.random.default_rng(8).normal(0.0, 2.0, (n, n)),
@@ -692,7 +724,9 @@ def test_weight_solve_factors_once_per_application(monkeypatch):
 def test_sqrt8_schedule_map_applications():
     sols = [solve_r(agres.make_ifs(lam), 0.5)
             for _, lam in dyadic_schedule("1/sqrt8", range(4, 11)).entries]
-    assert sum(sol.power_iterations for sol in sols) <= 300
+    # measured 96 map applications and 7 Jacobians, with about 15 % of slack
+    assert sum(sol.power_iterations for sol in sols) <= 110
+    assert sum(sol.jacobians for sol in sols) <= 8
     for sol in sols:  # rescaled once, on exit, to corner resistance 2/3
         for pair in ((0, 1), (1, 2), (0, 2)):
             assert effective_resistance(sol.D.form, *pair) == pytest.approx(2 / 3, abs=1e-8)
@@ -874,6 +908,84 @@ def test_brent_matches_bisection(lam, s):
         assert sol.eigen_iterations <= 12
 
 
+@pytest.mark.parametrize("lam,s", GRID_CASES + [(lam, 0.5) for lam in SQRT8_LAMBDAS]
+                         # at 181/512, s = 1e-4 the fixed-weight solve at Brent's first
+                         # abscissa, x = s, stalls on rounding noise and raises NoConvergence
+                         + [("1/7", 1e-4), ("181/512", 1e-4)])
+def test_joint_solve_certifies_without_the_fallback(lam, s):
+    sol = solve_r(agres.make_ifs(lam), s)
+    [h] = sol.history
+    assert sol.eigen_iterations == 1 and sol.bracket == (h.x, h.x) == (sol.rtilde4,) * 2
+    assert s <= h.x <= s / 0.58 and abs(h.g) <= renorm.BISECT_TOL
+    assert h.delta < EIGEN_TOL and sol.residual <= 1e-8
+
+
+@pytest.mark.parametrize("lam,s", [("1/7", 0.05), ("1/7", 0.95), ("3/7", 0.05), ("1/9", 0.95)])
+def test_joint_solve_matches_bisection_at_extreme_weights(lam, s):
+    ifs = agres.make_ifs(lam)
+    sol = solve_r(ifs, s)
+    rtilde4, r = bisection_solve(ifs, s)
+    assert sol.eigen_iterations == 1
+    assert sol.r == pytest.approx(r, rel=1e-9)
+    # the oracle stops at |g| <= 1e-10, which leaves x about 2e-9 relative at s = 0.05
+    assert sol.rtilde4 == pytest.approx(rtilde4, abs=1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_bisection(lam, s):
+    return bisection_solve(agres.make_ifs(lam), s)
+
+
+def joint_solve_failing(failure):
+    """``eigen_solve`` with its joint mode patched to fail its certificate in one of the
+    three ways ``solve_r`` checks; fixed-weight calls are left as they are."""
+    real = renorm.eigen_solve
+
+    def patched(ifs, x, s=None, **kwargs):
+        if s is None:
+            return real(ifs, x, **kwargs)
+        if failure == "raises":
+            raise NoConvergence("patched joint solve")
+        res = real(ifs, x, s=s, **kwargs)
+        if failure == "misses":  # |x C - s| far above tolerance
+            return dataclasses.replace(res, rtilde4=1.01 * res.rtilde4)
+        x = 1.01 * s / 0.58      # g = 0, but outside the bracket
+        return dataclasses.replace(res, rtilde4=x, C=s / x)
+    return patched
+
+
+@pytest.mark.parametrize("failure", ["raises", "misses", "leaves"])
+@pytest.mark.parametrize("lam,s", [("1/4", 0.5), ("1/7", 0.3)])
+def test_uncertified_joint_solve_falls_back_to_brent(monkeypatch, lam, s, failure):
+    ifs = agres.make_ifs(lam)
+    monkeypatch.setattr(renorm, "eigen_solve", joint_solve_failing(failure))
+    sol = solve_r(ifs, s)
+    brent = sol.history[failure != "raises":]  # a joint result that came back is recorded
+    assert [h.x for h in brent[:2]] == [s, s / 0.58]
+    assert len(sol.history) == sol.eigen_iterations and len(brent) >= 3
+    assert sol.power_iterations == sum(h.power_iterations for h in sol.history)
+    lo, hi = sol.bracket
+    assert s <= lo <= sol.rtilde4 <= hi <= s / 0.58 and lo < hi
+    rtilde4, r = cached_bisection(lam, s)
+    assert sol.rtilde4 == pytest.approx(rtilde4, rel=1e-9)
+    assert sol.r == pytest.approx(r, rel=1e-9)
+    assert abs(sol.rtilde4 * sol.C - s) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", ["1/4", "1/7", "181/512"])
+def test_unreachable_weight_tolerance_stops_promptly(lam):
+    # |x C - s| <= 0 holds only where rounding gives exactly 0: the loop either lands
+    # there or stops once x cannot move, long before max_iters
+    ifs = agres.make_ifs(lam)
+    try:
+        res = eigen_solve(ifs, 0.7, s=0.5, s_tol=0.0)
+    except NoConvergence as exc:
+        assert "stalls" in str(exc)
+    else:
+        assert res.rtilde4 * res.C - 0.5 == pytest.approx(0.0, abs=1e-15)
+        assert res.iterations <= 100
+
+
 def test_solve_history(ifs14):
     sol = solve_r(ifs14, 0.5)
     hist = sol.history
@@ -881,12 +993,13 @@ def test_solve_history(ifs14):
     assert sol.power_iterations == sum(h.power_iterations for h in hist)
     assert all(h.power_iterations >= 1 and h.delta < 1e-12 for h in hist)
     assert all(h.g == pytest.approx(h.x * h.C - 0.5, abs=1e-15) for h in hist)
-    # the first two evaluations are the ends of the initial bracket
-    assert [h.x for h in hist[:2]] == [0.5, 0.5 / 0.58]
+    # the joint solve certifies at once: one evaluation, at the solved weight
+    assert len(hist) == 1 and 0.5 <= hist[0].x <= 0.5 / 0.58
     assert (hist[-1].x, hist[-1].C) == (sol.rtilde4, sol.C)
     assert abs(hist[-1].g) <= 1e-10
     lo, hi = sol.bracket
     assert lo <= sol.rtilde4 <= hi
+    assert sol.bracket == (sol.rtilde4, sol.rtilde4)
     assert "history" not in sol.to_json_obj()
 
 
@@ -896,7 +1009,10 @@ def synthetic_c(monkeypatch, ifs14):
     D = eigen_solve(ifs14, 1.0).D
 
     def install(C):
-        def fake(ifs, x, tol=None, max_iters=None, initial=None, chord=None):
+        def fake(ifs, x, tol=None, max_iters=None, initial=None, chord=None, s=None,
+                 s_tol=None):
+            if s is not None:  # a synthetic C(x) has no ray to solve with x
+                raise NoConvergence("no joint solve on a synthetic C")
             return EigenResult(x, C(x), D, 3, 0.0, 0.0)
         monkeypatch.setattr(renorm, "eigen_solve", fake)
     return install
