@@ -3,8 +3,10 @@
 The level-m form on the graph vertices decomposes into one traced copy of
 the solved boundary form per length-m cell, weighted by the inverse word
 weight.  Cells meet only at graph vertices, so the decomposition is exact
-and no global elimination is ever needed; resistances between boundary
-edge points at fine scales come from a nested trace tower that refines the
+and no global elimination is ever needed: the copies come from one
+Laplacian of the boundary form and one Schur complement per cell type (a
+type is a set of kept boundary points).  Resistances between boundary edge
+points at fine scales come from a nested trace tower that refines the
 bottom edge only.
 
 Each input is passed once: a ``Solution`` carries the IFS it was solved on,
@@ -27,7 +29,7 @@ from .errors import (BadWeights, CapExceeded, DomainError, IdentificationMismatc
 from .exact import Lattice, Point
 from .geometry import (IFS, Address, LevelGeometry, VertexTable, Word, _level_geometry,
                        cell_images, check_level)
-from .network import (FiniteForm, _dipole_resistances, effective_resistance,
+from .network import (FiniteForm, _dipole_resistances, _traced_edges, effective_resistance,
                       harmonic_extension, resistance_matrix, resolvent, trace)
 from .renorm import BoundaryForm, Solution, bracketed_root
 
@@ -54,11 +56,36 @@ class LevelForm:
         return self.geometry.vid_of_address(word, corner)
 
 
-def _cell_table(D: BoundaryForm, kept: Sequence[int]) -> np.ndarray:
+Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _cell_table(D: BoundaryForm, kept: Sequence[int]) -> Edges:
     """Edges (a, b, c) of the boundary form traced to a kept subset, with a and b
     positions in the kept order."""
     sub = trace(D.form, list(kept)) if len(kept) < D.n else D.form
-    return np.rec.fromarrays([sub._a, sub._b, sub._c], names="a,b,c")
+    return sub._a, sub._b, sub._c
+
+
+def _cell_tables(D: BoundaryForm, types: Sequence[Sequence[int]]) -> list[Edges]:
+    """``_cell_table`` of every kept subset, in one pass: one dense Laplacian of D,
+    reordered per subset to the kept points followed by the rest in vertex order
+    (the matrix ``trace`` builds), and one Schur complement each."""
+    form, n = D.form, D.n
+    if any(len(kept) < n for kept in types):
+        form.require_connected()
+        L = form.laplacian_dense()
+    tables = []
+    for kept in types:
+        if len(kept) == n:
+            tables.append((form._a, form._b, form._c))
+            continue
+        rest = np.ones(n, dtype=bool)
+        rest[list(kept)] = False
+        perm = np.concatenate([kept, np.flatnonzero(rest)])
+        # C-ordered, as trace's own Laplacian: a transposed layout would round
+        # the Schur products differently from 42 points on
+        tables.append(_traced_edges(L.take(perm, 0).take(perm, 1), len(kept)))
+    return tables
 
 
 def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,20 +99,23 @@ def level_form(sol: Solution, m: int) -> LevelForm:
     """Trace of the solved self-similar form onto the level-m vertex set of its IFS.
 
     Exact decomposition: one copy of the boundary form per cell, traced to
-    the cell's kept vertices and weighted by the inverse word weight.
+    the cell's kept vertices and weighted by the inverse word weight.  The
+    traces come from one Laplacian of the boundary form and one Schur
+    complement per cell type (``_cell_tables``).
     """
     check_level(m, LEVEL_CAP)
     geom = _level_geometry(sol.ifs, m)
-    tables = [_cell_table(sol.D, kept) for kept in geom.types]
-    # one contribution per (cell, row of the cell's table), cell after cell
-    sizes = np.array([len(tab) for tab in tables])
+    tables = _cell_tables(sol.D, geom.types)
+    # one contribution per (cell, edge of the cell's table), cell after cell
+    sizes = np.array([len(c) for _, _, c in tables])
     types = np.asarray(geom.cell_type)
     cell, k = _ragged(sizes[types])
-    rows = np.concatenate(tables)[(np.cumsum(sizes) - sizes)[types[cell]] + k]
+    rows = (np.cumsum(sizes) - sizes)[types[cell]] + k
+    a, b, c = (np.concatenate(column)[rows] for column in zip(*tables))
     base = geom.kept_start[cell]
-    form = FiniteForm.from_arrays(range(geom.n_vertices), geom.kept_gids[base + rows["a"]],
-                                  geom.kept_gids[base + rows["b"]],
-                                  geom.cell_multipliers(sol.r, sol.s)[cell] * rows["c"])
+    form = FiniteForm.from_arrays(range(geom.n_vertices), geom.kept_gids[base + a],
+                                  geom.kept_gids[base + b],
+                                  geom.cell_multipliers(sol.r, sol.s)[cell] * c)
     return LevelForm(m, form, geom, sol)
 
 
@@ -387,16 +417,16 @@ def _celled_energy(D: BoundaryForm, weights: np.ndarray, vals: np.ndarray) -> fl
     assembly: fresh kept-set discovery, fresh traces, no level form.
     """
     total = 0.0
-    memo: dict[tuple[int, ...], np.ndarray] = {}
+    memo: dict[tuple[int, ...], Edges] = {}
     for w, row in zip(weights.tolist(), vals):
         kept = np.flatnonzero(~np.isnan(row))
         key = tuple(kept.tolist())
-        tab = memo.get(key)
-        if tab is None:
-            tab = memo[key] = _cell_table(D, key)
+        if key not in memo:
+            memo[key] = _cell_table(D, key)
+        a, b, c = memo[key]
         cell_vals = row[kept]
-        d = cell_vals[tab["a"]] - cell_vals[tab["b"]]
-        total += w * float(np.dot(tab["c"], d * d))
+        d = cell_vals[a] - cell_vals[b]
+        total += w * float(np.dot(c, d * d))
     return total
 
 

@@ -373,14 +373,32 @@ def trace(form: FiniteForm, keep: Iterable[VertexId]) -> FiniteForm:
     if len(keep) == form.n:
         return FiniteForm.from_arrays(keep, *form._edges_in(keep), form._c)
     L, _ = form._laplacian_first(keep)
-    S, fac, _ = _schur(L, len(keep))
+    return FiniteForm.from_arrays(keep, *_traced_edges(L, len(keep)))
+
+
+def _traced_edges(L, nk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges (i, j, c) of the trace of a connected Laplacian onto its first nk
+    indices, i < j positions among them: the Schur complement's pair conductances
+    above the dust level.  A dense interior whose pivot ratio exceeds
+    PIVOT_RATIO_WARN warns, pointing at the caller of the function that called
+    this one."""
+    S, fac, _ = _schur(L, nk)
     if fac.pivot_ratio is not None and fac.pivot_ratio > PIVOT_RATIO_WARN:
         warnings.warn(f"interior pivot ratio {fac.pivot_ratio:.3g} exceeds {PIVOT_RATIO_WARN:g}",
-                      ConditionWarning, stacklevel=2)
-    i, j = np.triu_indices(len(keep), 1)
+                      ConditionWarning, stacklevel=3)
+    i, j = _upper_pairs(nk)
     c, dust = _pair_conductances(S, i, j)
     live = c > dust
-    return FiniteForm.from_arrays(keep, i[live], j[live], c[live])
+    return i[live], j[live], c[live]
+
+
+@functools.cache
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, read-only, built once per n."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def harmonic_extension(form: FiniteForm, boundary: Mapping[VertexId, float]) -> dict[VertexId, float]:

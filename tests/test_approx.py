@@ -1,7 +1,9 @@
 """Level realizations, measures, resistance estimates and the trace tower."""
 
+import dataclasses
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,16 +11,17 @@ import pytest
 
 import agres
 import exact_reference as ref
-from agres import approx
+from agres import approx, network
 from agres.approx import (EdgeTraceTower, boundary_resistance_check, decimation_identity,
                           envelope_check, level_form, measure_weights, resistance_metric,
                           resolvent_kernel, scaling_exponent, vertex_masses,
                           _celled_energy, _cell_table, _level_geometry)
-from agres.errors import (BadWeights, CapExceeded, DomainError, IdentificationMismatch,
-                          InsufficientScales, UnknownVertex)
+from agres.errors import (BadWeights, CapExceeded, ConditionWarning, Disconnected, DomainError,
+                          IdentificationMismatch, InsufficientScales, UnknownVertex)
 from agres.exact import Lattice, Point
 from agres.geometry import VertexTable, cell_images
 from agres.network import FiniteForm, effective_resistance, harmonic_extension, trace
+from agres.renorm import BoundaryForm
 
 
 def rotated(p) -> Point:
@@ -402,7 +405,7 @@ def dict_level_conductances(ifs, sol, m):
         n4 = int(geom.letter_counts[li, 3])
         w = sol.r ** -(m - n4) * sol.s ** -n4
         gids = geom.cell_gids[li]
-        for a, b, c in tables[geom.cell_type[li]]:
+        for a, b, c in zip(*(column.tolist() for column in tables[geom.cell_type[li]])):
             ga, gb = sorted((int(gids[a]), int(gids[b])))
             cond[(ga, gb)] = cond.get((ga, gb), 0.0) + w * c
     return FiniteForm(list(range(geom.n_vertices)), cond).conductances
@@ -432,11 +435,16 @@ def dict_refine(tower):
     return trace(FiniteForm(list(range(len(glued))), cond), list(range(len(keep))))
 
 
-@pytest.mark.parametrize("lam", ["1/4", "3/16", "1/7"])
-def test_array_assembly_is_bit_identical_to_dict_accumulation(lam):
+@pytest.mark.parametrize("lam,top", [("1/4", 4), ("3/16", 4), ("1/7", 4),
+                                     ("45/128", 3), ("181/512", 3), ("5793/16384", 3)],
+                         ids=["1/4", "3/16", "1/7", "45/128", "181/512", "5793/16384"])
+def test_array_assembly_is_bit_identical_to_dict_accumulation(lam, top):
+    """The batched traces of ``level_form`` against one ``trace`` per type, up to
+    10 cell types a level.  At 42 boundary points a Laplacian in a transposed
+    memory layout already rounds the Schur products apart; at 27 it does not."""
     ifs = agres.make_ifs(lam)
     sol = agres.solve_r(ifs, 0.5)
-    for m in range(5):
+    for m in range(top + 1):
         got = level_form(sol, m).form.conductances
         assert list(got.items()) == list(dict_level_conductances(ifs, sol, m).items())
     tower = EdgeTraceTower(sol)
@@ -444,6 +452,27 @@ def test_array_assembly_is_bit_identical_to_dict_accumulation(lam):
         expected = dict_refine(tower)
         tower.refine()
         assert list(tower.form.conductances.items()) == list(expected.conductances.items())
+
+
+@pytest.mark.parametrize("lam", ["1/7", "181/512"])
+def test_level_form_warns_once_per_traced_type(lam, monkeypatch):
+    sol = agres.solve_r(agres.make_ifs(lam), 0.5)
+    monkeypatch.setattr(network, "PIVOT_RATIO_WARN", 1.0)
+    for m in range(4):
+        traced = sum(len(kept) < sol.D.n for kept in _level_geometry(sol.ifs, m).types)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            level_form(sol, m)
+        assert [w.category for w in caught] == [ConditionWarning] * traced
+
+
+def test_level_form_of_a_disconnected_form_raises(sol14):
+    n = sol14.D.n
+    i, j = np.triu_indices(n, 1)
+    c = np.where((i == n - 1) | (j == n - 1), 0.0, sol14.D.c)  # the last point floats free
+    sol = dataclasses.replace(sol14, D=BoundaryForm(sol14.D.bset, c))
+    with pytest.raises(Disconnected):
+        level_form(sol, 1)
 
 
 def test_tower_rejects_a_collapsed_pair(sol14, monkeypatch):
