@@ -112,6 +112,7 @@ class _G17Tables(NamedTuple):
     digits4: np.ndarray   # ASCII of '0000'..'9999', one little-endian uint32 per group
     zeros4: np.ndarray    # the trailing zeros of each group; '0000' has 4
     keep: np.ndarray      # the bytes of its record that each text keeps (see _g17_tables)
+    length: np.ndarray    # and their number, the text's length
 
 
 @functools.cache
@@ -141,7 +142,7 @@ def _g17_tables() -> _G17Tables:
         scale, *_split(scale),
         sum((groups // 10 ** (3 - j) % 10 + ord("0")) << 8 * j for j in range(4)).astype("<u4"),
         sum((groups % 10 ** j == 0).astype(np.uint8) for j in range(1, 5)),
-        keep.reshape(-1, 48))
+        keep.reshape(-1, 48), keep.reshape(-1, 48).sum(1))
 
 
 def _divmod(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,20 +154,23 @@ def _g17_by_percent(v: float) -> bytes:
     return b"%.17g\n" % v
 
 
-def g17_lines(x: np.ndarray) -> list[bytes]:
-    """``[b"%.17g\\n" % v for v in x]`` for a 1-d float64 array, bit for bit.
+def g17_records(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The texts ``b"%.17g\\n" % v`` of a 1-d float64 array, bit for bit, as
+    zero-padded records: a uint8 array of one row per value, 32 to 48 bytes
+    wide, whose nonzero bytes in order are the value's text, and the length of
+    each text.
 
     Values printed in fixed notation are formatted in one vectorized pass:
     hi + lo == x * 10**(16 - k) exactly (Dekker's product of Veltkamp
     halves), and hi >= 2**53 is an even integer, so D = hi + rint(lo) rounds
     half to even as '%' does.  Each text is masked out of its record (see
-    ``_g17_tables``) and the masked bytes are deleted in one pass.  Any
-    value that is not finite and positive, or whose k or D falls outside that
-    range, goes to '%' itself.
+    ``_g17_tables``).  Any value that is not finite and positive, or whose k
+    or D falls outside that range, is formatted by '%' itself into its record:
+    the longest such text, '-2.2250738585072014e-308\\n', has 25 bytes.
     """
     x = np.asarray(x, dtype=np.float64)
     if not x.size:
-        return []
+        return np.zeros((0, 32), dtype=np.uint8), np.zeros(0, dtype=np.intp)
     tables = _g17_tables()
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.floor(np.log10(x))
@@ -202,11 +206,21 @@ def g17_lines(x: np.ndarray) -> list[bytes]:
     record[:, -1] = ord("\n")
     keep = tables.keep[:, np.r_[0:4 * int_cells, 20:48]]
     text = record.view(np.uint8)
-    text *= keep.take(row * 21 + fraction, axis=0)
-    lines = text.tobytes().translate(None, b"\0").splitlines(keepends=True)
+    which = row * 21 + fraction
+    text *= keep.take(which, axis=0)
+    length = tables.length.take(which)
     for i in np.flatnonzero(~fast).tolist():
-        lines[i] = _g17_by_percent(x[i])
-    return lines
+        line = _g17_by_percent(x[i])
+        text[i] = 0
+        text[i, :len(line)] = np.frombuffer(line, dtype=np.uint8)
+        length[i] = len(line)
+    return text, length
+
+
+def g17_lines(x: np.ndarray) -> list[bytes]:
+    """``[b"%.17g\\n" % v for v in x]`` for a 1-d float64 array, bit for bit:
+    the records of ``g17_records`` with their zero bytes deleted."""
+    return g17_records(x)[0].tobytes().translate(None, b"\0").splitlines(keepends=True)
 
 
 # Largest magnitude an int64 numerator may take; lowering it forces the

@@ -550,6 +550,13 @@ def oracle_resolvent_csv(points, matrix) -> bytes:
     return fh.getvalue().encode()
 
 
+def synthetic_kernel(n: int) -> tuple[list[Point], np.ndarray]:
+    """n points on a line and a random symmetric kernel with entries in [1, 4)."""
+    points = [Point(Fraction(i, 7), Fraction(1, 3)) for i in range(n)]
+    matrix = np.random.default_rng(n).uniform(0.5, 2.0, (n, n))
+    return points, matrix + matrix.T
+
+
 class TestResolventWriter:
     """resolvent.csv is byte-equal to the oracle writer; the kernel it writes is
     bitwise symmetric, and a resolvent that misses its row masses is refused."""
@@ -576,9 +583,22 @@ class TestResolventWriter:
     def test_csv_bytes_equal_the_oracle_at_any_size(self, tmp_path, n):
         """The writer formats blocks of 4096 // n whole rows: one block for 1, 2 and
         3 points, and for 65 blocks of 63 rows, the last one of 2."""
-        points = [Point(Fraction(i, 7), Fraction(1, 3)) for i in range(n)]
-        matrix = np.random.default_rng(n).uniform(0.5, 2.0, (n, n))
-        matrix = matrix + matrix.T
+        points, matrix = synthetic_kernel(n)
+        _write_kernel_csv(tmp_path / "k.csv", points, matrix)
+        assert (tmp_path / "k.csv").read_bytes() == oracle_resolvent_csv(points, matrix)
+
+    def test_csv_bytes_equal_the_oracle_on_narrow_records_beside_fallbacks(self, tmp_path):
+        """At n = 1,001 the ids take 1 to 4 digits and the blocks hold 4 rows, the
+        last one 1.  Every value is below 10, so each block's u records have the
+        narrowest width, 32 bytes; the first row and the last 15 rows hold texts
+        that '%' writes into them, the longest (25 bytes) among them.  The first
+        row's 15 of them move the next row's coordinates into its slice should
+        their lengths be off by one."""
+        n = 1001
+        points, matrix = synthetic_kernel(n)
+        matrix = 10.0 ** (5 * (matrix - 1) / 3 - 4)  # in [1e-4, 10): k from -4 to 0
+        matrix[0, -15:] = matrix[-15:, 0] = [-2.2250738585072014e-308, float("nan"), -0.0,
+                                             5e-324, 0.0] * 3
         _write_kernel_csv(tmp_path / "k.csv", points, matrix)
         assert (tmp_path / "k.csv").read_bytes() == oracle_resolvent_csv(points, matrix)
 
@@ -617,19 +637,26 @@ class TestResolventWriter:
                                 "message": "resolvent kernel is not bitwise symmetric"}
         assert not (out / "resolvent.csv").exists()
 
-    @pytest.mark.parametrize("level, n", [(3, 126), (4, 498)])
-    def test_block_writer_peak_is_bounded_per_block(self, tmp_path, level, n):
-        """The writer holds the texts of one block of about 4,096 entries at a time:
-        its traced peak, about 1.38 MB at both n (some 340 bytes per text of a
-        block), stays under one bound of 448 bytes per text of a block of 4,096.
-        Holding every text would take about 15 MB at n = 498."""
-        sol = _solve(RunConfig(command="resolvent", lam="1/8", s=0.5), "1/8")
-        lf = approx.level_form(sol, level)
-        kernel = approx.resolvent_kernel(lf, 1.0, approx.measure_weights(sol.ifs, "hausdorff"))
-        assert len(lf.points) == n
+    @pytest.mark.parametrize("level, n", [(3, 126), (4, 498), (None, 1986)])
+    def test_block_writer_peak_is_bounded_per_block(self, level, n):
+        """The writer holds the texts of one block of about 4,096 entries at a time,
+        and checks the kernel's symmetry a block at a time: its traced peak, about
+        1.4 MB at n = 126 and 498 and 1.5 MB on a synthetic kernel at n = 1,986
+        (blocks of 2 rows), stays under one bound of 448 bytes per text of a block
+        of 4,096.  Holding every text would take about 15 MB at n = 498, and one
+        n x n comparison 3.9 MB at n = 1,986."""
+        if level is None:
+            points, matrix = synthetic_kernel(n)
+        else:
+            sol = _solve(RunConfig(command="resolvent", lam="1/8", s=0.5), "1/8")
+            lf = approx.level_form(sol, level)
+            points = lf.points
+            matrix = approx.resolvent_kernel(
+                lf, 1.0, approx.measure_weights(sol.ifs, "hausdorff")).matrix
+        assert len(points) == n
         tracemalloc.start()
         try:
-            _write_kernel_csv(tmp_path / "k.csv", lf.points, kernel.matrix)
+            _write_kernel_csv(os.devnull, points, matrix)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

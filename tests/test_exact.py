@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from agres import approx, exact
 from agres.cli import RunConfig, _solve
 from agres.errors import DomainError
-from agres.exact import Lattice, OmegaMaps, Point, as_fraction, g17_lines, point_exact_str
+from agres.exact import (Lattice, OmegaMaps, Point, as_fraction, g17_lines, g17_records,
+                         point_exact_str)
 
 # rotation by 120 degrees about the centroid, z -> omega^2 z + 1 with omega^2 = -1 + omega
 ROTATION = ((Fraction(-1), Fraction(1)), (Fraction(1), Fraction(0)))
@@ -59,28 +60,39 @@ def percent_lines(x) -> list[bytes]:
     return [b"%.17g\n" % v for v in np.asarray(x, dtype=np.float64).tolist()]
 
 
+def assert_g17(x) -> None:
+    """g17_lines gives percent_lines; each of g17_records' rows holds its text
+    between zero bytes, and its length is that text's."""
+    lines = percent_lines(x)
+    records, length = g17_records(x)
+    assert g17_lines(x) == lines
+    assert [r[r != 0].tobytes() for r in records] == lines
+    assert length.tolist() == [len(line) for line in lines]
+
+
 def from_bits(bits) -> np.ndarray:
     return np.array(bits, dtype=np.uint64).view(np.float64)
 
 
 class TestG17Lines:
-    """g17_lines gives b"%.17g\\n" % v bit for bit, on the fast path and off it."""
+    """g17_lines and g17_records give b"%.17g\\n" % v and its length bit for bit,
+    on the fast path and off it."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
     def test_raw_bit_patterns(self, bits):
         x = from_bits(bits)
-        assert g17_lines(x) == percent_lines(x)
+        assert_g17(x)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=64))
     def test_any_floats(self, values):
-        assert g17_lines(np.array(values)) == percent_lines(values)
+        assert_g17(np.array(values))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(1e-4, 1e16, exclude_max=True), min_size=1, max_size=64))
     def test_floats_in_fixed_notation(self, values):
-        assert g17_lines(np.array(values)) == percent_lines(values)
+        assert_g17(np.array(values))
 
     @pytest.mark.parametrize("values", [
         [1 + 2 ** -17],                                    # a tie at the 17th digit
@@ -93,7 +105,7 @@ class TestG17Lines:
         [-1.5, -1e-5, -123.456, -1e300],
     ])
     def test_named_values(self, values):
-        assert g17_lines(np.array(values)) == percent_lines(values)
+        assert_g17(np.array(values))
 
     def test_nan_payloads(self):
         x = from_bits([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
@@ -111,17 +123,17 @@ class TestG17Lines:
             j = rng.integers(lo, hi, size=50) | 1
             x += [int(v) / 2 ** s for v in j if lo <= v < min(hi, 2 ** 53)]
         assert len(x) > 900
-        assert g17_lines(np.array(x)) == percent_lines(x)
+        assert_g17(np.array(x))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4097])
     def test_lengths(self, n):
         x = np.random.default_rng(n).uniform(0.5, 2.0, n)
-        assert g17_lines(x) == percent_lines(x)
+        assert_g17(x)
 
     def test_powers_of_ten_and_their_neighbours(self):
         x = np.concatenate([(np.float64(10.0 ** p).view(np.int64)
                              + np.arange(-50, 51)).view(np.float64) for p in range(-6, 19)])
-        assert g17_lines(x) == percent_lines(x)
+        assert_g17(x)
 
     def test_level_4_kernel_takes_no_fallback(self, monkeypatch):
         """Every entry of the 1/8 level-4 kernel is formatted by the vectorized
