@@ -6,12 +6,12 @@ form on approximating graphs, and runs convergence diagnostics along
 dyadic schedules approaching irrational parameters.
 """
 
-from .errors import (AgresError, BadMeasure, BadTarget, BadWeights, BracketFailure,
-                     CapExceeded, ConditionWarning, DegenerateLimit, DepthExceeded,
-                     Disconnected, DomainError, GuardExceeded, IdentificationMismatch,
-                     InsufficientScales, MismatchedVertexSets, NegativeConductance,
-                     NoConvergence, NumericalError, OrbitOverflow, SingularInterior,
-                     UnknownVertex, ValidationError)
+from .errors import (AgresError, BadMeasure, BadTarget, BadWeights, CapExceeded,
+                     ConditionWarning, DegenerateLimit, DepthExceeded, Disconnected,
+                     DomainError, GuardExceeded, IdentificationMismatch, InsufficientScales,
+                     MismatchedVertexSets, NegativeConductance, NoConvergence,
+                     NumericalError, OrbitOverflow, SingularInterior, UnknownVertex,
+                     ValidationError)
 from .exact import Point, as_fraction
 from .geometry import (IFS, BoundarySet, GraphApprox, Label, approximation_graph,
                        boundary_set, doubling_orbit, hausdorff_distance, make_ifs,

@@ -31,7 +31,7 @@ from .geometry import (IFS, Address, LevelGeometry, VertexTable, Word, _level_ge
                        cell_images, check_level)
 from .network import (FiniteForm, _dipole_resistances, _traced_edges, effective_resistance,
                       harmonic_extension, resistance_matrix, resolvent, trace)
-from .renorm import BoundaryForm, Solution, bracketed_root
+from .renorm import BoundaryForm, Solution
 
 LEVEL_CAP = 8
 TOWER_CAP = 12
@@ -138,10 +138,12 @@ def measure_weights(ifs: IFS, scheme: Literal["hausdorff", "uniform", "custom"] 
                     custom: Optional[Sequence[float]] = None) -> MeasureSpec:
     """Cell measure weights: dimension-matched, uniform, or caller supplied.
 
-    The dimension-matched scheme solves 3*(1/2)^d + rho^d = 1 for d in [1, 4] with
-    the weight solve's root finder, ``renorm.bracketed_root`` (rho, the added map's
-    ratio, lies in [1/4, 1/2) as rho^2 = 3 lambda^2 - 3 lambda/2 + 1/4), and gives
+    The dimension-matched scheme solves 3*(1/2)^d + rho^d = 1 for d (rho, the added
+    map's ratio, lies in [1/4, 1/2) as rho^2 = 3 lambda^2 - 3 lambda/2 + 1/4), and gives
     each cell the d-th power of its ratio, which is the natural normalized volume.
+    f(d) = 1 - 3*(1/2)^d - rho^d is increasing and concave with f(1) < 0, so Newton's
+    method from d = 1 climbs monotonically to the root; it stops once a step no longer
+    moves d up.
     """
     if scheme == "uniform":
         return MeasureSpec("uniform", (0.25, 0.25, 0.25, 0.25))
@@ -157,12 +159,13 @@ def measure_weights(ifs: IFS, scheme: Literal["hausdorff", "uniform", "custom"] 
         return MeasureSpec("custom", w)
     if scheme != "hausdorff":
         raise BadWeights(f"unknown measure scheme {scheme!r}")
-    rho = ifs.added_ratio
-
-    def value(d: float) -> tuple[float, float, None]:
-        return d, 1.0 - 3.0 * 0.5 ** d - rho ** d, None
-
-    (d, _, _), _ = bracketed_root(value, 1.0, 4.0, 1e-14)
+    rho, d = ifs.added_ratio, 1.0
+    while True:
+        step = (3.0 * 0.5 ** d + rho ** d - 1.0) / (3.0 * math.log(2.0) * 0.5 ** d
+                                                 - math.log(rho) * rho ** d)
+        if not d + step > d:
+            break
+        d += step
     w = (0.5 ** d, 0.5 ** d, 0.5 ** d, rho ** d)
     total = sum(w)
     return MeasureSpec("hausdorff", tuple(x / total for x in w), dimension=d)

@@ -86,9 +86,5 @@ class DegenerateLimit(NumericalError):
     """Iteration limit is disconnected (a nontrivial degeneration)."""
 
 
-class BracketFailure(NumericalError):
-    """The weight solve could not bracket the requested value."""
-
-
 class ConditionWarning(UserWarning):
     """Pivot ratio of an interior factorization exceeded the conditioning threshold."""

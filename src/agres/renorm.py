@@ -6,8 +6,7 @@ scaled by 1/r_i) and reduces back to the boundary set by a Schur trace.
 A self-similar form corresponds to a fixed point; at unit corner weights
 the operator has a one-dimensional fixed ray whose scale factor C depends
 monotonically on the added-cell weight.  ``solve_r`` solves the ray and the
-weight together, with Brent's root finder on that monotone dependence as
-its fallback.
+weight together, in one bordered iteration.
 """
 
 from __future__ import annotations
@@ -15,13 +14,13 @@ from __future__ import annotations
 import array
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (BracketFailure, CapExceeded, DegenerateLimit, Disconnected, DomainError,
-                     GuardExceeded, IdentificationMismatch, NoConvergence, SingularInterior)
+from .errors import (CapExceeded, DegenerateLimit, Disconnected, DomainError, GuardExceeded,
+                     IdentificationMismatch, NoConvergence, SingularInterior)
 from .exact import Point
 from .geometry import IFS, BoundarySet, boundary_set, numbered, seeded_copies
 from .network import (FiniteForm, _components, _Factor, _laplacian, _pair_conductances,
@@ -332,11 +331,9 @@ def renorm_map(ifs: IFS, D: BoundaryForm, weights) -> BoundaryForm:
 @dataclass
 class EigenResult:
     """Fixed ray of the unit-corner-weight subdivision map at one added weight, D at corner
-    resistance 2/3; ``chord`` is the LU factor of the chord matrix (J - I, J that of the
-    loop's E0-scaled map, bordered by the weight equation in a joint solve) that a later
-    solve of the same kind on the same boundary set may start from.  In a joint solve
-    (``eigen_solve`` given s), ``rtilde4`` is the solved weight x and C is that of the
-    closing application there, so x * C - s is the certificate's g."""
+    resistance 2/3.  In a joint solve (``eigen_solve`` given s), ``rtilde4`` is the solved
+    weight x and C is that of the closing application there, so x * C - s is the
+    certificate's g."""
     rtilde4: float
     C: float
     D: BoundaryForm
@@ -344,7 +341,6 @@ class EigenResult:
     delta: float          # last per-conductance relative change
     residual: float       # max relative deviation of apply(D) from C * D
     jacobians: int = 0
-    chord: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 def _rel_delta(new: np.ndarray, old: np.ndarray) -> float:
@@ -363,7 +359,6 @@ def _weight_bracket(s: float) -> tuple[float, float]:
 def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
                 max_iters: int = EIGEN_MAX_ITERS,
                 initial: Optional[BoundaryForm] = None,
-                chord: Optional[tuple] = None,
                 s: Optional[float] = None, s_tol: float = BISECT_TOL) -> EigenResult:
     """Fixed conductance profile of the subdivision map at unit corner weights.
 
@@ -374,13 +369,13 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
     rescaled once, to resistance 2/3 between corners 1 and 2, before the
     closing application.  Power steps D <- T(D) run until the change is below
     CHORD_START, then chord steps z <- z - (J - I)^-1 (T(z) - z) on one value
-    per pair orbit, with J factored once (or passed in as ``chord``) and
-    rebuilt whenever a step contracts the change by less than CHORD_RATE; J
-    comes from the harmonic extension of the step it follows, so every step
-    factors the glued interior once.  A chord step that leaves the positive
-    cone or does not reduce the change hands back to power steps.  The scale
-    factor C is the energy ratio of one application at the limit; it lies in
-    [3/5, 1).  ``rtilde4 = inf`` or None omits the added copy (open circuit).
+    per pair orbit, with J factored once and rebuilt whenever a step contracts
+    the change by less than CHORD_RATE; J comes from the harmonic extension of
+    the step it follows, so every step factors the glued interior once.  A
+    chord step that leaves the positive cone or does not reduce the change
+    hands back to power steps.  The scale factor C is the energy ratio of one
+    application at the limit; it lies in [3/5, 1).  ``rtilde4 = inf`` or None
+    omits the added copy (open circuit).
 
     Given ``s``, the added weight x is solved too, from the start ``rtilde4``,
     so that g(x) = x * C(x) - s vanishes (Keller's bordered system for a
@@ -408,7 +403,7 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
 
     rep = ctx.orbit_pairs[0]
     size = len(rep) + (s is not None)
-    lu = chord if chord is not None and len(chord[1]) == size else None
+    lu = None
     chording = fallen = False
     delta, iters, jacobians, g = math.inf, 0, 0, 0.0
     for iters in range(1, max_iters + 1):
@@ -461,35 +456,15 @@ def eigen_solve(ifs: IFS, rtilde4: float, tol: float = EIGEN_TOL,
         raise DegenerateLimit(f"scale factor {C!r} escapes [3/5, 1)")
 
     D = BoundaryForm(bset, c, symmetric=True)
-    return EigenResult(ws[3], float(C), D, iters, delta, residual, jacobians,
-                       None if fallen else lu)
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """One ``eigen_solve`` call of the weight solve and its g(x) = x * C(x) - s: the joint
-    solve, at the x it solved, or one abscissa of the fallback root finder."""
-    x: float
-    g: float
-    C: float
-    power_iterations: int
-    delta: float
-    residual: float
-    jacobians: int = 0
+    return EigenResult(ws[3], float(C), D, iters, delta, residual, jacobians)
 
 
 @dataclass
 class Solution:
     """Solved renormalization data for one (lambda, s) pair, with the IFS it was solved on.
 
-    ``eigen_iterations`` counts the ``eigen_solve`` calls of the weight
-    solve, not the map applications inside them: 1 when the joint solve
-    certifies, and otherwise one more per evaluation of the fallback root
-    finder (the joint call counts when it returned).  ``power_iterations``
-    is the total of map applications, ``jacobians`` that of the Jacobians
-    built.  ``history`` holds one record per call, in call order, and
-    ``bracket`` the final sign-change interval of g, (x, x) when the joint
-    solve certifies; none of these is serialized.
+    ``power_iterations`` and ``jacobians`` count the map applications and the Jacobians
+    of the one joint ``eigen_solve``; neither is serialized.
     """
     ifs: IFS
     s: float
@@ -500,11 +475,8 @@ class Solution:
     residual: float
     D: BoundaryForm
     experimental: bool = False
-    eigen_iterations: int = 0
     power_iterations: int = 0
     jacobians: int = 0
-    history: list[Evaluation] = field(default_factory=list)
-    bracket: tuple[float, float] = (math.nan, math.nan)
 
     def to_json_obj(self) -> dict:
         lam = self.ifs.lam
@@ -521,58 +493,6 @@ class Solution:
         }
 
 
-def bracketed_root(value: Callable[[float], tuple[float, float, Any]], lo: float, hi: float,
-                   tol: float) -> tuple[tuple[float, float, Any], tuple[float, float, Any]]:
-    """Root of a nondecreasing g by Brent's method (inverse quadratic interpolation or
-    secant, safeguarded by bisection; Brent 1973, ch. 4), until |g| <= ``tol``.
-
-    ``value(x)`` returns a triple (x, g(x), payload).  The caller proves g(lo) <= 0 <= g(hi);
-    a start bracket without that sign change raises BracketFailure at once.
-    Returns the triple of the root and that of the far end of the final bracket.
-    """
-    lo_v = value(lo)
-    if lo_v[1] > 0:
-        raise BracketFailure("could not bracket from below")
-    hi_v = value(hi)
-    if hi_v[1] < 0:
-        raise BracketFailure("could not bracket from above")
-
-    # b is the best point, c the far end of the bracket, a the previous b;
-    # d is the last step and e the one before
-    a, b, c = lo_v, hi_v, lo_v
-    d = e = hi_v[0] - lo_v[0]
-    for _ in range(200):
-        if b[1] * c[1] > 0:
-            c = a
-            d = e = b[0] - a[0]
-        if abs(c[1]) < abs(b[1]):
-            a, b, c = b, c, b
-        if abs(b[1]) <= tol:
-            return b, c
-        xtol = 2.0 * np.finfo(float).eps * abs(b[0])
-        m = 0.5 * (c[0] - b[0])
-        if abs(m) <= xtol:
-            raise NoConvergence(f"bracket collapsed at |g| = {abs(b[1]):.3e}")
-        if abs(e) >= xtol and abs(a[1]) > abs(b[1]):
-            t = b[1] / a[1]
-            if a is c:  # secant
-                p, q = 2.0 * m * t, 1.0 - t
-            else:  # inverse quadratic interpolation
-                qa, rb = a[1] / c[1], b[1] / c[1]
-                p = t * (2.0 * m * qa * (qa - rb) - (b[0] - a[0]) * (rb - 1.0))
-                q = (qa - 1.0) * (rb - 1.0) * (t - 1.0)
-            p, q = (p, -q) if p > 0 else (-p, q)
-            if 2.0 * p < min(3.0 * m * q - abs(xtol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a = b
-        b = value(b[0] + (d if abs(d) > xtol else math.copysign(xtol, m)))
-    raise NoConvergence("root finder did not reach tolerance")
-
-
 def check_s(s: float) -> float:
     s = float(s)
     if not (0.0 < s < 1.0):
@@ -586,50 +506,29 @@ def solve_r(ifs: IFS, s: float, eigen_tol: float = EIGEN_TOL,
 
     Finds the root x of g(x) = x * C(x) - s, which is nondecreasing in x, in
     the bracket [s, s/0.58] (``_weight_bracket``), by one joint
-    ``eigen_solve`` for the fixed ray and x, started at the bracket's middle.
-    Its result is certified when x lies in the bracket and |g| <=
-    ``bisect_tol`` with C from its closing application; the loop has already
-    checked that the step at that x changed the ray by less than
-    ``eigen_tol``.  Otherwise (also when it raises NoConvergence), Brent's
-    ``bracketed_root`` solves on the bracket until |g| <= ``bisect_tol``,
-    each evaluation a fixed-weight ``eigen_solve`` warm-started from the
-    last.  The returned r equals C at the solved weight, the fixed form D is
-    normalized to corner resistance 2/3, and the residual measures how far D
-    is from being fixed under weights (r, r, r, s).
+    ``eigen_solve`` for the fixed ray and x, started at the bracket's middle;
+    its loop has already checked that the step at that x changed the ray by
+    less than ``eigen_tol``.  The result is certified when x lies in the
+    bracket and |g| <= ``bisect_tol`` with C from the closing application;
+    otherwise NoConvergence is raised.  The returned r equals C at the solved
+    weight, the fixed form D is normalized to corner resistance 2/3, and the
+    residual measures how far D is from being fixed under weights (r, r, r, s).
     """
     s = check_s(s)
-    warm: Optional[EigenResult] = None  # the last fixed ray and chord factor start the next
-    history: list[Evaluation] = []
-
-    def value(x: float, **joint) -> tuple[float, float, EigenResult]:
-        nonlocal warm
-        res = eigen_solve(ifs, x, tol=eigen_tol, max_iters=max_iters,
-                          initial=warm and warm.D, chord=warm and warm.chord, **joint)
-        warm, x = res, res.rtilde4
-        g = x * res.C - s
-        history.append(Evaluation(x, g, res.C, res.iterations, res.delta, res.residual,
-                                  res.jacobians))
-        return x, g, res
-
     lo, hi = _weight_bracket(s)
-    try:
-        b = c = value(0.5 * (lo + hi), s=s, s_tol=bisect_tol)
-        certified = lo <= b[0] <= hi and abs(b[1]) <= bisect_tol
-    except NoConvergence:
-        certified = False
-    if not certified:
-        b, c = bracketed_root(value, lo, hi, bisect_tol)
-    rtilde4, _, res = b
-    r, D = res.C, res.D
+    res = eigen_solve(ifs, 0.5 * (lo + hi), tol=eigen_tol, max_iters=max_iters,
+                      s=s, s_tol=bisect_tol)
+    rtilde4, r, D = res.rtilde4, res.C, res.D
+    g = rtilde4 * r - s
+    if not (lo <= rtilde4 <= hi and abs(g) <= bisect_tol):
+        raise NoConvergence(f"the weight solve is not certified: x = {rtilde4!r} (bracket "
+                            f"[{lo!r}, {hi!r}]), |x * C - s| = {abs(g):.3e}")
     ctx = _glue_context(ifs, boundary_set(ifs), include_added=True)
     residual = _rel_delta(ctx.apply(D.c, (r, r, r, s)), D.c)
     theta = -math.log(r) / math.log(2.0)
-    return Solution(ifs, s, r, res.C, rtilde4, theta, residual, D,
-                    experimental=not ifs.is_dyadic(),
-                    eigen_iterations=len(history),
-                    power_iterations=sum(h.power_iterations for h in history),
-                    jacobians=sum(h.jacobians for h in history),
-                    history=history, bracket=(min(b[0], c[0]), max(b[0], c[0])))
+    return Solution(ifs, s, r, r, rtilde4, theta, residual, D,
+                    experimental=not ifs.is_dyadic(), power_iterations=res.iterations,
+                    jacobians=res.jacobians)
 
 
 def uniqueness_scan(sol: Solution, r_values: Sequence[float]) -> list[tuple[float, float]]:

@@ -16,6 +16,7 @@ from agres.approx import (EdgeTraceTower, boundary_resistance_check, decimation_
                           envelope_check, level_form, measure_weights, resistance_metric,
                           resolvent_kernel, scaling_exponent, vertex_masses,
                           _celled_energy, _cell_table, _level_geometry)
+from agres.converge import dyadic_schedule
 from agres.errors import (BadWeights, CapExceeded, ConditionWarning, Disconnected, DomainError,
                           IdentificationMismatch, InsufficientScales, UnknownVertex)
 from agres.exact import Lattice, Point
@@ -126,8 +127,8 @@ class TestLevelForm:
 
 
 def reference_dimension(rho: float) -> float:
-    """The bisection ``measure_weights`` ran before it shared the weight solve's root
-    finder: the root of 3*(1/2)^d + rho^d = 1."""
+    """The bisection ``measure_weights`` ran before its Newton solve: the root of
+    3*(1/2)^d + rho^d = 1."""
 
     def g(d: float) -> float:
         return 3.0 * 0.5 ** d + rho ** d - 1.0
@@ -190,11 +191,13 @@ class TestMeasures:
                 hi = mid
         assert 0.5 * (lo + hi) == pytest.approx(2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("lam", ["1/4", "1/8", "1/7", "3/16", "181/512"])
+    @pytest.mark.parametrize("lam", list(dict.fromkeys(
+        ["1/4", "1/8", "1/7", "3/16", "181/512"]
+        + [str(lam) for _, lam in dyadic_schedule("1/sqrt8", range(4, 11)).entries])))
     def test_dimension_matches_reference_bisection(self, lam):
         ifs = agres.make_ifs(lam)
         expected = reference_dimension(ifs.added_ratio)
-        assert measure_weights(ifs).dimension == pytest.approx(expected, rel=1e-12)
+        assert measure_weights(ifs).dimension == pytest.approx(expected, rel=1e-13)
 
     def test_vertex_masses_positive_and_normalized(self, ifs14, sol14):
         ms = measure_weights(ifs14)

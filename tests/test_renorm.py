@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 
 import agres
-from agres import network, renorm
+from agres import cli, network, renorm
 from agres.converge import dyadic_schedule
-from agres.errors import (BracketFailure, CapExceeded, DegenerateLimit, Disconnected, DomainError,
-                          GuardExceeded, NoConvergence)
+from agres.errors import (CapExceeded, DegenerateLimit, Disconnected, DomainError, GuardExceeded,
+                          NoConvergence)
 from agres.geometry import (BoundarySet, _level_geometry, boundary_set, doubling_orbit,
                             seeded_copies)
 from agres.network import FiniteForm, effective_resistance, trace
@@ -672,7 +673,7 @@ def test_wrong_jacobian_falls_back_to_the_power_ray(monkeypatch, lam, wrong):
     ifs = agres.make_ifs(lam)
     monkeypatch.setattr(GlueContext, "jacobian", lambda self, X, y, w: wrong(len(self.pairs) // 3))
     res, oracle = eigen_solve(ifs, 0.7), power_eigen_solve(ifs, 0.7)
-    assert res.jacobians >= 1 and res.chord is None  # a chord phase ran, then handed back
+    assert res.jacobians >= 1  # a chord phase ran, then handed back
     assert res.C == pytest.approx(oracle.C, rel=1e-9)
     assert ray_vector(res) == pytest.approx(ray_vector(oracle), rel=1e-9, abs=1e-12)
 
@@ -680,12 +681,12 @@ def test_wrong_jacobian_falls_back_to_the_power_ray(monkeypatch, lam, wrong):
 def test_chord_counts_map_applications(ifs14):
     ifs = agres.make_ifs("181/512")
     res = eigen_solve(ifs, 0.7)
-    assert res.jacobians >= 1 and res.chord is not None
+    assert res.jacobians >= 1
     assert res.iterations < power_eigen_solve(ifs, 0.7).iterations
     with pytest.raises(NoConvergence):  # max_iters caps both phases
         eigen_solve(ifs, 0.7, max_iters=res.iterations - 1)
     sol = solve_r(ifs14, 0.5)
-    assert sol.jacobians == sum(h.jacobians for h in sol.history) >= 1
+    assert sol.jacobians >= 1
     assert "jacobians" not in sol.to_json_obj()
 
 
@@ -718,7 +719,7 @@ def test_weight_solve_factors_once_per_application(monkeypatch):
     schurs = count_calls(monkeypatch, GlueContext, "_schur")
     sol = solve_r(ifs, 0.5)
     assert sol.jacobians >= 1
-    assert len(schurs) == sol.power_iterations + sol.eigen_iterations + 1
+    assert len(schurs) == sol.power_iterations + 2
 
 
 def test_sqrt8_schedule_map_applications():
@@ -869,7 +870,7 @@ def bisection_solve(ifs, s, eigen_tol=1e-12, bisect_tol=1e-10,
         lo *= 0.5
         glo, _ = value(lo)
     else:
-        raise BracketFailure("could not bracket from below")
+        raise NoConvergence("could not bracket from below")
     ghi, res_hi = value(hi)
     for _ in range(BRACKET_EXPANSIONS):
         if ghi >= 0:
@@ -877,7 +878,7 @@ def bisection_solve(ifs, s, eigen_tol=1e-12, bisect_tol=1e-10,
         hi *= 2.0
         ghi, res_hi = value(hi)
     else:
-        raise BracketFailure("could not bracket from above")
+        raise NoConvergence("could not bracket from above")
 
     mid, res_mid = hi, res_hi
     for _ in range(200):
@@ -903,21 +904,25 @@ def test_brent_matches_bisection(lam, s):
     assert sol.r == pytest.approx(r, rel=1e-9)
     assert abs(sol.rtilde4 * sol.C - s) <= 1e-10
     assert sol.residual <= 1e-8
-    if s == 0.5:
-        # bisection takes about 30 evaluations from this bracket
-        assert sol.eigen_iterations <= 12
 
 
 @pytest.mark.parametrize("lam,s", GRID_CASES + [(lam, 0.5) for lam in SQRT8_LAMBDAS]
-                         # at 181/512, s = 1e-4 the fixed-weight solve at Brent's first
-                         # abscissa, x = s, stalls on rounding noise and raises NoConvergence
+                         # at 181/512, s = 1e-4 a fixed-weight solve at x = s stalls on
+                         # rounding noise and raises NoConvergence; the joint solve does not
                          + [("1/7", 1e-4), ("181/512", 1e-4)])
-def test_joint_solve_certifies_without_the_fallback(lam, s):
+def test_joint_solve_certifies_without_the_fallback(monkeypatch, lam, s):
+    calls, real = [], renorm.eigen_solve
+
+    def spy(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(renorm, "eigen_solve", spy)
     sol = solve_r(agres.make_ifs(lam), s)
-    [h] = sol.history
-    assert sol.eigen_iterations == 1 and sol.bracket == (h.x, h.x) == (sol.rtilde4,) * 2
-    assert s <= h.x <= s / 0.58 and abs(h.g) <= renorm.BISECT_TOL
-    assert h.delta < EIGEN_TOL and sol.residual <= 1e-8
+    [res] = calls
+    assert (res.rtilde4, res.C, res.iterations) == (sol.rtilde4, sol.C, sol.power_iterations)
+    assert s <= sol.rtilde4 <= s / 0.58 and abs(sol.rtilde4 * sol.C - s) <= renorm.BISECT_TOL
+    assert res.delta < EIGEN_TOL and sol.residual <= 1e-8
 
 
 @pytest.mark.parametrize("lam,s", [("1/7", 0.05), ("1/7", 0.95), ("3/7", 0.05), ("1/9", 0.95)])
@@ -925,15 +930,9 @@ def test_joint_solve_matches_bisection_at_extreme_weights(lam, s):
     ifs = agres.make_ifs(lam)
     sol = solve_r(ifs, s)
     rtilde4, r = bisection_solve(ifs, s)
-    assert sol.eigen_iterations == 1
     assert sol.r == pytest.approx(r, rel=1e-9)
     # the oracle stops at |g| <= 1e-10, which leaves x about 2e-9 relative at s = 0.05
     assert sol.rtilde4 == pytest.approx(rtilde4, abs=1e-9)
-
-
-@functools.lru_cache(maxsize=None)
-def cached_bisection(lam, s):
-    return bisection_solve(agres.make_ifs(lam), s)
 
 
 def joint_solve_failing(failure):
@@ -956,20 +955,13 @@ def joint_solve_failing(failure):
 
 @pytest.mark.parametrize("failure", ["raises", "misses", "leaves"])
 @pytest.mark.parametrize("lam,s", [("1/4", 0.5), ("1/7", 0.3)])
-def test_uncertified_joint_solve_falls_back_to_brent(monkeypatch, lam, s, failure):
-    ifs = agres.make_ifs(lam)
+def test_uncertified_weight_solve_exits_3(monkeypatch, capsys, tmp_path, lam, s, failure):
     monkeypatch.setattr(renorm, "eigen_solve", joint_solve_failing(failure))
-    sol = solve_r(ifs, s)
-    brent = sol.history[failure != "raises":]  # a joint result that came back is recorded
-    assert [h.x for h in brent[:2]] == [s, s / 0.58]
-    assert len(sol.history) == sol.eigen_iterations and len(brent) >= 3
-    assert sol.power_iterations == sum(h.power_iterations for h in sol.history)
-    lo, hi = sol.bracket
-    assert s <= lo <= sol.rtilde4 <= hi <= s / 0.58 and lo < hi
-    rtilde4, r = cached_bisection(lam, s)
-    assert sol.rtilde4 == pytest.approx(rtilde4, rel=1e-9)
-    assert sol.r == pytest.approx(r, rel=1e-9)
-    assert abs(sol.rtilde4 * sol.C - s) <= 1e-10
+    with pytest.raises(NoConvergence):
+        solve_r(agres.make_ifs(lam), s)
+    assert cli.main(["solve", "--lambda", lam, "--s", str(s), "--out", str(tmp_path)]) == 3
+    obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert obj["error"]["type"] == "NoConvergence"
 
 
 @pytest.mark.parametrize("lam", ["1/4", "1/7", "181/512"])
@@ -984,64 +976,6 @@ def test_unreachable_weight_tolerance_stops_promptly(lam):
     else:
         assert res.rtilde4 * res.C - 0.5 == pytest.approx(0.0, abs=1e-15)
         assert res.iterations <= 100
-
-
-def test_solve_history(ifs14):
-    sol = solve_r(ifs14, 0.5)
-    hist = sol.history
-    assert len(hist) == sol.eigen_iterations
-    assert sol.power_iterations == sum(h.power_iterations for h in hist)
-    assert all(h.power_iterations >= 1 and h.delta < 1e-12 for h in hist)
-    assert all(h.g == pytest.approx(h.x * h.C - 0.5, abs=1e-15) for h in hist)
-    # the joint solve certifies at once: one evaluation, at the solved weight
-    assert len(hist) == 1 and 0.5 <= hist[0].x <= 0.5 / 0.58
-    assert (hist[-1].x, hist[-1].C) == (sol.rtilde4, sol.C)
-    assert abs(hist[-1].g) <= 1e-10
-    lo, hi = sol.bracket
-    assert lo <= sol.rtilde4 <= hi
-    assert sol.bracket == (sol.rtilde4, sol.rtilde4)
-    assert "history" not in sol.to_json_obj()
-
-
-@pytest.fixture
-def synthetic_c(monkeypatch, ifs14):
-    """Patch ``eigen_solve`` to a given C(x); the form it returns is a real fixed form."""
-    D = eigen_solve(ifs14, 1.0).D
-
-    def install(C):
-        def fake(ifs, x, tol=None, max_iters=None, initial=None, chord=None, s=None,
-                 s_tol=None):
-            if s is not None:  # a synthetic C(x) has no ray to solve with x
-                raise NoConvergence("no joint solve on a synthetic C")
-            return EigenResult(x, C(x), D, 3, 0.0, 0.0)
-        monkeypatch.setattr(renorm, "eigen_solve", fake)
-    return install
-
-
-@pytest.mark.parametrize("C,message,evaluations", [
-    (lambda x: 3.0 + x / (1.0 + x), "below", 1),          # root near 0.1, below s = 0.4
-    (lambda x: 0.01 + 0.01 * x / (1.0 + x), "above", 2),  # root near 20, above s / 0.58
-], ids=["below", "above"])
-def test_root_outside_the_start_bracket_fails_at_once(synthetic_c, ifs14, C, message,
-                                                       evaluations):
-    xs = []
-    synthetic_c(lambda x: xs.append(x) or C(x))
-    with pytest.raises(BracketFailure, match=message):
-        solve_r(ifs14, 0.4)
-    assert xs == [0.4, 0.4 / 0.58][:evaluations]
-
-
-@pytest.mark.parametrize("C,message", [(lambda x: 1e30, "below"), (lambda x: 0.0, "above")])
-def test_bracket_failure(synthetic_c, ifs14, C, message):
-    synthetic_c(C)
-    with pytest.raises(BracketFailure, match=message):
-        solve_r(ifs14, 0.5)
-
-
-def test_no_convergence_when_g_jumps_over_zero(synthetic_c, ifs14):
-    synthetic_c(lambda x: 0.6 if x < 0.7 else 0.8)  # g jumps from -0.08 to +0.06 at 0.7
-    with pytest.raises(NoConvergence):
-        solve_r(ifs14, 0.5)
 
 
 # -- the uniqueness scan and the residuals against the formulas they replaced ---------
